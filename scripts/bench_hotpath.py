@@ -36,7 +36,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro import hotpath                                     # noqa: E402
-from repro.aig.cuts import enumerate_cuts                     # noqa: E402
 from repro.aig.simprogram import pack_rounds, sim_program, wide_mask  # noqa: E402
 from repro.aig.simulate import simulate_words                 # noqa: E402
 from repro.bdd import pool as bdd_pool                        # noqa: E402
@@ -123,17 +122,6 @@ def bench_npn(lookups: int):
     return run
 
 
-def bench_cuts(bench: str):
-    """4-feasible cut enumeration with truth tables."""
-    aig = get_benchmark(bench, scaled=True)
-
-    def run():
-        cuts = enumerate_cuts(aig, k=4, cut_limit=8, compute_tables=True)
-        return sum(len(v) for v in cuts.values())
-
-    return run
-
-
 def bench_bdd(num_vars: int, ops: int):
     """Random AND/OR/XOR build-up, the SBM window workload shape."""
 
@@ -198,7 +186,6 @@ def run_engines(quick: bool):
         engines = {
             "sim_multiround": bench_sim_multiround("i2c", 16),
             "npn": bench_npn(1000),
-            "cuts": bench_cuts("i2c"),
             "bdd": bench_bdd(12, 800),
             "simresub": bench_simresub("i2c"),
         }
@@ -206,7 +193,6 @@ def run_engines(quick: bool):
         engines = {
             "sim_multiround": bench_sim_multiround("i2c", 16),
             "npn": bench_npn(2000),
-            "cuts": bench_cuts("i2c"),
             "bdd": bench_bdd(14, 4000),
             "simresub": bench_simresub("priority"),
         }

@@ -11,8 +11,9 @@ stage-level result corruption — and then asserts the robustness contract:
 * every injected fault is **visible in the guard report**,
 * every stage-level corruption was **rolled back** by the equivalence
   guard,
-* an **interrupted + resumed** run produces the *same network* as an
-  uninterrupted run with the same seed.
+* an **interrupted** run, rerun against the same stage-memo cache
+  directory, replays its committed stages and produces the *same
+  network* as an uninterrupted run.
 
 Exit status 0 means every seed upheld the contract.  This is the script
 behind the CI chaos job:
@@ -32,6 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
 from repro.bench.registry import get_benchmark  # noqa: E402
+from repro.campaign.cache import cache_context  # noqa: E402
 from repro.guard.chaos import ChaosInterrupt, FaultPlan  # noqa: E402
 from repro.parallel.window_io import CompactAig  # noqa: E402
 from repro.sat.equivalence import check_equivalence  # noqa: E402
@@ -76,33 +78,37 @@ def soak_one(aig, seed: int, jobs: int, rate: float,
 
 
 def soak_resume(aig, seed: int, interrupt_after: int) -> None:
-    """Interrupt at a checkpoint, resume, compare against uninterrupted."""
+    """Interrupt after a stage, rerun over the stage memo, compare against
+    an uninterrupted run."""
     base, _ = sbm_flow(aig, FlowConfig(iterations=1))
-    ckpt = tempfile.mkdtemp(prefix="chaos-ckpt-")
+    memo_dir = tempfile.mkdtemp(prefix="chaos-memo-")
     try:
         plan = FaultPlan(seed=seed, rate=0.0,
                          interrupt_after=interrupt_after)
         try:
-            sbm_flow(aig, FlowConfig(iterations=1, checkpoint_dir=ckpt,
-                                     chaos=plan))
+            with cache_context(memo_dir):
+                sbm_flow(aig, FlowConfig(iterations=1, chaos=plan))
         except ChaosInterrupt as exc:
             print(f"  interrupted after stage #{exc.stage_index} "
-                  f"(checkpoint committed)")
+                  f"(stage results committed)")
         else:
             fail(f"seed {seed}: interrupt_after={interrupt_after} "
                  f"never fired")
-        out, stats = sbm_flow(aig, FlowConfig(iterations=1),
-                              resume_from=ckpt)
+        with cache_context(memo_dir):
+            out, stats = sbm_flow(aig, FlowConfig(iterations=1))
         if signature(out) != signature(base):
-            fail(f"seed {seed}: resumed network differs from "
+            fail(f"seed {seed}: rerun network differs from "
                  f"uninterrupted run")
+        if stats.guard.replayed != interrupt_after + 1:
+            fail(f"seed {seed}: rerun replayed {stats.guard.replayed} "
+                 f"stages, expected {interrupt_after + 1}")
         ok, _ = check_equivalence(aig, out)
         if not ok:
-            fail(f"seed {seed}: resumed output not equivalent")
-        print(f"  resumed from stage #{stats.guard.resumed_from}: "
+            fail(f"seed {seed}: rerun output not equivalent")
+        print(f"  rerun replayed {stats.guard.replayed} stages: "
               f"identical to uninterrupted run")
     finally:
-        shutil.rmtree(ckpt, ignore_errors=True)
+        shutil.rmtree(memo_dir, ignore_errors=True)
 
 
 def main(argv=None) -> int:
@@ -118,14 +124,14 @@ def main(argv=None) -> int:
     parser.add_argument("--stage-corrupt-rate", type=float, default=0.15,
                         help="stage corruption rate (default: 0.15)")
     parser.add_argument("--interrupt-after", type=int, default=3,
-                        help="stage index for the resume check (default: 3)")
+                        help="stage index for the rerun check (default: 3)")
     args = parser.parse_args(argv)
 
     aig = get_benchmark(args.bench, scaled=True)
     print(f"chaos soak on {args.bench}: {aig.stats()}")
     for seed in args.seeds:
         soak_one(aig, seed, args.jobs, args.rate, args.stage_corrupt_rate)
-    print(f"resume-after-interrupt check (seed {args.seeds[0]}):")
+    print(f"rerun-after-interrupt check (seed {args.seeds[0]}):")
     soak_resume(aig, args.seeds[0], args.interrupt_after)
     print("chaos soak PASSED")
     return 0

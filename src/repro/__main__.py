@@ -9,7 +9,12 @@ Commands
 ``table3 [count]``       reproduce Table III on *count* industrial designs
 ``runtime``              the Section III-B monolithic runtime claim
 ``ablation``             parameter ablations (Sections III-C, IV-A, IV-B)
-``optimize <file.aag>``  run the SBM flow on an ASCII AIGER file
+``optimize <file.aag>``  run the SBM flow on an ASCII AIGER file;
+                         ``--cache-dir DIR`` memoizes every stage, so
+                         rerunning an interrupted ``optimize`` with the
+                         same ``--cache-dir`` resumes it: committed stages
+                         replay, the rest recompute, and the result is the
+                         uninterrupted run's network
 ``bench <name>``         print a benchmark's statistics
 ``campaign <suite.toml | names...>``
                          run a batch of (benchmark × config) jobs through
@@ -86,16 +91,14 @@ Options
 ``--timeout S``          flow wall-clock budget in seconds: stages degrade
                          to reduced effort when behind schedule and are
                          skipped once the budget is gone (``repro.guard``)
-``--checkpoint-dir DIR`` crash-safe checkpoint after every flow stage
-``--resume DIR``         resume an interrupted ``optimize`` run from its
-                         checkpoint directory
 ``--chaos SEED``         inject deterministic faults (worker crashes,
                          window timeouts, corrupt results, BDD limits)
                          drawn from SEED — the fault-injection harness
-``--chaos-interrupt N``  with ``--chaos``: kill the flow right after the
-                         checkpoint of global stage N (exit status 3), a
+``--chaos-interrupt N``  kill the flow right after global stage N has
+                         committed its result (exit status 3), a
                          deterministic stand-in for ``kill -9`` used by
-                         the resume-after-interrupt CI check
+                         the rerun-after-interrupt CI check; on its own it
+                         injects no other fault and keeps the stage memo on
 ``--no-simresub``        disable the simulation-guided resubstitution
                          stage (the fifth engine; on by default)
 ``--orchestrate K``      (optimize / campaign) replace the fixed stage
@@ -177,8 +180,6 @@ def _extract_obs(args: List[str]) -> Tuple[List[str], bool, Optional[str],
 def _extract_guard(args: List[str]):
     """Strip the repro.guard flags; returns (args, GuardOptions)."""
     args, timeout = _extract_value_flag(args, "--timeout")
-    args, checkpoint_dir = _extract_value_flag(args, "--checkpoint-dir")
-    args, resume = _extract_value_flag(args, "--resume")
     args, chaos_interrupt = _extract_value_flag(args, "--chaos-interrupt")
     args, chaos = _extract_value_flag(args, "--chaos")
     timeout_s: Optional[float] = None
@@ -199,16 +200,12 @@ def _extract_guard(args: List[str]):
                 f"--chaos expects an integer seed, got {chaos!r}") from None
     interrupt_after: Optional[int] = None
     if chaos_interrupt is not None:
-        if chaos_seed is None:
-            raise SystemExit("--chaos-interrupt requires --chaos SEED")
         try:
             interrupt_after = int(chaos_interrupt)
         except ValueError:
             raise SystemExit(f"--chaos-interrupt expects a stage index, "
                              f"got {chaos_interrupt!r}") from None
-    return args, GuardOptions(timeout_s=timeout_s,
-                              checkpoint_dir=checkpoint_dir,
-                              resume=resume, chaos_seed=chaos_seed,
+    return args, GuardOptions(timeout_s=timeout_s, chaos_seed=chaos_seed,
                               interrupt_after=interrupt_after)
 
 
@@ -216,13 +213,9 @@ class GuardOptions:
     """Parsed ``repro.guard`` CLI flags."""
 
     def __init__(self, timeout_s: Optional[float] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 resume: Optional[str] = None,
                  chaos_seed: Optional[int] = None,
                  interrupt_after: Optional[int] = None) -> None:
         self.timeout_s = timeout_s
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
         self.chaos_seed = chaos_seed
         self.interrupt_after = interrupt_after
         self.cache_dir: Optional[str] = None
@@ -317,10 +310,10 @@ def _guard_summary(stats) -> str:
         parts.append(f"rollbacks={guard.rollbacks}")
     if guard.checkpoints:
         parts.append(f"checkpoints={guard.checkpoints}")
+    if guard.replayed:
+        parts.append(f"replayed={guard.replayed}")
     if guard.faults:
         parts.append(f"faults={len(guard.faults)}")
-    if guard.resumed_from is not None:
-        parts.append(f"resumed_from=stage#{guard.resumed_from}")
     return f"guard : {' '.join(parts)}" if parts else ""
 
 
@@ -333,13 +326,16 @@ def _dispatch(command: str, rest: List[str], jobs: int,
         from repro.guard.chaos import FaultPlan
         chaos_plan = FaultPlan(seed=guard_opts.chaos_seed,
                                interrupt_after=guard_opts.interrupt_after)
+    elif guard_opts.interrupt_after is not None:
+        from repro.guard.chaos import FaultPlan
+        chaos_plan = FaultPlan(seed=0, rate=0.0,
+                               interrupt_after=guard_opts.interrupt_after)
     orchestrate_cfg = None
     if guard_opts.orchestrate_k is not None:
         from repro.sbm.config import OrchestrateConfig
         orchestrate_cfg = OrchestrateConfig(k=guard_opts.orchestrate_k)
     flow_config = FlowConfig(iterations=1, jobs=jobs,
                              flow_timeout_s=guard_opts.timeout_s,
-                             checkpoint_dir=guard_opts.checkpoint_dir,
                              chaos=chaos_plan,
                              enable_simresub=guard_opts.simresub,
                              verify_each_step=chaos_plan is not None,
@@ -373,6 +369,7 @@ def _dispatch(command: str, rest: List[str], jobs: int,
         import os
         from repro.aig.io_aiger import read_aag, write_aag
         from repro.bench.registry import benchmark_names, get_benchmark
+        from repro.campaign.cache import cache_context
         from repro.sat.equivalence import check_equivalence
         from repro.sbm.flow import sbm_flow
         if not os.path.exists(rest[0]) and rest[0] in benchmark_names():
@@ -383,8 +380,8 @@ def _dispatch(command: str, rest: List[str], jobs: int,
         from repro.errors import EquivalenceError
         from repro.guard.chaos import ChaosInterrupt
         try:
-            optimized, stats = sbm_flow(aig, flow_config,
-                                        resume_from=guard_opts.resume)
+            with cache_context(guard_opts.cache_dir):
+                optimized, stats = sbm_flow(aig, flow_config)
         except EquivalenceError as exc:
             print(f"EQUIVALENCE FAILURE: {exc}")
             if exc.cex is not None:
@@ -394,7 +391,7 @@ def _dispatch(command: str, rest: List[str], jobs: int,
             return 1
         except ChaosInterrupt as exc:
             print(f"chaos: interrupted after stage #{exc.stage_index}; "
-                  f"resume with --resume {exc.checkpoint_dir}")
+                  f"rerun with the same --cache-dir to resume")
             return 3
         ok, cex = check_equivalence(aig, optimized)
         print(f"output: {optimized.stats()}  verified={ok}  "

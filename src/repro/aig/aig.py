@@ -261,6 +261,12 @@ class Aig:
         """Name of the *index*-th primary output."""
         return self._po_names[index]
 
+    def copy_labels(self, other: "Aig") -> None:
+        """Take the network, PI and PO names of *other* (same interface)."""
+        self.name = other.name
+        self._pi_names = list(other._pi_names)
+        self._po_names = list(other._po_names)
+
     def is_const(self, node: int) -> bool:
         """True iff *node* is the constant node."""
         return node == 0

@@ -9,7 +9,8 @@
   jobs;
 * :mod:`repro.campaign.cache` — the crash-safe content-addressed result
   cache keyed by SHA-256 of (network, semantic config, code version);
-  warm hits decode to networks bit-identical to the cold run;
+  warm hits decode to networks bit-identical to the cold run.  Its
+  ``stage`` slot backs the :class:`StageMemo` every flow stage consults;
 * :mod:`repro.campaign.suite` — TOML suite files describing campaigns;
 * :mod:`repro.campaign.shard` — deterministic shard planner splitting a
   suite across fleet workers (``--shard i/N``), by stable cache-key hash
@@ -28,6 +29,7 @@ from repro.campaign.cache import (
     CacheEntry,
     ResultCache,
     StageEntry,
+    StageMemo,
     active_cache,
     cache_context,
     cached_sbm_flow,
@@ -72,6 +74,7 @@ __all__ = [
     "ShardPlan",
     "ShardSpec",
     "StageEntry",
+    "StageMemo",
     "active_cache",
     "cache_context",
     "cache_inventory",

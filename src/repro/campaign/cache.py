@@ -10,12 +10,12 @@ cache keys each job by **content**, never by name:
                  + code-version salt )
 
 * The network is serialized through the :class:`~repro.parallel.window_io
-  .CompactAig` layout (the same byte-stable encoding the checkpoint layer
-  uses), so two structurally identical AIGs share a key regardless of how
+  .CompactAig` layout (the byte-stable encoding the parallel windows
+  use), so two structurally identical AIGs share a key regardless of how
   they were produced.
 * The config canonicalization (:func:`canonical_flow_config`) allowlists
   only fields that change the *result*.  Execution-side knobs — ``jobs``,
-  ``checkpoint_dir``, ``pool`` — are excluded: the parallel contract
+  ``pool`` — are excluded: the parallel contract
   guarantees bit-identical results for every ``jobs`` value, so a serial
   cold run and a 8-way warm run share entries.
 * :data:`repro.hotpath.CODE_VERSION` is salted in so bumping the engine
@@ -29,8 +29,8 @@ budgets (``flow_timeout_s`` / ``window_timeout_s``) make the result depend
 on timing or the fault plan.  :func:`flow_cache_key` returns ``None`` for
 those, and the campaign runner reports them under ``uncached``.
 
-Entries are committed with the checkpoint layer's temp + fsync + rename
-discipline, so a crash mid-write can never leave a half entry that later
+Entries are committed by :func:`atomic_write_text` (temp + fsync +
+rename), so a crash mid-write can never leave a half entry that later
 reads as a hit; a corrupt or truncated entry (killed writer on a non-atomic
 filesystem, manual tampering) is detected, counted, unlinked, and treated
 as a miss — never an exception.
@@ -43,12 +43,16 @@ Two cache **slots** share one :class:`ResultCache` root:
     pre-existing entry stays valid;
 ``stage``
     per-stage results keyed by :func:`stage_cache_key` over
-    (network fingerprint, stage name, semantic stage config) — the memo
-    layer behind the ``repro.orchestrate`` pass-ordering search, stored
-    under ``<root>/stage/``.  Hit/miss/store counters are tracked per
-    slot (:meth:`ResultCache.slot_stats`), so flow-level and stage-level
-    memo effectiveness are observable independently in the campaign
-    section of run-report v3.
+    (network fingerprint, stage name, semantic stage config) — the disk
+    tier of :class:`StageMemo`, stored under ``<root>/stage/``.  Every
+    flow stage runs through :func:`repro.sbm.flow.run_stage`, which
+    consults the memo: the waterfall whenever a cache is active, the
+    ``repro.orchestrate`` search always.  That makes resuming an
+    interrupted flow a rerun against the same cache directory.
+    Hit/miss/store counters are tracked per slot
+    (:meth:`ResultCache.slot_stats`), so flow-level and stage-level memo
+    effectiveness are observable independently in the campaign section
+    of run-report v3.
 """
 
 from __future__ import annotations
@@ -58,13 +62,17 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Any, Dict, Iterator, Optional, Tuple
+import tempfile
+import threading
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro import hotpath
 from repro.aig.aig import Aig
-from repro.guard.checkpoint import atomic_write_text
+from repro.parallel.window_io import CompactAig
 from repro.partition.partitioner import PartitionConfig
-from repro.sbm.config import FlowConfig
+
+if TYPE_CHECKING:  # repro.sbm.flow imports this module
+    from repro.sbm.config import FlowConfig
 
 #: Bump when the entry layout (not the flow semantics) changes.
 CACHE_SCHEMA = "repro.campaign/cache-v1"
@@ -73,6 +81,31 @@ STAGE_SCHEMA = "repro.campaign/stage-cache-v1"
 
 
 # -- canonical forms -----------------------------------------------------------
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write *text* to *path* via temp-file + fsync + atomic rename.
+
+    A ``kill -9`` at any instant leaves either the old file or the new
+    one, never a torn mix.  Every durable write in the repo (cache
+    entries, packed archives, fuzz bundles) goes through here.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory,
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
 
 def canonical_digest(document: Any) -> str:
     """SHA-256 hex digest of *document* in canonical JSON form.
@@ -93,7 +126,6 @@ def canonical_digest(document: Any) -> str:
 
 def canonical_network(aig: Aig) -> Dict[str, Any]:
     """Order-stable CompactAig dict of *aig*; the network part of the key."""
-    from repro.parallel.window_io import CompactAig
     compact = CompactAig.from_aig(aig)
     # ``name`` is labeling, not structure: two renamed copies of the same
     # network must share a cache entry.
@@ -180,8 +212,8 @@ def canonical_flow_config(config: FlowConfig) -> Optional[Dict[str, Any]]:
 
     ``None`` means the run is uncacheable: chaos injection and wall-clock
     budgets make the result a function of timing/faults, not just of
-    (network, config).  Execution-side fields (``jobs``, ``checkpoint_dir``,
-    ``pool``, ``orchestrate.threads``) are deliberately absent — they
+    (network, config).  Execution-side fields (``jobs``, ``pool``,
+    ``orchestrate.threads``) are deliberately absent — they
     change *where* windows run, never what they compute.
     """
     if config.chaos is not None:
@@ -313,6 +345,8 @@ class StageEntry:
 
 #: Counter names tracked per slot.
 _SLOT_COUNTERS = ("hits", "misses", "corrupt", "stores", "store_failures")
+#: Entry schema of each slot.
+_SLOT_SCHEMAS = {"flow": CACHE_SCHEMA, "stage": STAGE_SCHEMA}
 
 
 class ResultCache:
@@ -374,65 +408,60 @@ class ResultCache:
         base = self.root if slot == "flow" else os.path.join(self.root, slot)
         return os.path.join(base, key[:2], key + ".json")
 
-    def _read(self, key: str, slot: str) -> Optional[str]:
-        """Raw entry text for *key*, counting a miss on absence."""
+    def _lookup(self, key: str, slot: str, build: Any) -> Any:
+        """Decode *key*'s entry in *slot* through ``build(data, network)``.
+
+        Absent, stale (other key or code salt), and corrupt entries all
+        read as misses; a corrupt or stale file is counted and unlinked so
+        it cannot occupy its key's slot forever.
+        """
         path = self.path(key, slot)
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                return handle.read()
+                raw = handle.read()
         except OSError:
             self._stats[slot]["misses"] += 1
             return None
-
-    def _drop_corrupt(self, key: str, slot: str) -> None:
-        """Self-heal: a corrupt entry would otherwise miss forever while
-        still occupying its key's slot."""
-        self._stats[slot]["corrupt"] += 1
-        self._stats[slot]["misses"] += 1
-        try:
-            os.unlink(self.path(key, slot))
-        except OSError:
-            pass
-
-    def lookup(self, key: str) -> Optional[CacheEntry]:
-        """Decode the entry for *key*; corrupt/stale entries count as misses."""
-        raw = self._read(key, "flow")
-        if raw is None:
-            return None
-        entry = self._decode(key, raw)
-        if entry is None:
-            self._drop_corrupt(key, "flow")
-            return None
-        self._stats["flow"]["hits"] += 1
-        return entry
-
-    def _decode(self, key: str, raw: str) -> Optional[CacheEntry]:
-        from repro.parallel.window_io import CompactAig
+        entry = None
         try:
             data = json.loads(raw)
-            if data.get("schema") != CACHE_SCHEMA:
-                return None
-            if data.get("key") != key:
-                return None
-            if data.get("code") != hotpath.CODE_VERSION:
-                return None
-            net = data["network"]
-            compact = CompactAig(num_pis=int(net["num_pis"]),
-                                 gates=[tuple(gate) for gate in net["gates"]],
-                                 outputs=list(net["outputs"]),
-                                 name=str(net.get("name", "")))
-            network = compact.to_aig()
-            stats = data["stats"]
-            if not isinstance(stats, dict):
-                return None
-            return CacheEntry(key=key, network=network, stats=stats,
-                              nodes_before=int(data["nodes_before"]),
-                              nodes_after=int(data["nodes_after"]))
-        except (KeyError, TypeError, ValueError):
+            if (data.get("schema") == _SLOT_SCHEMAS[slot]
+                    and data.get("key") == key
+                    and data.get("code") == hotpath.CODE_VERSION
+                    and isinstance(data["stats"], dict)):
+                net = data["network"]
+                compact = CompactAig(
+                    num_pis=int(net["num_pis"]),
+                    gates=[tuple(gate) for gate in net["gates"]],
+                    outputs=list(net["outputs"]),
+                    name=str(net.get("name", "")))
+                entry = build(data, compact.to_aig())
+        except (AttributeError, KeyError, TypeError, ValueError):
+            entry = None
+        if entry is None:
+            self._stats[slot]["corrupt"] += 1
+            self._stats[slot]["misses"] += 1
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
             return None
+        self._stats[slot]["hits"] += 1
+        return entry
 
-    def _commit(self, key: str, slot: str, document: Dict[str, Any]) -> None:
+    def _commit(self, key: str, slot: str, network: Union[Aig, CompactAig],
+                **fields: Any) -> None:
         """Atomic write-then-rename of one entry; failures degrade to cold."""
+        compact = network if isinstance(network, CompactAig) \
+            else CompactAig.from_aig(network)
+        document = {"schema": _SLOT_SCHEMAS[slot], "key": key,
+                    "code": hotpath.CODE_VERSION,
+                    "network": {"num_pis": compact.num_pis,
+                                "gates": [list(gate)
+                                          for gate in compact.gates],
+                                "outputs": list(compact.outputs),
+                                "name": compact.name}}
+        document.update(fields)
         path = self.path(key, slot)
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -455,81 +484,98 @@ class ResultCache:
             return
         self._stats[slot]["stores"] += 1
 
+    def lookup(self, key: str) -> Optional[CacheEntry]:
+        """Decode the entry for *key*; corrupt/stale entries count as misses."""
+        return self._lookup(key, "flow", lambda data, network: CacheEntry(
+            key=key, network=network, stats=data["stats"],
+            nodes_before=int(data["nodes_before"]),
+            nodes_after=int(data["nodes_after"])))
+
     def store(self, key: str, network: Aig, stats: Dict[str, Any],
               nodes_before: int) -> None:
         """Commit a finished result under *key* (atomic write-then-rename)."""
-        from repro.parallel.window_io import CompactAig
-        compact = CompactAig.from_aig(network)
-        self._commit(key, "flow", {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "code": hotpath.CODE_VERSION,
-            "network": {"num_pis": compact.num_pis,
-                        "gates": [list(gate) for gate in compact.gates],
-                        "outputs": list(compact.outputs),
-                        "name": compact.name},
-            "stats": stats,
-            "nodes_before": nodes_before,
-            "nodes_after": network.num_ands,
-        })
+        self._commit(key, "flow", network, stats=stats,
+                     nodes_before=nodes_before, nodes_after=network.num_ands)
 
-    # -- the stage slot (repro.orchestrate memo layer) -------------------------
+    # -- the stage slot (the StageMemo disk tier) ------------------------------
 
     def lookup_stage(self, key: str) -> Optional[StageEntry]:
         """Decode the stage-memo entry for *key* (corrupt ⇒ miss, healed)."""
-        raw = self._read(key, "stage")
-        if raw is None:
-            return None
-        entry = self._decode_stage(key, raw)
-        if entry is None:
-            self._drop_corrupt(key, "stage")
-            return None
-        self._stats["stage"]["hits"] += 1
-        return entry
+        return self._lookup(key, "stage", lambda data, network: StageEntry(
+            key=key, network=network, stats=data["stats"]))
 
-    def _decode_stage(self, key: str, raw: str) -> Optional[StageEntry]:
-        from repro.parallel.window_io import CompactAig
-        try:
-            data = json.loads(raw)
-            if data.get("schema") != STAGE_SCHEMA:
-                return None
-            if data.get("key") != key:
-                return None
-            if data.get("code") != hotpath.CODE_VERSION:
-                return None
-            net = data["network"]
-            compact = CompactAig(num_pis=int(net["num_pis"]),
-                                 gates=[tuple(gate) for gate in net["gates"]],
-                                 outputs=list(net["outputs"]),
-                                 name=str(net.get("name", "")))
-            stats = data["stats"]
-            if not isinstance(stats, dict):
-                return None
-            return StageEntry(key=key, network=compact.to_aig(), stats=stats)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def store_stage(self, key: str, network: Aig,
+    def store_stage(self, key: str, network: Union[Aig, CompactAig],
                     stats: Dict[str, Any]) -> None:
         """Commit one stage result under *key* in the ``stage`` slot."""
-        from repro.parallel.window_io import CompactAig
-        compact = CompactAig.from_aig(network)
-        self._commit(key, "stage", {
-            "schema": STAGE_SCHEMA,
-            "key": key,
-            "code": hotpath.CODE_VERSION,
-            "network": {"num_pis": compact.num_pis,
-                        "gates": [list(gate) for gate in compact.gates],
-                        "outputs": list(compact.outputs),
-                        "name": compact.name},
-            "stats": stats,
-        })
+        self._commit(key, "stage", network, stats=stats)
 
     def __len__(self) -> int:
         count = 0
         for _dirpath, _dirnames, filenames in os.walk(self.root):
             count += sum(1 for name in filenames if name.endswith(".json"))
         return count
+
+
+class StageMemo:
+    """Two-tier store of finished stage results, keyed by
+    :func:`stage_cache_key`.
+
+    * an **in-memory map** (always on) of :class:`CompactAig` entries —
+      hits within one search, across rounds and candidate orderings that
+      share a prefix;
+    * the **disk slot** — with a backing :class:`ResultCache`, entries are
+      also committed to its ``stage`` slot, so a later flow or search (same
+      process or not) starts warm.
+
+    Lookups decode a **fresh** ``Aig`` every time: stage runners mutate
+    their input in place, so handing out a shared object would corrupt the
+    memo.  Thread-safe — search candidates run concurrently.
+    """
+
+    def __init__(self, cache: Optional[ResultCache] = None) -> None:
+        self.cache = cache
+        self._lock = threading.Lock()
+        self._entries: Dict[str, Tuple[CompactAig, Dict[str, Any]]] = {}
+        self.memory_hits = 0
+        self.disk_hits = 0
+        self.misses = 0
+        self.stores = 0
+
+    def lookup(self, key: str) -> Optional[Aig]:
+        """A fresh copy of the network stored under *key*, or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.memory_hits += 1
+                return entry[0].to_aig()
+        disk = self.cache.lookup_stage(key) if self.cache is not None \
+            else None
+        with self._lock:
+            if disk is None:
+                self.misses += 1
+                return None
+            self._entries.setdefault(
+                key, (CompactAig.from_aig(disk.network), disk.stats))
+            self.disk_hits += 1
+        return disk.network
+
+    def store(self, key: str, network: Aig, stats: Dict[str, Any]) -> None:
+        """Commit one finished stage result (memory always, disk if backed)."""
+        compact = CompactAig.from_aig(network)
+        with self._lock:
+            self._entries[key] = (compact, dict(stats))
+            self.stores += 1
+        if self.cache is not None:
+            self.cache.store_stage(key, compact, stats)
+
+    def stats(self) -> Dict[str, int]:
+        """Counter snapshot; ``misses`` is the number of stage recomputes."""
+        with self._lock:
+            return {"memory_hits": self.memory_hits,
+                    "disk_hits": self.disk_hits,
+                    "misses": self.misses,
+                    "stores": self.stores,
+                    "entries": len(self._entries)}
 
 
 # -- the process-wide active cache ---------------------------------------------
@@ -590,8 +636,8 @@ def cached_sbm_flow(aig: Aig, config: FlowConfig,
             return entry.network, entry.stats, True, key
     nodes_before = aig.num_ands
     # Install this cache as the process-wide one for the duration of the
-    # flow: the orchestrate search memoizes per-stage results through
-    # ``active_cache()`` several layers below, and an explicitly passed
+    # flow: every stage memoizes its result through ``active_cache()``
+    # several layers below, and an explicitly passed
     # campaign cache must be the one it finds.
     previous = _ACTIVE
     _ACTIVE = cache if cache is not None else previous

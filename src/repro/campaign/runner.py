@@ -129,7 +129,7 @@ class CampaignReport:
     errors: int = 0
     corrupt_entries: int = 0
     #: per-slot cache counters (``flow`` = whole-flow entries, ``stage`` =
-    #: the orchestrate memo layer), from :meth:`repro.campaign.cache
+    #: the per-stage memo every flow uses), from :meth:`repro.campaign.cache
     #: .ResultCache.slot_stats`; ``None`` without a cache
     cache_slots: Optional[Dict[str, Dict[str, int]]] = None
     stolen_windows: int = 0

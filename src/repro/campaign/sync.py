@@ -54,8 +54,12 @@ import tarfile
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import hotpath
-from repro.campaign.cache import CACHE_SCHEMA, STAGE_SCHEMA, canonical_digest
-from repro.guard.checkpoint import atomic_write_text
+from repro.campaign.cache import (
+    CACHE_SCHEMA,
+    STAGE_SCHEMA,
+    atomic_write_text,
+    canonical_digest,
+)
 
 #: Bump when the archive/manifest layout changes.
 PACK_SCHEMA = "repro.campaign/cache-pack-v1"

@@ -62,10 +62,5 @@ class EquivalenceError(ReproError, AssertionError):
         self.po_name = po_name
 
 
-class CheckpointError(ReproError):
-    """Raised when a flow checkpoint is missing, corrupt, or incompatible
-    with the network/configuration it is being resumed against."""
-
-
 class BenchmarkError(ReproError):
     """Raised when a benchmark generator receives unsupported parameters."""

@@ -3,7 +3,7 @@
 A failing case is only useful if someone else can replay it, so every
 failure becomes one **self-contained JSON bundle**: the recipe, the
 original and minimized networks (byte-stable CompactAig dicts — the same
-encoding the checkpoint and cache layers use), the oracle configuration,
+encoding the cache layer uses), the oracle configuration,
 the verdict, and the injected-fault spec when the test-only hook was
 active.  ``python -m repro fuzz repro <bundle>`` rebuilds everything
 from the bundle alone — no repo state, no seed files, no corpus.
@@ -29,11 +29,11 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.aig.aig import Aig
+from repro.campaign.cache import atomic_write_text
 from repro.fuzz import faults
 from repro.fuzz.generators import CaseRecipe
 from repro.fuzz.oracle import (CaseResult, OracleConfig, OracleFailure,
                                network_key, run_case)
-from repro.guard.checkpoint import atomic_write_text
 from repro.parallel.window_io import CompactAig
 
 BUNDLE_SCHEMA = "repro.fuzz/bundle-v1"

@@ -1,4 +1,4 @@
-"""Hardened flow execution: budgets, equivalence guard, checkpoints, chaos.
+"""Hardened flow execution: budgets, equivalence guard, chaos.
 
 The paper's whole pitch is *bounded* Boolean methods — BDD size caps, MSPF
 memory bailouts, partition windows.  ``repro.guard`` extends that
@@ -11,17 +11,18 @@ degrades gracefully, never corrupts, and always resumes:
 * :mod:`repro.guard.stage_guard` — :class:`StageGuard` verifies every
   stage with a 256-pattern random-simulation fast check then SAT CEC, and
   rolls back to the last verified network on miscompare,
-* :mod:`repro.guard.checkpoint` — atomic write-then-rename AIGER + state
-  snapshots after each verified stage; ``sbm_flow(..., resume_from=dir)``
-  continues a ``kill -9``'d run from the last good network,
 * :mod:`repro.guard.chaos` — :class:`FaultPlan`, a seeded deterministic
   fault-injection harness (worker crashes, window timeouts, corrupt
-  results, forced BDD bailouts) threaded through the partition scheduler
-  and the stage runner.
+  results, forced BDD bailouts, a mid-flow interrupt) threaded through
+  the partition scheduler and the stage executor.
 
-The flow (:func:`repro.sbm.flow.sbm_flow`) drives all four through
-``FlowConfig`` (``flow_timeout_s``, ``verify_each_step``,
-``checkpoint_dir``, ``chaos``); what happened lands in
+Every stage of every flow runs through one executor,
+:func:`repro.sbm.flow.run_stage`, which applies all three and consults
+the stage memo (:class:`repro.campaign.cache.StageMemo`).  The memo is
+also how a ``kill -9``'d run resumes: rerun it against the same cache
+directory and every committed stage replays instead of recomputing.
+``FlowConfig`` drives the guard (``flow_timeout_s``, ``verify_each_step``,
+``chaos``); what happened lands in
 :class:`~repro.guard.stage_guard.GuardReport`, embedded in the
 ``repro.obs`` run report (schema v2, ``guard`` key).
 """
@@ -40,13 +41,6 @@ from repro.guard.chaos import (
     corrupt_window_result,
     in_worker_process,
 )
-from repro.guard.checkpoint import (
-    CheckpointState,
-    CheckpointStore,
-    ResumePoint,
-    atomic_write_text,
-    load_checkpoint,
-)
 from repro.guard.stage_guard import (
     DEFAULT_PATTERNS,
     GuardEvent,
@@ -55,8 +49,6 @@ from repro.guard.stage_guard import (
 )
 
 __all__ = [
-    "CheckpointState",
-    "CheckpointStore",
     "ChaosInterrupt",
     "DEFAULT_PATTERNS",
     "DeadlineManager",
@@ -66,12 +58,9 @@ __all__ = [
     "GuardEvent",
     "GuardReport",
     "REDUCED",
-    "ResumePoint",
     "SKIP",
     "StageGuard",
     "StagePlan",
-    "atomic_write_text",
     "corrupt_window_result",
     "in_worker_process",
-    "load_checkpoint",
 ]

@@ -7,7 +7,7 @@ same faults at the same sites on every run, regardless of scheduling or
 process timing.  That is what lets the chaos CI job assert exact outcomes
 ("this window crashed its worker, that stage produced a non-equivalent
 result, and the flow still converged") and what makes
-interrupt-then-resume runs comparable against uninterrupted ones.
+interrupt-then-rerun runs comparable against uninterrupted ones.
 
 Fault kinds (``FAULT_KINDS``):
 
@@ -32,8 +32,11 @@ chaos runs without the guard are intentionally allowed to produce wrong
 answers, that is the point of the exercise.
 
 ``interrupt_after=K`` additionally raises :class:`ChaosInterrupt` right
-after the checkpoint of global stage *K* — a deterministic stand-in for
-``kill -9`` used by the resume-after-interrupt CI check.
+after global stage *K* has committed its result to the stage memo — a
+deterministic stand-in for ``kill -9`` used by the rerun-after-interrupt
+CI check.  A plan whose only fault is the interrupt cannot change any
+stage result (:attr:`FaultPlan.alters_results` is false), so it leaves
+the stage memo on.
 """
 
 from __future__ import annotations
@@ -52,12 +55,9 @@ FAULT_KINDS = ("worker-crash", "window-timeout", "corrupt-result",
 class ChaosInterrupt(ReproError):
     """Deterministic mid-flow interrupt (the fault plan's ``kill -9``)."""
 
-    def __init__(self, stage_index: int, checkpoint_dir: Optional[str]):
-        super().__init__(
-            f"chaos interrupt after stage index {stage_index} "
-            f"(checkpoint_dir={checkpoint_dir!r})")
+    def __init__(self, stage_index: int):
+        super().__init__(f"chaos interrupt after stage index {stage_index}")
         self.stage_index = stage_index
-        self.checkpoint_dir = checkpoint_dir
 
 
 def in_worker_process() -> bool:
@@ -94,7 +94,7 @@ class FaultPlan:
         Exact overrides, ``{site: kind}`` — used by tests and the soak
         script to place e.g. exactly one corrupt window.
     interrupt_after:
-        Global stage index after whose checkpoint the flow raises
+        Global stage index after which the flow raises
         :class:`ChaosInterrupt`; ``None`` disables.
 
     The plan records every fault it hands out in :attr:`injected`
@@ -122,6 +122,14 @@ class FaultPlan:
         self.forced = dict(forced or {})
         self.interrupt_after = interrupt_after
         self.injected: List[Tuple[str, str]] = []
+
+    @property
+    def alters_results(self) -> bool:
+        """True when the plan can change what a stage computes: a window
+        fault rate, a stage corruption rate, or forced sites.  Such runs
+        must never read or write the stage memo."""
+        return self.rate > 0 or self.stage_corrupt_rate > 0 \
+            or bool(self.forced)
 
     # -- draws ---------------------------------------------------------------
 

@@ -20,16 +20,16 @@ reference advances after each verified stage, so transitively the final
 network is equivalent to the original input.
 
 :class:`GuardReport` collects everything the hardened execution layer did
-— degradations, skips, rollbacks, checkpoints, injected faults, resume
-cursor — and is what ``repro.obs`` report schema v2 embeds under the
-``guard`` key.
+— degradations, skips, rollbacks, stage results committed to and replayed
+from the stage memo, injected faults — and is what ``repro.obs`` report
+schema v2 embeds under the ``guard`` key.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import hotpath
 from repro.aig.aig import Aig
@@ -128,13 +128,22 @@ class StageGuard:
         """A fresh editable copy of the last verified network."""
         return self.reference.cleanup()
 
+    def verify(self, candidate: Aig) -> Tuple[Aig, Optional[Counterexample]]:
+        """Check *candidate* and commit it, or roll back: returns the
+        network to continue with and the counterexample, if any."""
+        cex = self.check(candidate)
+        if cex is None:
+            self.commit(candidate)
+            return candidate, None
+        return self.rollback_copy(), cex
+
 
 @dataclass
 class GuardEvent:
     """One thing the hardened execution layer did."""
 
     kind: str            #: degraded | skipped | rolled_back | checkpoint |
-                         #: fault | resume | interrupted
+                         #: replayed | interrupted
     stage: str           #: flow stage name ("" for flow-level events)
     iteration: int = 0
     detail: Dict[str, Any] = field(default_factory=dict)
@@ -150,7 +159,6 @@ class GuardReport:
 
     budget_s: Optional[float] = None
     chaos_seed: Optional[int] = None
-    resumed_from: Optional[int] = None   #: global stage cursor, when resumed
     events: List[GuardEvent] = field(default_factory=list)
     #: injected faults, ``(site, kind)`` in draw order
     faults: List[Any] = field(default_factory=list)
@@ -184,15 +192,20 @@ class GuardReport:
 
     @property
     def checkpoints(self) -> int:
-        """Checkpoints committed."""
+        """Stage results this flow committed to the stage memo."""
         return self.count("checkpoint")
+
+    @property
+    def replayed(self) -> int:
+        """Stage results this flow replayed from the stage memo."""
+        return self.count("replayed")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe representation (report schema v2, ``guard`` entries)."""
         return {
             "budget_s": self.budget_s,
             "chaos_seed": self.chaos_seed,
-            "resumed_from": self.resumed_from,
+            "replayed": self.replayed,
             "rollbacks": self.rollbacks,
             "degradations": self.degradations,
             "skips": self.skips,

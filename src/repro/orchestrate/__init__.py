@@ -13,11 +13,12 @@ DAG-aware Synthesis Orchestration (arXiv:2310.07846) and BoolGebra
   over (previous stage → next stage) gain history drives candidate
   generation, so the search is bit-for-bit reproducible: no wall-clock
   feeds it, only node deltas;
-* :mod:`repro.orchestrate.memo` — every stage result is memoized by
-  (input-network fingerprint, stage name, semantic stage config) in the
-  ``stage`` slot of the campaign :class:`~repro.campaign.cache
-  .ResultCache`, so no explored branch is ever recomputed — across
-  rounds, orderings, or campaigns.
+* every candidate stage runs through :func:`repro.sbm.flow.run_stage`,
+  the waterfall's own executor, so each result is memoized by
+  (input-network fingerprint, stage name, semantic stage config) in a
+  :class:`~repro.campaign.cache.StageMemo` backed by the ``stage`` slot of
+  the campaign ``ResultCache`` — no explored branch is ever recomputed
+  across rounds, orderings, campaigns, or waterfall runs.
 
 Entry points: ``FlowConfig.orchestrate = OrchestrateConfig(...)`` (then
 ``sbm_flow`` dispatches here), the ``python -m repro orchestrate`` CLI,
@@ -25,13 +26,11 @@ and ``--orchestrate K`` on ``optimize``/``campaign``/run_experiments.
 """
 
 from repro.orchestrate.bandit import START, TransitionBandit
-from repro.orchestrate.memo import StageMemo
 from repro.orchestrate.search import CandidateOutcome, orchestrated_flow
 
 __all__ = [
     "CandidateOutcome",
     "START",
-    "StageMemo",
     "TransitionBandit",
     "orchestrated_flow",
 ]

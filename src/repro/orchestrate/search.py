@@ -12,10 +12,12 @@
    config), so they may run concurrently in threads (engine partition
    windows still go through the shared process pool) without changing
    any result;
-3. each stage of a candidate first consults the :class:`~repro
-   .orchestrate.memo.StageMemo`; a hit returns the cached output network
-   instantly, a miss runs the stage and commits the result, so shared
-   prefixes across candidates/rounds/campaigns are computed exactly once;
+3. each stage of a candidate runs through :func:`repro.sbm.flow
+   .run_stage`, the same executor as the waterfall, which first consults
+   the :class:`~repro.campaign.cache.StageMemo`: a hit returns the cached
+   output network instantly, a miss runs the stage and commits the
+   result, so shared prefixes across candidates/rounds/campaigns are
+   computed exactly once;
 4. the **winner** (lowest objective; node count by default, pluggable
    for the future cost-generic work) seeds the next round, and every
    candidate's per-stage node gains train the bandit.
@@ -25,12 +27,10 @@ orderings, the winner network, and the final ``FlowStats`` are identical
 for every ``jobs``/``threads`` value and for cold vs memo-warm runs —
 the same warm == cold property the flow-level campaign cache relies on.
 
-Incompatibilities are rejected loudly rather than silently degraded:
-``flow_timeout_s`` (a wall-clock budget would make the winner depend on
-machine speed) and ``checkpoint_dir``/``resume_from`` (the checkpoint
-cursor is defined over the fixed waterfall) raise ``ValueError``.  Chaos
-injection and ``window_timeout_s`` are allowed but disable the memo —
-faulty or timing-dependent stage results must never be committed.
+``flow_timeout_s`` is rejected with ``ValueError``: a wall-clock budget
+would make the winner depend on machine speed.  A result-changing fault
+plan and ``window_timeout_s`` are allowed but disable the memo — faulty
+or timing-dependent stage results must never be committed.
 """
 
 from __future__ import annotations
@@ -41,22 +41,15 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.aig.aig import Aig, lit_not
-from repro.campaign.cache import (
-    active_cache,
-    canonical_stage_config,
-    network_fingerprint,
-    stage_cache_key,
-)
-from repro.guard.budget import FULL
+from repro.aig.aig import Aig
+from repro.campaign.cache import StageMemo, active_cache
 from repro.guard.stage_guard import GuardReport, StageGuard
-from repro.obs import NULL_METRICS, NULL_SPAN, NULL_TRACER, TelemetryCollector
-from repro.opt.balance import balance
+from repro.obs import NULL_METRICS, NULL_TRACER, TelemetryCollector
 from repro.orchestrate.bandit import TransitionBandit
-from repro.orchestrate.memo import StageMemo
 from repro.parallel.shared_pool import SharedProcessPool
 from repro.parallel.window_io import CompactAig
 from repro.sbm.config import FlowConfig, OrchestrateConfig
+from repro.sbm.flow import FlowStats, _stage_specs, memoizable, run_stage
 
 #: Pluggable candidate objective: lower is better.  The default is AIG
 #: node count — the paper's metric; the cost-generic ROADMAP item plugs
@@ -118,73 +111,17 @@ def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
         guard = StageGuard(net.cleanup()) if config.verify_each_step else None
         rows: List[Dict[str, Any]] = []
         for pos, name in enumerate(sequence):
-            spec = specs_by_name[name]
-            nodes_before = net.num_ands
-            key = None
-            if memo is not None:
-                key = stage_cache_key(
-                    network_fingerprint(net), name,
-                    canonical_stage_config(config, name),
-                    effort=1, depth_limit=depth_limit)
-            t0 = time.perf_counter()
-            cached = rolled_back = False
-            if key is not None:
-                hit = memo.lookup(key)
-                if hit is not None:
-                    # The entry was committed only after passing every
-                    # guard on its cold run; re-verifying here would cost
-                    # the SAT proof the memo exists to avoid.
-                    net, _stage_stats = hit
-                    cached = True
-                    if guard is not None:
-                        guard.commit(net)
-            if not cached:
-                from repro.sbm.flow import _StageCtx
-                if spec.snapshot == "cleanup":
-                    before = net.cleanup()
-                elif spec.snapshot == "raw":
-                    before = net
-                else:
-                    before = None
-                ctx = _StageCtx(
-                    config=config, effort=1, level=FULL, span=NULL_SPAN,
-                    chaos_scope=f"orch:r{round_index}:c{cand_index}"
-                                f":{pos}:{name}")
-                result = spec.run(net, ctx)
-                if spec.depth_guard and before is not None \
-                        and depth_limit is not None:
-                    if result.depth > depth_limit:
-                        result = balance(result)
-                    if result.depth > depth_limit \
-                            and before.depth <= depth_limit:
-                        result = before
-                        rolled_back = True
-                chaos = config.chaos
-                if chaos is not None and chaos.draw_stage(
-                        f"orch:r{round_index}:c{cand_index}"
-                        f":{pos}:{name}") == "corrupt-result":
-                    corrupted = result.cleanup()
-                    corrupted.set_po(0, lit_not(corrupted.pos()[0]))
-                    result = corrupted
-                if guard is not None:
-                    cex = guard.check(result)
-                    if cex is None:
-                        guard.commit(result)
-                    else:
-                        result = guard.rollback_copy()
-                        rolled_back = True
-                net = result
-                if key is not None and not rolled_back:
-                    memo.store(key, net, {
-                        "nodes_before": nodes_before,
-                        "nodes_after": net.num_ands,
-                        "elapsed_s": time.perf_counter() - t0})
+            site = f"orch:r{round_index}:c{cand_index}:{pos}:{name}"
+            outcome = run_stage(net, specs_by_name[name], config, effort=1,
+                                site=site, chaos_scope=site, guard=guard,
+                                depth_limit=depth_limit, memo=memo)
+            net = outcome.network
             rows.append({"name": name,
-                         "nodes_before": nodes_before,
+                         "nodes_before": outcome.nodes_before,
                          "nodes_after": net.num_ands,
-                         "elapsed_s": time.perf_counter() - t0,
-                         "cached": cached,
-                         "rolled_back": rolled_back})
+                         "elapsed_s": outcome.elapsed_s,
+                         "cached": outcome.cached,
+                         "rolled_back": outcome.rolled_back})
         return CandidateOutcome(index=cand_index, sequence=list(sequence),
                                 network=CompactAig.from_aig(net),
                                 score=objective(net), rows=rows)
@@ -206,16 +143,11 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
     ``config.iterations`` is superseded by ``OrchestrateConfig.rounds``:
     the search rounds *are* the flow's iteration structure.
     """
-    from repro.sbm.flow import FlowStats, _stage_specs
     ocfg = config.orchestrate or OrchestrateConfig()
     if config.flow_timeout_s is not None:
         raise ValueError(
             "orchestrate is incompatible with flow_timeout_s: a wall-clock "
             "budget would make the chosen ordering machine-dependent")
-    if config.checkpoint_dir is not None:
-        raise ValueError(
-            "orchestrate is incompatible with checkpoint_dir: the "
-            "checkpoint cursor is defined over the fixed waterfall")
     if ocfg.k < 1 or ocfg.rounds < 1:
         raise ValueError("OrchestrateConfig.k and .rounds must be >= 1")
     objective = objective or _node_count
@@ -226,9 +158,8 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
     pinned = [spec.name for spec in specs if spec.vital]
 
     # The memo must only ever hold pure (network, stage, config) -> network
-    # facts: chaos faults and window timeouts break that.
-    memoizable = config.chaos is None and config.window_timeout_s is None
-    memo = StageMemo(cache=active_cache()) if memoizable else None
+    # facts: result-changing chaos faults and window timeouts break that.
+    memo = StageMemo(cache=active_cache()) if memoizable(config) else None
 
     own_pool: Optional[SharedProcessPool] = None
     eval_config = config
@@ -264,7 +195,7 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
             if bus.enabled:
                 bus.emit("flow_start", design=aig.name,
                          nodes=current.num_ands, stages=0,
-                         iterations=ocfg.rounds, resumed_at=0)
+                         iterations=ocfg.rounds)
             best = current
             best_score = objective(best)
             incumbent = list(movable)

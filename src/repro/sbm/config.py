@@ -164,12 +164,6 @@ class FlowConfig:
     #: the flow degrades instead of hanging or dying.  ``None`` (default)
     #: disables all time discipline.
     flow_timeout_s: Optional[float] = None
-    #: Directory for crash-safe checkpoints (CLI ``--checkpoint-dir``).
-    #: After every (verified) stage the current and best networks plus the
-    #: flow state are snapshotted via atomic write-then-rename;
-    #: ``sbm_flow(..., resume_from=dir)`` / CLI ``--resume`` continues a
-    #: killed run from the last committed checkpoint.
-    checkpoint_dir: Optional[str] = None
     #: Optional :class:`repro.guard.chaos.FaultPlan` (CLI ``--chaos SEED``)
     #: injecting deterministic faults into the partition scheduler and the
     #: stage runner.  Corrupt-result faults need

@@ -30,27 +30,31 @@ engines bail out; disable with ``FlowConfig.enable_simresub = False``.
 
 Execution model
 ---------------
-The iteration body is a **data-driven stage table** (:func:`_stage_specs`)
-run through a guarded executor rather than straight-line code.  Each stage
-gets a global index (``iteration * stages_per_iteration + position``) —
-the cursor that budgets, checkpoints, resume, and fault injection all key
-on:
+The iteration body is a **data-driven stage table** (:func:`_stage_specs`),
+and every stage of every flow — this waterfall and each candidate of the
+``repro.orchestrate`` search — runs through one executor,
+:func:`run_stage`.  It owns, in order:
 
 * **budgets** — a :class:`repro.guard.budget.DeadlineManager` splits
   ``FlowConfig.flow_timeout_s`` across the remaining stages and may run a
   stage at reduced effort (fewer kernel thresholds, smaller MSPF
-  partitions, halved budgets) or skip it outright; every downgrade is
-  recorded in the metrics and the run report.
-* **equivalence guard** — with ``verify_each_step``, every stage result
-  passes the :class:`repro.guard.stage_guard.StageGuard` ladder
-  (256-pattern random simulation, then SAT CEC) and a miscomparing stage
-  is rolled back to the last verified network, counterexample attached.
-* **checkpoints** — with ``checkpoint_dir``, the current/best networks and
-  flow state are snapshotted atomically after every stage;
-  ``sbm_flow(..., resume_from=dir)`` skips completed stages.
-* **chaos** — a :class:`repro.guard.chaos.FaultPlan` injects
-  deterministic faults into the partition scheduler (via per-stage site
-  scopes) and the stage runner itself.
+  partitions, halved budgets) or skip it outright;
+* **the stage memo** — a full-effort stage whose (input network, stage,
+  knobs, effort, depth limit) key is in the
+  :class:`~repro.campaign.cache.StageMemo` replays the stored network;
+  a fresh result is committed unless it was rolled back;
+* **the depth guard** — ``max_depth_growth`` rebalances a stage result
+  and rolls it back if it still exceeds the level budget;
+* **chaos** — a :class:`repro.guard.chaos.FaultPlan` may corrupt the
+  stage result at a site the caller names;
+* **the equivalence guard** — with ``verify_each_step``, every result,
+  fresh or replayed, passes the :class:`repro.guard.stage_guard
+  .StageGuard` ladder (256-pattern random simulation, then SAT CEC) and a
+  miscomparing one is rolled back to the last verified network.
+
+The waterfall memoizes whenever a campaign ``ResultCache`` is active
+(:func:`repro.campaign.cache.cache_context`), so a killed run resumes by
+rerunning it against the same cache directory.
 
 With none of those knobs set, the executor is behaviourally identical to
 the historical straight-line flow.
@@ -66,16 +70,17 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.aig.aig import Aig, lit_not
-from repro.errors import CheckpointError
-from repro.guard.budget import FULL, REDUCED, SKIP, DeadlineManager
-from repro.guard.chaos import ChaosInterrupt
-from repro.guard.checkpoint import (
-    CheckpointState,
-    CheckpointStore,
-    ResumePoint,
-    load_checkpoint,
+from repro.campaign.cache import (
+    StageMemo,
+    active_cache,
+    canonical_stage_config,
+    network_fingerprint,
+    stage_cache_key,
 )
+from repro.guard.budget import FULL, REDUCED, SKIP, DeadlineManager, StagePlan
+from repro.guard.chaos import ChaosInterrupt
 from repro.guard.stage_guard import GuardReport, StageGuard
+from repro.sat.equivalence import Counterexample
 from repro.opt.balance import balance
 from repro.opt.refactor import refactor
 from repro.opt.scripts import compress2rs_step
@@ -92,7 +97,7 @@ from repro.sbm.simresub import simresub_pass
 
 @dataclass
 class StageRecord:
-    """One flow-stage checkpoint: name, resulting size, elapsed seconds."""
+    """One flow-stage record: name, resulting size, elapsed seconds."""
 
     name: str
     size: int
@@ -106,7 +111,8 @@ class FlowStats:
     records: List[StageRecord] = field(default_factory=list)
     runtime_s: float = 0.0
     #: what the hardened execution layer did (degradations, rollbacks,
-    #: checkpoints, injected faults); never None after :func:`sbm_flow`
+    #: memo commits and replays, injected faults); never None after
+    #: :func:`sbm_flow`
     guard: Optional[GuardReport] = None
     #: pass-ordering search summary (``repro.orchestrate``): per-round
     #: candidates, the chosen ordering, and stage-memo counters; ``None``
@@ -114,17 +120,8 @@ class FlowStats:
     orchestrate: Optional[Dict[str, Any]] = None
 
     def record(self, stage: str, size: int, elapsed_s: float = 0.0) -> None:
-        """Append a stage checkpoint (resulting size, elapsed seconds)."""
+        """Append a stage record (resulting size, elapsed seconds)."""
         self.records.append(StageRecord(stage, size, elapsed_s))
-
-    @property
-    def stages(self) -> List[Tuple[str, int]]:
-        """Deprecated ``(name, size)`` tuple view; use :attr:`records`."""
-        warnings.warn(
-            "FlowStats.stages is deprecated; use FlowStats.records "
-            "(StageRecord objects with per-stage elapsed_s)",
-            DeprecationWarning, stacklevel=2)
-        return [(r.name, r.size) for r in self.records]
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe representation for the run report."""
@@ -312,125 +309,108 @@ def _stage_specs(config: FlowConfig) -> List[_StageSpec]:
     return specs
 
 
-# -- guarded stage execution ---------------------------------------------------
+# -- the stage executor --------------------------------------------------------
 
-class _StageRunner:
-    """Runs one stage under budget, depth, chaos, and equivalence guards."""
+@dataclass
+class StageOutcome:
+    """What :func:`run_stage` did; callers turn it into their telemetry."""
 
-    def __init__(self, config: FlowConfig, stats: FlowStats,
-                 report: GuardReport, deadline: DeadlineManager,
-                 guard: Optional[StageGuard],
-                 depth_limit: Optional[int],
-                 total_stages: int = 0) -> None:
-        self.config = config
-        self.stats = stats
-        self.report = report
-        self.deadline = deadline
-        self.guard = guard
-        self.depth_limit = depth_limit
-        self.total_stages = total_stages
+    network: Aig                 #: the network to continue with
+    level: int                   #: FULL, REDUCED, or SKIP
+    plan: Optional[StagePlan]    #: the deadline manager's verdict, if any
+    nodes_before: int
+    elapsed_s: float = 0.0
+    cached: bool = False         #: replayed from the stage memo
+    stored: bool = False         #: committed to the stage memo
+    #: size of the network the depth guard rolled back to, if it did
+    depth_rollback: Optional[int] = None
+    #: the equivalence guard's counterexample, if it rolled back
+    counterexample: Optional[Counterexample] = None
 
-    def run_stage(self, aig: Aig, spec: _StageSpec, iteration: int,
-                  stage_index: int) -> Aig:
-        """Execute *spec* on *aig*; returns the (possibly rolled-back) result."""
-        effort = iteration + 1
-        plan = self.deadline.plan(spec.name)
-        level = FULL if spec.vital else plan.level
-        bus = obs.live_bus()
-        if bus.enabled:
-            bus.emit("stage_start", stage=spec.name, effort=effort,
-                     index=stage_index, total=self.total_stages)
-        if level == SKIP:
-            self.stats.record(f"{spec.name}:skipped[{effort}]", aig.num_ands)
-            self.report.add("skipped", spec.name, iteration,
-                            remaining_s=plan.remaining_s)
-            obs.metrics().inc("guard.stage_skipped", stage=spec.name)
-            self.deadline.finish(spec.name)
-            if bus.enabled:
-                bus.emit("stage_end", stage=spec.name, effort=effort,
-                         index=stage_index, total=self.total_stages,
-                         nodes=aig.num_ands, level="skipped")
-            return aig
-        if level == REDUCED:
-            self.report.add("degraded", spec.name, iteration,
-                            remaining_s=plan.remaining_s,
-                            share_s=plan.share_s)
-            obs.metrics().inc("guard.stage_degraded", stage=spec.name)
-        t0 = time.perf_counter()
-        if spec.snapshot == "cleanup":
-            before = aig.cleanup()
-        elif spec.snapshot == "raw":
-            before = aig
+    @property
+    def rolled_back(self) -> bool:
+        return self.depth_rollback is not None \
+            or self.counterexample is not None
+
+
+def memoizable(config: FlowConfig) -> bool:
+    """True when stage results are pure functions of (network, stage,
+    knobs): no result-changing fault plan and no window timeouts."""
+    chaos = config.chaos
+    return config.window_timeout_s is None \
+        and (chaos is None or not chaos.alters_results)
+
+
+def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
+              effort: int, site: str, chaos_scope: str,
+              guard: Optional[StageGuard] = None,
+              depth_limit: Optional[int] = None,
+              memo: Optional[StageMemo] = None,
+              deadline: Optional[DeadlineManager] = None) -> StageOutcome:
+    """Run *spec* on *aig*: the only code that executes a flow stage.
+
+    *site* names the stage's chaos site, *chaos_scope* the prefix of its
+    window sites.  *aig* may be edited in place.  A reduced-effort stage
+    bypasses *memo*; a replayed result still passes *guard*; a rolled-back
+    result is never stored.
+    """
+    plan = deadline.plan(spec.name) if deadline is not None else None
+    level = FULL if spec.vital or plan is None else plan.level
+    outcome = StageOutcome(aig, level, plan, nodes_before=aig.num_ands)
+    if level == SKIP and deadline is not None:
+        deadline.finish(spec.name)
+        return outcome
+    t0 = time.perf_counter()
+    key: Optional[str] = None
+    replay: Optional[Aig] = None
+    before: Optional[Aig] = None
+    if memo is not None and level == FULL:
+        key = stage_cache_key(network_fingerprint(aig), spec.name,
+                              canonical_stage_config(config, spec.name),
+                              effort=effort, depth_limit=depth_limit)
+        replay = memo.lookup(key)
+    if replay is None and spec.snapshot != "none":
+        before = aig.cleanup() if spec.snapshot == "cleanup" else aig
+    with obs.span(spec.name, kind="stage", effort=effort,
+                  nodes_before=(before or aig).num_ands) as span:
+        if replay is not None:
+            # Keys ignore labels, so a replay takes the input's names.
+            result = replay
+            result.copy_labels(aig)
+            outcome.cached = True
         else:
-            before = None
-        nodes_before = (before if before is not None else aig).num_ands
-        with obs.span(spec.name, kind="stage", effort=effort,
-                      nodes_before=nodes_before) as span:
-            ctx = _StageCtx(config=self.config, effort=effort, level=level,
-                            span=span,
-                            chaos_scope=f"it{effort}:{spec.name}")
-            result = spec.run(aig, ctx)
-            if spec.depth_guard and before is not None:
-                result = self._depth_guard(result, before, spec.name, effort)
-            result = self._chaos_stage_fault(result, spec.name, stage_index)
-            result = self._equivalence_guard(result, spec.name, iteration,
-                                             effort)
-            span.set("nodes_after", result.num_ands)
-            self.stats.record(f"{spec.name}[{effort}]", result.num_ands,
-                              time.perf_counter() - t0)
-        self.deadline.finish(spec.name)
-        if bus.enabled:
-            bus.emit("stage_end", stage=spec.name, effort=effort,
-                     index=stage_index, total=self.total_stages,
-                     nodes=result.num_ands,
-                     level="reduced" if level == REDUCED else "full")
-        return result
-
-    def _depth_guard(self, candidate: Aig, previous: Aig, stage: str,
-                     effort: int) -> Aig:
-        """Level discipline: rebalance, roll back if still over budget."""
-        if self.depth_limit is None:
-            return candidate
-        if candidate.depth > self.depth_limit:
-            candidate = balance(candidate)
-        if candidate.depth > self.depth_limit \
-                and previous.depth <= self.depth_limit:
-            self.stats.record(f"{stage}:rolled_back[{effort}]",
-                              previous.num_ands)
-            return previous
-        return candidate
-
-    def _chaos_stage_fault(self, aig: Aig, stage: str,
-                           stage_index: int) -> Aig:
-        """Stage-runner fault injection: corrupt the stage result."""
-        chaos = self.config.chaos
-        if chaos is None:
-            return aig
-        kind = chaos.draw_stage(f"stage:{stage_index}:{stage}")
-        if kind != "corrupt-result":
-            return aig
-        corrupted = aig.cleanup()
-        corrupted.set_po(0, lit_not(corrupted.pos()[0]))
-        obs.metrics().inc("guard.chaos.injected", kind="stage-corrupt")
-        return corrupted
-
-    def _equivalence_guard(self, aig: Aig, stage: str, iteration: int,
-                           effort: int) -> Aig:
-        """StageGuard ladder; on miscompare, roll back to the last verified
-        network and attach the counterexample to the report."""
-        if self.guard is None:
-            return aig
-        cex = self.guard.check(aig)
-        if cex is None:
-            self.guard.commit(aig)
-            return aig
-        rolled = self.guard.rollback_copy()
-        self.stats.record(f"{stage}:guard_rollback[{effort}]",
-                          rolled.num_ands)
-        self.report.add("rolled_back", stage, iteration,
-                        counterexample=cex.to_dict())
-        obs.metrics().inc("guard.rollbacks", stage=stage)
-        return rolled
+            result = spec.run(aig, _StageCtx(config, effort, level, span,
+                                             chaos_scope))
+            if spec.depth_guard and before is not None \
+                    and depth_limit is not None:
+                if result.depth > depth_limit:
+                    result = balance(result)
+                if result.depth > depth_limit and before.depth <= depth_limit:
+                    result = before
+                    outcome.depth_rollback = before.num_ands
+            chaos = config.chaos
+            if chaos is not None \
+                    and chaos.draw_stage(site) == "corrupt-result":
+                result = result.cleanup()
+                result.set_po(0, lit_not(result.pos()[0]))
+                obs.metrics().inc("guard.chaos.injected", kind="stage-corrupt")
+        if guard is not None:
+            result, outcome.counterexample = guard.verify(result)
+            if outcome.counterexample is not None:
+                obs.metrics().inc("guard.rollbacks", stage=spec.name)
+        outcome.network = result
+        outcome.elapsed_s = time.perf_counter() - t0
+        if memo is not None and key is not None and not outcome.cached \
+                and not outcome.rolled_back:
+            memo.store(key, result, {
+                "nodes_before": outcome.nodes_before,
+                "nodes_after": result.num_ands,
+                "elapsed_s": outcome.elapsed_s})
+            outcome.stored = True
+        span.set("nodes_after", result.num_ands)
+    if deadline is not None:
+        deadline.finish(spec.name)
+    return outcome
 
 
 # -- the flow ------------------------------------------------------------------
@@ -453,166 +433,134 @@ def _warn_inline_timeout(config: FlowConfig) -> None:
         RuntimeWarning, stacklevel=3)
 
 
-def _check_resume(resume: ResumePoint, aig: Aig, total_stages: int) -> None:
-    """Reject checkpoints from a different design or flow shape."""
-    state = resume.state
-    if state.num_pis != aig.num_pis or state.num_pos != aig.num_pos:
-        raise CheckpointError(
-            f"checkpoint interface ({state.num_pis} PIs / {state.num_pos} "
-            f"POs) does not match the input network ({aig.num_pis} PIs / "
-            f"{aig.num_pos} POs)")
-    if state.total_stages != total_stages:
-        raise CheckpointError(
-            f"checkpoint was produced by a flow with {state.total_stages} "
-            f"stages; this configuration has {total_stages} — refusing to "
-            f"resume across configurations")
-    if state.next_index > total_stages:
-        raise CheckpointError(
-            f"checkpoint cursor {state.next_index} is beyond the flow's "
-            f"{total_stages} stages")
-
-
 def sbm_flow(aig: Aig, config: Optional[FlowConfig] = None,
-             resume_from: Optional[str] = None) -> Tuple[Aig, FlowStats]:
+             ) -> Tuple[Aig, FlowStats]:
     """Run the full SBM Boolean resynthesis script; returns a new network.
 
-    The input network is not modified.  *resume_from* names a checkpoint
-    directory written by a previous run (``config.checkpoint_dir``);
-    completed stages are skipped and execution continues from the last
-    committed network, producing the same final result as an uninterrupted
-    run.  :attr:`FlowStats.guard` reports everything the hardened
-    execution layer did.
+    The input network is not modified.  Under an active
+    :func:`~repro.campaign.cache.cache_context` every full-effort stage is
+    memoized, so rerunning an interrupted flow against the same cache
+    directory replays its committed stages and finishes with the network
+    an uninterrupted run produces.  :attr:`FlowStats.guard` reports
+    everything the hardened execution layer did.
     """
     config = config or FlowConfig()
     if config.orchestrate is not None:
         # The pass-ordering search replaces the fixed waterfall entirely;
         # with ``orchestrate=None`` nothing below this line changes, so
         # the classic flow stays bit-identical to previous releases.
-        if resume_from is not None:
-            raise ValueError(
-                "orchestrate is incompatible with resume_from: the "
-                "checkpoint cursor is defined over the fixed waterfall")
         from repro.orchestrate.search import orchestrated_flow
         return orchestrated_flow(aig, config)
     _warn_inline_timeout(config)
-    specs = _stage_specs(config)
-    per_iter = len(specs)
-    total = per_iter * config.iterations
     chaos = config.chaos
     chaos_mark = len(chaos.injected) if chaos is not None else 0
     stats = FlowStats()
     stats.guard = report = GuardReport(
         budget_s=config.flow_timeout_s,
         chaos_seed=chaos.seed if chaos is not None else None)
-    resume = load_checkpoint(resume_from) if resume_from is not None else None
-    if resume is not None:
-        _check_resume(resume, aig, total)
     start = time.time()
     try:
-        best = _execute_flow(aig, config, specs, stats, report, resume, start)
+        best = _execute_flow(aig, config, stats, report)
     finally:
         if chaos is not None:
             report.faults.extend(chaos.injected_since(chaos_mark))
         obs.record_guard_report(report)
+    stats.runtime_s = time.time() - start
     obs.record_flow_stats(stats)
     return best, stats
 
 
-def _execute_flow(aig: Aig, config: FlowConfig, specs: List[_StageSpec],
-                  stats: FlowStats, report: GuardReport,
-                  resume: Optional[ResumePoint], start_wall: float) -> Aig:
+def _execute_flow(aig: Aig, config: FlowConfig, stats: FlowStats,
+                  report: GuardReport) -> Aig:
+    specs = _stage_specs(config)
     per_iter = len(specs)
     total = per_iter * config.iterations
     chaos = config.chaos
     with obs.span("flow", kind="flow", design=aig.name,
                   iterations=config.iterations,
                   jobs=config.jobs) as flow_span:
-        if resume is not None:
-            current = resume.network
-            best = resume.best
-            depth_limit = resume.state.depth_limit
-            start_index = resume.state.next_index
-            prior_runtime = resume.state.runtime_s
-            stats.records = [StageRecord(r["name"], r["size"],
-                                         r.get("elapsed_s", 0.0))
-                             for r in resume.state.records]
-            report.resumed_from = start_index
-            report.add("resume", resume.state.stage, resume.state.iteration,
-                       next_index=start_index)
-            obs.metrics().inc("guard.resumes")
-        else:
-            best = aig.cleanup()
-            current = best
-            stats.record("initial", best.num_ands)
-            depth_limit = None
-            if config.max_depth_growth is not None:
-                depth_limit = max(1, int(best.depth * config.max_depth_growth))
-            start_index = 0
-            prior_runtime = 0.0
+        best = aig.cleanup()
+        current = best
+        stats.record("initial", best.num_ands)
+        depth_limit = None
+        if config.max_depth_growth is not None:
+            depth_limit = max(1, int(best.depth * config.max_depth_growth))
         flow_span.set("nodes_before", best.num_ands)
         bus = obs.live_bus()
         if bus.enabled:
             bus.emit("flow_start", design=aig.name, nodes=best.num_ands,
-                     stages=total, iterations=config.iterations,
-                     resumed_at=start_index)
-        deadline = DeadlineManager(config.flow_timeout_s,
-                                   total - start_index)
-        store = CheckpointStore(config.checkpoint_dir) \
-            if config.checkpoint_dir else None
+                     stages=total, iterations=config.iterations)
+        deadline = DeadlineManager(config.flow_timeout_s, total)
+        # One pass never revisits a (network, stage, effort) key, so the
+        # memo only pays off against a cache a later run can replay.
+        cache = active_cache()
+        memo = StageMemo(cache) \
+            if cache is not None and memoizable(config) else None
         guard = StageGuard(current.cleanup()) \
             if config.verify_each_step else None
-        runner = _StageRunner(config, stats, report, deadline, guard,
-                              depth_limit, total_stages=total)
-
-        def checkpoint(stage_index: int, iteration: int,
-                       stage_name: str) -> None:
-            """Commit a checkpoint (if configured), then honour a scheduled
-            chaos interrupt — the deterministic stand-in for ``kill -9``."""
-            if store is not None:
-                state = CheckpointState(
-                    next_index=stage_index + 1, iteration=iteration,
-                    stage=stage_name, total_stages=total, design=aig.name,
-                    num_pis=current.num_pis, num_pos=current.num_pos,
-                    depth_limit=depth_limit,
-                    runtime_s=prior_runtime + (time.time() - start_wall),
-                    records=[{"name": r.name, "size": r.size,
-                              "elapsed_s": r.elapsed_s}
-                             for r in stats.records])
-                store.save(state, current, best)
-                report.add("checkpoint", stage_name, iteration,
-                           next_index=stage_index + 1)
-                obs.metrics().inc("guard.checkpoints")
-            if chaos is not None and chaos.should_interrupt(stage_index):
-                report.add("interrupted", stage_name, iteration,
-                           stage_index=stage_index)
-                raise ChaosInterrupt(stage_index, config.checkpoint_dir)
-
         for iteration in range(config.iterations):
-            base = iteration * per_iter
-            if base + per_iter <= start_index:
-                continue  # iteration fully covered by the checkpoint
             effort = iteration + 1
             with obs.span(f"iteration[{effort}]", kind="iteration",
                           effort=effort,
                           nodes_before=current.num_ands) as it_span:
                 for pos, spec in enumerate(specs):
-                    stage_index = base + pos
-                    if stage_index < start_index:
-                        continue  # stage covered by the checkpoint
-                    current = runner.run_stage(current, spec, iteration,
-                                               stage_index)
-                    if pos < per_iter - 1:
-                        checkpoint(stage_index, iteration, spec.name)
+                    index = iteration * per_iter + pos
+                    name = spec.name
+                    if bus.enabled:
+                        bus.emit("stage_start", stage=name, effort=effort,
+                                 index=index, total=total)
+                    outcome = run_stage(
+                        current, spec, config, effort=effort,
+                        site=f"stage:{index}:{name}",
+                        chaos_scope=f"it{effort}:{name}", guard=guard,
+                        depth_limit=depth_limit, memo=memo,
+                        deadline=deadline)
+                    current = outcome.network
+                    _record_stage(outcome, name, iteration, stats, report)
+                    if bus.enabled:
+                        bus.emit("stage_end", stage=name, effort=effort,
+                                 index=index, total=total,
+                                 nodes=current.num_ands,
+                                 level=("full", "reduced",
+                                        "skipped")[outcome.level])
+                    if chaos is not None and chaos.should_interrupt(index):
+                        report.add("interrupted", name, iteration,
+                                   stage_index=index)
+                        raise ChaosInterrupt(index)
                 it_span.set("nodes_after", current.num_ands)
             if current.num_ands < best.num_ands:
                 best = current.cleanup()
-            # The iteration's last checkpoint lands after the best-so-far
-            # update so a resumed run carries the same `best` an
-            # uninterrupted one would.
-            checkpoint(base + per_iter - 1, iteration, specs[-1].name)
-        stats.runtime_s = prior_runtime + (time.time() - start_wall)
         stats.record("final", best.num_ands)
         flow_span.set("nodes_after", best.num_ands)
         if bus.enabled:
             bus.emit("flow_end", design=aig.name, nodes=best.num_ands)
     return best
+
+
+def _record_stage(outcome: StageOutcome, name: str, iteration: int,
+                  stats: FlowStats, report: GuardReport) -> None:
+    """The waterfall's records, guard events and metrics for one stage."""
+    effort = iteration + 1
+    plan = outcome.plan
+    if plan is not None and outcome.level == SKIP:
+        stats.record(f"{name}:skipped[{effort}]", outcome.network.num_ands)
+        report.add("skipped", name, iteration, remaining_s=plan.remaining_s)
+        obs.metrics().inc("guard.stage_skipped", stage=name)
+        return
+    if plan is not None and outcome.level == REDUCED:
+        report.add("degraded", name, iteration,
+                   remaining_s=plan.remaining_s, share_s=plan.share_s)
+        obs.metrics().inc("guard.stage_degraded", stage=name)
+    if outcome.cached:
+        report.add("replayed", name, iteration)
+    if outcome.depth_rollback is not None:
+        stats.record(f"{name}:rolled_back[{effort}]", outcome.depth_rollback)
+    if outcome.counterexample is not None:
+        stats.record(f"{name}:guard_rollback[{effort}]",
+                     outcome.network.num_ands)
+        report.add("rolled_back", name, iteration,
+                   counterexample=outcome.counterexample.to_dict())
+    if outcome.stored:
+        report.add("checkpoint", name, iteration)
+    stats.record(f"{name}[{effort}]", outcome.network.num_ands,
+                 outcome.elapsed_s)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -26,6 +27,22 @@ def make_random_aig(num_pis: int, num_nodes: int, seed: int,
     for literal in literals[-num_pos:]:
         aig.add_po(literal)
     return aig.cleanup()
+
+
+def corrupt_stage_entry(cache_dir: str, aig: Aig, config,
+                        stage: str = "aig_script") -> None:
+    """Complement PO 0 of the effort-1 stage-memo entry of *stage* run on
+    *aig*, keeping valid JSON with its key and code salt intact."""
+    from repro.campaign.cache import (ResultCache, canonical_stage_config,
+                                      network_fingerprint, stage_cache_key)
+    key = stage_cache_key(network_fingerprint(aig.cleanup()), stage,
+                          canonical_stage_config(config, stage))
+    path = ResultCache(cache_dir).path(key, "stage")
+    with open(path, encoding="utf-8") as handle:
+        entry = json.load(handle)
+    entry["network"]["outputs"][0] ^= 1
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(entry, handle, sort_keys=True)
 
 
 @pytest.fixture

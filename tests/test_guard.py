@@ -6,8 +6,9 @@ Covers the four pillars of the robustness PR:
   → skip) and its effect on a running flow.
 * **Equivalence guard** — the per-stage random-sim + SAT ladder, rollback
   on miscompare, and the counterexample attached to the report.
-* **Checkpoint/resume** — atomic write-then-rename snapshots, the
-  ``state.json`` commit point, and interrupted-then-resumed runs matching
+* **Resume over the stage memo** — atomic write-then-rename commits,
+  the memo's purity rules (degraded stages and result-changing fault
+  plans stay out), and interrupted-then-rerun flows matching
   uninterrupted ones bit-for-bit.
 * **Chaos** — the seeded fault plan's determinism and a full soak: the
   flow completes under injected faults with a SAT-equivalent result and
@@ -16,26 +17,26 @@ Covers the four pillars of the robustness PR:
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import os
 import warnings
 
 import pytest
 
 from repro.aig.aig import Aig, lit_not
-from repro.errors import CheckpointError, EquivalenceError
-from repro.guard.budget import FULL, REDUCED, SKIP, DeadlineManager
+from repro.campaign.cache import (
+    ResultCache,
+    StageMemo,
+    atomic_write_text,
+    cache_context,
+)
+from repro.errors import EquivalenceError
+from repro.guard.budget import FULL, REDUCED, SKIP, DeadlineManager, StagePlan
 from repro.guard.chaos import (
     FAULT_KINDS,
     ChaosInterrupt,
     FaultPlan,
     corrupt_window_result,
-)
-from repro.guard.checkpoint import (
-    CheckpointState,
-    CheckpointStore,
-    atomic_write_text,
-    load_checkpoint,
 )
 from repro.guard.stage_guard import GuardReport, StageGuard
 from repro.parallel.window_io import CompactAig
@@ -47,13 +48,19 @@ from repro.sat.equivalence import (
 from repro.sbm.config import FlowConfig
 from repro.sbm.flow import sbm_flow
 
-from tests.conftest import make_random_aig
+from tests.conftest import corrupt_stage_entry, make_random_aig
 
 
 def signature(aig: Aig):
     """Node-for-node structural fingerprint, independent of node ids."""
     c = CompactAig.from_aig(aig)
     return (c.num_pis, tuple(c.gates), tuple(c.outputs))
+
+
+def labels(aig: Aig):
+    """Network, PI and PO names."""
+    return (aig.name, [aig.pi_name(i) for i in range(aig.num_pis)],
+            [aig.po_name(i) for i in range(aig.num_pos)])
 
 
 def broken_copy(aig: Aig) -> Aig:
@@ -191,6 +198,21 @@ class TestStageGuard:
         assert any(":guard_rollback" in r.name for r in stats.records)
         assert_equivalent(aig, out)
 
+    def test_guarded_flow_rechecks_memo_hits(self, tmp_path):
+        # An unguarded run's entry must not satisfy a guarded one unchecked.
+        aig = make_random_aig(7, 120, seed=17)
+        cache_dir = str(tmp_path / "memo")
+        with cache_context(cache_dir):
+            sbm_flow(aig, FlowConfig(iterations=1))
+        corrupt_stage_entry(cache_dir, aig, FlowConfig())
+        with cache_context(cache_dir):
+            out, stats = sbm_flow(
+                aig, FlowConfig(iterations=1, verify_each_step=True))
+        assert stats.guard.rollbacks >= 1
+        [event] = [e for e in stats.guard.events if e.kind == "rolled_back"]
+        assert event.stage == "aig_script"
+        assert_equivalent(aig, out)
+
     def test_verify_each_step_still_passes_clean_flows(self):
         aig = make_random_aig(8, 150, seed=25)
         base, _ = sbm_flow(aig, FlowConfig(iterations=1))
@@ -219,9 +241,28 @@ class TestEquivalenceError:
         assert ok and cex is None
 
 
-# -- checkpoint / resume ------------------------------------------------------
+# -- resume over the stage memo ---------------------------------------------
+
+def stage_entries(cache_dir):
+    """Keys of the stage-memo entries committed under *cache_dir*."""
+    root = os.path.join(cache_dir, "stage")
+    return sorted(name[:-5] for _d, _s, names in os.walk(root)
+                  for name in names if name.endswith(".json"))
+
+
+def interrupt(aig, cache_dir, config, after):
+    """Run *config* on *aig* until the chaos interrupt after stage *after*."""
+    plan = FaultPlan(seed=5, rate=0.0, interrupt_after=after)
+    with pytest.raises(ChaosInterrupt) as excinfo:
+        with cache_context(cache_dir):
+            sbm_flow(aig, dataclasses.replace(config, chaos=plan))
+    assert excinfo.value.stage_index == after
+
 
 class TestCheckpointStore:
+    """The stage memo is the flow's checkpoint store: every committed
+    stage result is one atomically written entry."""
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "x.txt")
         atomic_write_text(path, "hello")
@@ -232,92 +273,125 @@ class TestCheckpointStore:
 
     def test_save_load_roundtrip(self, tmp_path):
         aig = make_random_aig(6, 80, seed=41)
-        store = CheckpointStore(str(tmp_path))
-        state = CheckpointState(next_index=3, iteration=0, stage="mspf",
-                                total_stages=8, design="t",
-                                num_pis=aig.num_pis, num_pos=aig.num_pos,
-                                depth_limit=12, runtime_s=1.5,
-                                records=[{"name": "initial", "size": 80,
-                                          "elapsed_s": 0.0}])
-        store.save(state, aig, aig.cleanup())
-        resumed = load_checkpoint(str(tmp_path))
-        assert resumed.state.next_index == 3
-        assert resumed.state.depth_limit == 12
-        assert resumed.state.records[0]["name"] == "initial"
-        assert resumed.network.num_pis == aig.num_pis
-        assert_equivalent(aig, resumed.network)
+        StageMemo(ResultCache(str(tmp_path))).store(
+            "ab" * 32, aig, {"nodes_before": 90})
+        fresh = StageMemo(ResultCache(str(tmp_path)))
+        loaded = fresh.lookup("ab" * 32)
+        assert signature(loaded) == signature(aig)
+        assert fresh.stats()["disk_hits"] == 1
+        assert fresh.lookup("cd" * 32) is None
+        assert fresh.stats()["misses"] == 1
 
-    def test_missing_checkpoint_raises(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            load_checkpoint(str(tmp_path / "empty"))
-        store = CheckpointStore(str(tmp_path))
-        assert store.load() is None  # missing_ok path
+    def test_degraded_stages_leave_no_entry(self, tmp_path, monkeypatch):
+        aig = make_random_aig(8, 120, seed=44)
+        levels = {"gradient": REDUCED, "kernel": SKIP}
+        monkeypatch.setattr(DeadlineManager, "plan", lambda self, stage:
+                            StagePlan(stage, levels.get(stage, FULL),
+                                      None, None))
+        with cache_context(str(tmp_path)) as cache:
+            _out, stats = sbm_flow(aig, FlowConfig(iterations=1))
+        assert (stats.guard.degradations, stats.guard.skips) == (1, 1)
+        committed = [e.stage for e in stats.guard.events
+                     if e.kind == "checkpoint"]
+        assert "gradient" not in committed and "kernel" not in committed
+        assert len(committed) == 7
+        assert len(stage_entries(str(tmp_path))) == 7
+        # Only the seven full-effort stages looked the memo up.
+        assert cache.slot_stats()["stage"]["misses"] == 7
 
-    def test_corrupt_state_raises(self, tmp_path):
-        aig = make_random_aig(4, 30, seed=42)
-        store = CheckpointStore(str(tmp_path))
-        state = CheckpointState(next_index=1, iteration=0, stage="a",
-                                total_stages=8, design="t",
-                                num_pis=aig.num_pis, num_pos=aig.num_pos)
-        store.save(state, aig, aig)
-        with open(str(tmp_path / "state.json")) as handle:
-            data = json.load(handle)
-        data["schema"] = "something/else"
-        with open(str(tmp_path / "state.json"), "w") as handle:
-            json.dump(data, handle)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(str(tmp_path))
+    def test_fault_plan_disables_memo(self, tmp_path):
+        assert not FaultPlan(seed=1, rate=0.0).alters_results
+        assert not FaultPlan(seed=1, rate=0.0,
+                             interrupt_after=3).alters_results
+        assert FaultPlan(seed=1, rate=0.1).alters_results
+        assert FaultPlan(seed=1, rate=0.0,
+                         stage_corrupt_rate=0.1).alters_results
+        assert FaultPlan(seed=1, rate=0.0,
+                         forced={"x": "bdd-limit"}).alters_results
+        aig = make_random_aig(8, 120, seed=45)
+        faulty = FlowConfig(iterations=1, verify_each_step=True,
+                            chaos=FaultPlan(seed=1, rate=0.2))
+        with cache_context(str(tmp_path / "faulty")):
+            _out, stats = sbm_flow(aig, faulty)
+        assert stats.guard.checkpoints == 0
+        assert stage_entries(str(tmp_path / "faulty")) == []
+        quiet = FlowConfig(iterations=1, chaos=FaultPlan(
+            seed=1, rate=0.0, interrupt_after=99))
+        with cache_context(str(tmp_path / "quiet")):
+            _out, stats = sbm_flow(aig, quiet)
+        assert stats.guard.checkpoints == 9
+        assert len(stage_entries(str(tmp_path / "quiet"))) == 9
+
+    def test_no_active_cache_builds_no_memo(self, monkeypatch):
+        import repro.sbm.flow as flow_mod
+
+        def no_memo(*args, **kwargs):
+            raise AssertionError("waterfall built a memo without a cache")
+
+        monkeypatch.setattr(flow_mod, "StageMemo", no_memo)
+        _out, stats = sbm_flow(make_random_aig(6, 60, seed=46),
+                               FlowConfig(iterations=1))
+        assert stats.guard.checkpoints == stats.guard.replayed == 0
 
 
 class TestResume:
     def test_interrupt_then_resume_matches_uninterrupted(self, tmp_path):
-        aig = make_random_aig(8, 150, seed=43)
-        base, _ = sbm_flow(aig, FlowConfig(iterations=1))
-        ckpt = str(tmp_path / "ckpt")
-        plan = FaultPlan(seed=5, rate=0.0, interrupt_after=3)
-        with pytest.raises(ChaosInterrupt) as excinfo:
-            sbm_flow(aig, FlowConfig(iterations=1, checkpoint_dir=ckpt,
-                                     chaos=plan))
-        assert excinfo.value.stage_index == 3
-        out, stats = sbm_flow(aig, FlowConfig(iterations=1),
-                              resume_from=ckpt)
-        assert signature(out) == signature(base)
-        assert stats.guard.resumed_from == 4
-        # The resumed stats contain the pre-interrupt stage records too.
-        names = [r.name for r in stats.records]
-        assert "initial" in names and "final" in names
+        aig = make_random_aig(10, 300, seed=5)
+        config = FlowConfig(iterations=2)
+        base, _ = sbm_flow(aig, config)
+        for after in (0, 3, 8, 12):
+            cache_dir = str(tmp_path / f"memo{after}")
+            interrupt(aig, cache_dir, config, after)
+            assert len(stage_entries(cache_dir)) == after + 1
+            with cache_context(cache_dir):
+                out, stats = sbm_flow(aig, config)
+            assert signature(out) == signature(base), after
+            assert stats.guard.replayed == after + 1
+            assert stats.guard.checkpoints == 18 - (after + 1)
+            names = [r.name for r in stats.records]
+            assert names[0] == "initial" and names[-1] == "final"
+            assert len(names) == 20
 
     def test_checkpoints_committed_after_every_stage(self, tmp_path):
         aig = make_random_aig(8, 120, seed=44)
-        ckpt = str(tmp_path / "ckpt")
-        out, stats = sbm_flow(
-            aig, FlowConfig(iterations=1, checkpoint_dir=ckpt))
-        # 9 stages per iteration -> 9 checkpoint commits.
+        with cache_context(str(tmp_path)):
+            out, stats = sbm_flow(aig, FlowConfig(iterations=1))
+        # 9 stages per iteration -> 9 memo commits, none replayed.
         assert stats.guard.checkpoints == 9
-        resumed = load_checkpoint(ckpt)
-        assert resumed.state.next_index == 9
-        assert signature(resumed.best) == signature(out)
+        assert stats.guard.replayed == 0
+        assert len(stage_entries(str(tmp_path))) == 9
+        with cache_context(str(tmp_path)):
+            warm, stats = sbm_flow(aig, FlowConfig(iterations=1))
+        assert stats.guard.replayed == 9 and stats.guard.checkpoints == 0
+        assert signature(warm) == signature(out)
+        # A replay keeps the design's labels, so written files match too.
+        assert labels(warm) == labels(out) != labels(
+            CompactAig.from_aig(out).to_aig())
 
     def test_resume_rejects_wrong_interface(self, tmp_path):
         aig = make_random_aig(8, 120, seed=45)
-        ckpt = str(tmp_path / "ckpt")
-        plan = FaultPlan(seed=5, rate=0.0, interrupt_after=1)
-        with pytest.raises(ChaosInterrupt):
-            sbm_flow(aig, FlowConfig(iterations=1, checkpoint_dir=ckpt,
-                                     chaos=plan))
+        cache_dir = str(tmp_path / "memo")
+        interrupt(aig, cache_dir, FlowConfig(iterations=1), 3)
         other = make_random_aig(5, 40, seed=46)
-        with pytest.raises(CheckpointError):
-            sbm_flow(other, FlowConfig(iterations=1), resume_from=ckpt)
+        cold, _ = sbm_flow(other, FlowConfig(iterations=1))
+        with cache_context(cache_dir):
+            out, stats = sbm_flow(other, FlowConfig(iterations=1))
+        assert stats.guard.replayed == 0  # no entry of another design
+        assert signature(out) == signature(cold)
 
-    def test_resume_rejects_different_flow_shape(self, tmp_path):
+    def test_rerun_with_other_iteration_count_matches_cold(self, tmp_path):
         aig = make_random_aig(8, 120, seed=47)
-        ckpt = str(tmp_path / "ckpt")
-        plan = FaultPlan(seed=5, rate=0.0, interrupt_after=1)
-        with pytest.raises(ChaosInterrupt):
-            sbm_flow(aig, FlowConfig(iterations=1, checkpoint_dir=ckpt,
-                                     chaos=plan))
-        with pytest.raises(CheckpointError):
-            sbm_flow(aig, FlowConfig(iterations=2), resume_from=ckpt)
+        cache_dir = str(tmp_path / "memo")
+        interrupt(aig, cache_dir, FlowConfig(iterations=1), 3)
+        cold, _ = sbm_flow(aig, FlowConfig(iterations=2))
+        with cache_context(cache_dir):
+            out, stats = sbm_flow(aig, FlowConfig(iterations=2))
+        assert signature(out) == signature(cold)
+        # Effort-1 stages share keys across iteration counts (they are
+        # the same computation); no effort-2 stage can replay them.
+        replayed = [e for e in stats.guard.events if e.kind == "replayed"]
+        assert len(replayed) == 4
+        assert {e.iteration for e in replayed} == {0}
 
 
 # -- chaos --------------------------------------------------------------------
@@ -421,8 +495,8 @@ class TestGuardReporting:
         aig = make_random_aig(8, 120, seed=71)
         session = obs.enable()
         try:
-            sbm_flow(aig, FlowConfig(
-                iterations=1, checkpoint_dir=str(tmp_path / "c")))
+            with cache_context(str(tmp_path / "c")):
+                sbm_flow(aig, FlowConfig(iterations=1))
         finally:
             obs.disable()
         assert len(session.guard_reports) == 1
@@ -430,6 +504,7 @@ class TestGuardReporting:
         validate_report(report)
         assert report["version"] == 3
         assert report["guard"][0]["checkpoints"] == 9
+        assert report["guard"][0]["replayed"] == 0
 
 
 # -- CLI / config satellites --------------------------------------------------
@@ -453,14 +528,21 @@ class TestSatellites:
 
     def test_cli_chaos_and_checkpoint_flags(self, tmp_path, capsys):
         from repro.__main__ import main as cli_main
-        ckpt = str(tmp_path / "ckpt")
+        memo = str(tmp_path / "memo")
         status = cli_main(["optimize", "cavlc", "--chaos", "3",
-                           "--checkpoint-dir", ckpt, "--timeout", "600"])
+                           "--cache-dir", memo, "--timeout", "600"])
         out = capsys.readouterr().out
         assert status == 0
         assert "verified=True" in out
-        assert "guard :" in out and "checkpoints=" in out
-        assert os.path.exists(os.path.join(ckpt, "state.json"))
+        assert stage_entries(memo) == []  # a fault plan keeps the memo off
+        status = cli_main(["optimize", "router", "--chaos-interrupt", "3",
+                           "--cache-dir", memo])
+        assert status == 3
+        assert "interrupted after stage #3" in capsys.readouterr().out
+        status = cli_main(["optimize", "router", "--cache-dir", memo])
+        out = capsys.readouterr().out
+        assert status == 0 and "verified=True" in out
+        assert "guard : checkpoints=5 replayed=4" in out
 
     def test_cli_rejects_bad_guard_values(self):
         from repro.__main__ import main as cli_main

@@ -13,8 +13,9 @@ The contracts under test:
   directory recomputes **zero** stages and returns a byte-identical best
   network and the same chosen ordering.
 * **Chaos containment** — a corrupt-stage fault inside one candidate is
-  rolled back by the per-candidate guard without sinking the search, and
-  chaos disables the memo entirely.
+  rolled back by the per-candidate guard without sinking the search, a
+  result-changing fault plan disables the memo entirely, and a guarded
+  search re-checks every memo hit.
 * **Key hygiene** — stage keys track semantic knobs only; execution
   knobs (threads) never enter flow or stage keys.
 """
@@ -39,7 +40,7 @@ from repro.sat.equivalence import check_equivalence
 from repro.sbm.config import FlowConfig, OrchestrateConfig
 from repro.sbm.flow import sbm_flow
 
-from tests.conftest import make_random_aig
+from tests.conftest import corrupt_stage_entry, make_random_aig
 
 
 def structure(aig):
@@ -90,10 +91,6 @@ class TestOrchestrateOff:
         aig = make_random_aig(5, 30, seed=3)
         with pytest.raises(ValueError, match="flow_timeout_s"):
             sbm_flow(aig, small_search_config(flow_timeout_s=10.0))
-        with pytest.raises(ValueError, match="checkpoint_dir"):
-            sbm_flow(aig, small_search_config(checkpoint_dir="/tmp/nope"))
-        with pytest.raises(ValueError, match="resume_from"):
-            sbm_flow(aig, small_search_config(), resume_from="/tmp/nope")
 
 
 # -- the search itself --------------------------------------------------------
@@ -173,6 +170,30 @@ class TestStageMemo:
         assert memo["memory_hits"] > 0
         assert memo["disk_hits"] == 0  # no cache directory active
 
+    def test_search_replays_waterfall_entries(self, tmp_path):
+        """Effort-1 waterfall and search stages share memo entries."""
+        aig = make_random_aig(7, 120, seed=19)
+        with cache_context(str(tmp_path / "cache")):
+            waterfall, _ = sbm_flow(aig, FlowConfig(iterations=1))
+            searched, stats = sbm_flow(aig, small_search_config(k=1,
+                                                                rounds=1))
+        memo = stats.orchestrate["stage_memo"]
+        assert memo["misses"] == 0 and memo["disk_hits"] == 9
+        assert structure(searched) == structure(waterfall)
+
+    def test_guarded_search_rechecks_memo_hits(self, tmp_path):
+        aig = make_random_aig(7, 120, seed=17)
+        cache_dir = str(tmp_path / "cache")
+        with cache_context(cache_dir):
+            sbm_flow(aig, small_search_config(k=2))
+        corrupt_stage_entry(cache_dir, aig, FlowConfig())
+        with cache_context(cache_dir):
+            optimized, stats = sbm_flow(
+                aig, small_search_config(k=2, verify_each_step=True))
+        assert stats.guard.rollbacks >= 1
+        ok, _cex = check_equivalence(aig, optimized)
+        assert ok, "a guarded search trusted a corrupt memo entry"
+
     def test_stage_key_semantics(self):
         aig = get_benchmark("router")
         fp = network_fingerprint(aig)
@@ -214,6 +235,15 @@ class TestChaos:
         assert ok, "guard let a corrupted candidate through"
         # chaos makes stage results fault-dependent: memo must be off
         assert stats.orchestrate["stage_memo"] is None
+
+    def test_interrupt_only_plan_keeps_memo_on(self):
+        aig = make_random_aig(6, 60, seed=33)
+        config = small_search_config(
+            k=2, rounds=1, chaos=FaultPlan(seed=7, rate=0.0,
+                                           interrupt_after=3))
+        _net, stats = sbm_flow(aig, config)
+        assert stats.orchestrate["stage_memo"] is not None
+        assert stats.guard.faults == []
 
 
 # -- suite + campaign wiring --------------------------------------------------
