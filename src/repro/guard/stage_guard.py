@@ -8,9 +8,11 @@ correctness signal, SAT the expensive proof behind it.
 1. **Fast check** — 256 deterministic random input patterns (four 64-bit
    simulation words per PI) compared PO-by-PO against the last *verified*
    network; a miscompare yields the exact failing pattern immediately.
-2. **SAT CEC** — only when the fast check passes, a full miter proof
-   (:func:`repro.sat.equivalence.find_counterexample`, which itself
-   front-loads random refutation).
+2. **SAT CEC** — only when the fast check passes, a proof by
+   :func:`repro.sat.equivalence.find_counterexample`: its own random
+   refutation, then a SAT sweep that merges the miter of the two networks
+   bottom-up with small conflict-limited proofs, and one SAT call on the
+   PO pairs the merges leave apart.
 
 A miscompare does not abort the run: the flow rolls the network back to
 the guard's reference (the last verified snapshot), the counterexample —

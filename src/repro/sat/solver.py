@@ -82,9 +82,14 @@ class SatSolver:
         return self._num_vars
 
     def add_clause(self, literals: Iterable[int]) -> bool:
-        """Add a clause; returns False when the formula became trivially UNSAT."""
+        """Add a clause; returns False when the formula became trivially UNSAT.
+
+        Clauses are added at decision level 0: a model left on the trail by
+        the last :meth:`solve` is discarded first, so read it before adding.
+        """
         if not self._ok:
             return False
+        self._backtrack(0)
         clause: List[int] = []
         seen = set()
         for literal in literals:

@@ -77,3 +77,60 @@ def test_incremental_solving_stable(spec):
     first = solver.solve()
     assert solver.solve() == first
     assert solver.solve() == first
+
+
+def literal_strategy(num_vars):
+    return st.integers(min_value=1, max_value=num_vars).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+
+
+def steps_strategy(max_vars=6, max_steps=20):
+    """Interleaved ``("clause", lits)`` and ``("solve", assumptions)``."""
+    def steps(n):
+        step = st.one_of(
+            clause_strategy(n).map(lambda c: ("clause", c)),
+            st.lists(literal_strategy(n), max_size=2).map(
+                lambda a: ("solve", a)))
+        return st.tuples(st.lists(step, max_size=max_steps), st.just(n))
+    return st.integers(min_value=1, max_value=max_vars).flatmap(steps)
+
+
+@given(steps_strategy())
+@settings(max_examples=150, deadline=None)
+def test_interleaved_add_clause_and_solve_agree_with_brute_force(spec):
+    """Clauses added after a SAT answer count in full on the next solve."""
+    steps, n = spec
+    solver = SatSolver()
+    clauses = []
+    for kind, lits in steps:
+        if kind == "clause":
+            clauses.append(lits)
+            if not solver.add_clause(lits):
+                assert not brute_force(clauses, n)
+            continue
+        expected = brute_force(clauses + [[a] for a in lits], n)
+        assert solver.solve(tuple(lits)) == expected
+        if expected:
+            model = solver.model()
+            for clause in clauses + [[a] for a in lits]:
+                assert any(model[abs(l)] == (l > 0) for l in clause)
+
+
+def test_unit_added_after_sat_answer_is_kept():
+    solver = SatSolver()
+    a, b = solver.new_var(), solver.new_var()
+    solver.add_clause([a, b])
+    assert solver.solve()
+    x = solver.new_var()
+    solver.add_clause([-x])
+    assert not solver.solve((x,))
+
+
+def test_unit_against_last_model_keeps_formula_satisfiable():
+    solver = SatSolver()
+    solver.add_clause([1, 2])
+    assert solver.solve()
+    true_var = 1 if solver.model_value(1) else 2
+    assert solver.add_clause([-true_var])
+    assert solver.solve()
+    assert solver.model_value(3 - true_var)

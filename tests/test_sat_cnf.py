@@ -1,10 +1,33 @@
 """Tests for Tseitin encoding, miters, and equivalence checking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aig.aig import Aig, lit_not
+from repro.aig.simulate import po_words, simulate_words
+from repro.errors import SatError
 from repro.sat.cnf import AigCnf, build_miter, prove_equivalent
-from repro.sat.equivalence import assert_equivalent, check_equivalence
+from repro.sat.equivalence import (assert_equivalent, check_equivalence,
+                                   find_counterexample)
+from repro.sat.solver import SatSolver
+from repro.sbm import FlowConfig, sbm_flow
+from tests.conftest import make_random_aig
+
+
+def _distinguishes(aig_a, aig_b, inputs):
+    """Whether the PI assignment *inputs* separates the two networks."""
+    words = [(1 << 64) - 1 if bit else 0 for bit in inputs]
+    out_a = po_words(aig_a, simulate_words(aig_a, words))
+    out_b = po_words(aig_b, simulate_words(aig_b, words))
+    return any((x ^ y) & 1 for x, y in zip(out_a, out_b))
+
+
+def _monolithic_equivalent(aig_a, aig_b):
+    """Reference verdict: the whole miter in one SAT call."""
+    miter = build_miter(aig_a, aig_b)
+    cnf = AigCnf(miter)
+    return not cnf.solver.solve((cnf.sat_literal(miter.pos()[0]),))
 
 
 class TestAigCnf:
@@ -101,19 +124,83 @@ class TestCheckEquivalence:
         assert ok
 
     def test_counterexample_is_real(self, small_adder):
-        from repro.aig.simulate import po_words, simulate_words
         broken = small_adder.cleanup()
         # flip one PO's phase
         broken.set_po(0, lit_not(broken.pos()[0]))
         ok, cex = check_equivalence(small_adder, broken)
         assert not ok and cex is not None
-        words_a = [(1 << 64) - 1 if v else 0 for v in cex]
-        out_a = po_words(small_adder, simulate_words(small_adder, words_a))
-        out_b = po_words(broken, simulate_words(broken, words_a))
-        assert any((x ^ y) & 1 for x, y in zip(out_a, out_b))
+        assert _distinguishes(small_adder, broken, cex)
 
     def test_assert_equivalent_raises(self, small_adder):
         broken = small_adder.cleanup()
         broken.set_po(0, lit_not(broken.pos()[0]))
         with pytest.raises(AssertionError):
             assert_equivalent(small_adder, broken)
+
+    def test_wrong_sat_model_is_an_error(self, monkeypatch):
+        # AND of 20 inputs vs constant 0 differs on one minterm only, so the
+        # SAT rung answers; a model that distinguishes no PO must raise
+        # rather than blame PO 0.
+        wide = Aig()
+        wide.add_po(wide.add_and_multi(wide.add_pis(20)))
+        zero = Aig()
+        zero.add_pis(20)
+        zero.add_po(0)
+        monkeypatch.setattr(AigCnf, "extract_pi_assignment",
+                            lambda self: [False] * 20)
+        with pytest.raises(SatError):
+            find_counterexample(wide, zero)
+
+
+class TestSweepingCec:
+    """The SAT rung sweeps the miter; one whole-miter SAT call is the
+    reference."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), num_pis=st.integers(13, 24))
+    def test_flow_output_is_equivalent(self, seed, num_pis):
+        original = make_random_aig(num_pis, 90, seed, num_pos=6)
+        optimized, _stats = sbm_flow(original, FlowConfig(iterations=1))
+        assert _monolithic_equivalent(original, optimized)
+        assert find_counterexample(original, optimized) is None
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), num_pis=st.integers(20, 28),
+           po=st.integers(0, 5))
+    def test_one_minterm_difference_is_found(self, seed, num_pis, po):
+        original = make_random_aig(num_pis, 90, seed, num_pos=6)
+        optimized, _stats = sbm_flow(original, FlowConfig(iterations=1))
+        po %= optimized.num_pos
+        minterm = optimized.add_and_multi(optimized.pi_literals())
+        optimized.set_po(po, optimized.add_xor(optimized.pos()[po], minterm))
+        assert not _monolithic_equivalent(original, optimized)
+        cex = find_counterexample(original, optimized)
+        assert cex is not None
+        assert cex.inputs == [True] * num_pis and cex.po_index == po
+        assert _distinguishes(original, optimized, cex.inputs)
+
+    def test_one_check_per_miter_node(self, monkeypatch):
+        # The wide nodes of both networks simulate to all zeros and join the
+        # constant's class; each miter node still gets one check at most.
+        tree = Aig("tree")
+        tree.add_po(tree.add_and_multi(tree.add_pis(64)))
+        chain = Aig("chain")
+        acc = 1
+        for x in chain.add_pis(64):
+            acc = chain.add_and(acc, x)
+        chain.add_po(acc)
+        calls = []
+        solve_limited = SatSolver.solve_limited
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return solve_limited(self, *args, **kwargs)
+
+        monkeypatch.setattr(SatSolver, "solve_limited", spy)
+        assert find_counterexample(tree, chain) is None
+        assert len(calls) <= 2 * build_miter(tree, chain).num_ands + 1
+
+    def test_structurally_equal_pair_needs_no_sat_call(self, monkeypatch):
+        original = make_random_aig(16, 80, 3, num_pos=6)
+        monkeypatch.setattr(SatSolver, "solve_limited", None)
+        assert find_counterexample(original, original.cleanup()) is None
