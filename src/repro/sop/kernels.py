@@ -5,7 +5,13 @@ optimization ... it allows us to share large portions of logic circuits"
 (Section IV-B).  A *kernel* of a cover F is a cube-free quotient of F by a
 cube (its *co-kernel*); common kernels across nodes expose shared divisors.
 
-The classic recursive enumeration (Brayton/Rudell) is implemented, plus a
+The classic recursive enumeration (Brayton/McMullen 1982, ``R_KERNELS`` in
+De Micheli's *Synthesis and Optimization of Digital Circuits*) is
+implemented, co-kernel check included: a literal's branch is skipped when the
+common cube of its quotient holds a variable below the literal's, because the
+depth-first walk has already reached everything in that branch earlier.
+Without the check a priority chain ``x0 + !x0·x1 + !x0·!x1·x2 + …`` of n
+terms costs 2^(n-2) recursive calls instead of n-1.  Alongside it sits a
 greedy extraction loop that repeatedly factors out the kernel with the best
 literal saving — the primitive that the heterogeneous-threshold engine of
 :mod:`repro.sbm.hetero_kernel` drives per partition.
@@ -42,6 +48,16 @@ def kernels(sop: Sop, max_kernels: int = 200) -> List[Tuple[Sop, Cube]]:
 
     The cover itself is included (with tautology co-kernel) when cube-free —
     the *level-0* kernels used by factoring are the leaves of this recursion.
+
+    The walk is depth first, literals in ``(var, positive)`` order, and each
+    kernel is kept with the co-kernel of its first visit.  A branch whose
+    co-kernel gains a variable below the literal just divided out is skipped
+    (the ``R_KERNELS`` check).  That changes neither the list nor its
+    order, under any cap: every co-kernel K has one path that adds K's
+    lowest missing literal at each step, and that path never fails the
+    check.  Any other path to K is lexicographically greater, so the walk
+    reaches it only after K's kernel was recorded.  Every skipped branch
+    lies on such a later path.
     """
     out: List[Tuple[Sop, Cube]] = []
     seen: set = set()
@@ -65,6 +81,8 @@ def kernels(sop: Sop, max_kernels: int = 200) -> List[Tuple[Sop, Cube]]:
             if quotient.num_cubes() < 2:
                 continue
             free, common = make_cube_free(quotient)
+            if (common[0] | common[1]) & ((1 << var) - 1):
+                continue
             merged = _merge_cubes(cokernel, literal_cube, common)
             rec(free, merged, var)
 
@@ -152,7 +170,7 @@ def best_kernel(nodes: List[Sop], max_kernels_per_node: int = 50,
                 _cache: Optional[dict] = None) -> Optional[Tuple[Sop, int]]:
     """The kernel (from any node) with the best extraction value, or None.
 
-    Single-literal "kernels" are excluded (they carry no sharing).  Returns
+    Single-cube "kernels" are excluded (they carry no sharing).  Returns
     ``(kernel, value)`` with value > 0, or None when nothing profitable
     exists.
 

@@ -1,11 +1,14 @@
 """Property-based tests (hypothesis) for the SOP algebra."""
 
-from hypothesis import given
+from typing import List, Tuple
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sop.cube import Cube
 from repro.sop.division import divide, divide_by_cube
 from repro.sop.factor import factor, factored_to_aig
-from repro.sop.kernels import is_cube_free, kernels, make_cube_free
+from repro.sop.kernels import _merge_cubes, is_cube_free, kernels, make_cube_free
 from repro.sop.sop import Sop
 
 
@@ -21,6 +24,84 @@ def sop_strategy(max_vars=5, max_cubes=6):
         lambda n: st.tuples(
             st.lists(cube_strategy(n), max_size=max_cubes),
             st.just(n)))
+
+
+def literal_cube_strategy(nvars, max_literals):
+    """A cube of 1..max_literals literals over nvars variables."""
+    return st.dictionaries(
+        st.integers(min_value=0, max_value=nvars - 1), st.booleans(),
+        min_size=1, max_size=max_literals).map(
+        lambda phases: (sum(1 << v for v, p in phases.items() if p),
+                        sum(1 << v for v, p in phases.items() if not p)))
+
+
+def masked_cube_strategy(nvars):
+    """A non-empty cube over nvars variables: a care mask split by phase."""
+    return st.tuples(st.integers(min_value=1, max_value=(1 << nvars) - 1),
+                     st.integers(min_value=0, max_value=(1 << nvars) - 1)).map(
+        lambda cp: (cp[0] & cp[1], cp[0] & ~cp[1]))
+
+
+@st.composite
+def product_of_sums_cover(draw):
+    """Expanded product of 2-4 random sums plus a few stray cubes: covers
+    rich in kernels, the shape node elimination builds."""
+    n = draw(st.integers(min_value=4, max_value=16))
+    cover = Sop([(0, 0)])
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        size = draw(st.integers(min_value=2, max_value=3))
+        term = draw(st.lists(literal_cube_strategy(n, 2), min_size=size,
+                             max_size=size).map(Sop).filter(
+            lambda sop: sop.num_cubes() >= 2))
+        cover = cover & term
+    for cube in draw(st.lists(masked_cube_strategy(n), max_size=6)):
+        cover.add_cube(cube)
+    return cover
+
+
+@st.composite
+def random_cover(draw, min_vars=2, max_vars=12, min_cubes=2, max_cubes=60):
+    """Plain random cover: a uniformly drawn number of random cubes."""
+    n = draw(st.integers(min_value=min_vars, max_value=max_vars))
+    size = draw(st.integers(min_value=min_cubes, max_value=max_cubes))
+    return Sop(draw(st.lists(masked_cube_strategy(n), min_size=size,
+                             max_size=size)))
+
+
+kernel_covers = st.one_of(product_of_sums_cover(), random_cover())
+
+
+# The pre-prune recursion: kernels() without the R_KERNELS check, body verbatim.
+def unpruned_kernels(sop: Sop, max_kernels: int = 200) -> List[Tuple[Sop, Cube]]:
+    out: List[Tuple[Sop, Cube]] = []
+    seen: set = set()
+
+    def record(kernel: Sop, cokernel: Cube) -> None:
+        key = tuple(sorted(kernel.cubes))
+        if key not in seen:
+            seen.add(key)
+            out.append((kernel, cokernel))
+
+    def rec(cover: Sop, cokernel: Cube, min_var: int) -> None:
+        if len(out) >= max_kernels:
+            return
+        occ = cover.literal_occurrences()
+        record(cover, cokernel)
+        for (var, positive), count in sorted(occ.items()):
+            if count < 2 or var < min_var:
+                continue
+            literal_cube: Cube = ((1 << var, 0) if positive else (0, 1 << var))
+            quotient, _r = divide_by_cube(cover, literal_cube)
+            if quotient.num_cubes() < 2:
+                continue
+            free, common = make_cube_free(quotient)
+            merged = _merge_cubes(cokernel, literal_cube, common)
+            rec(free, merged, var)
+
+    free, common = make_cube_free(sop)
+    if free.num_cubes() >= 2:
+        rec(free, common, 0)
+    return out
 
 
 @given(sop_strategy())
@@ -77,19 +158,48 @@ def test_make_cube_free_reconstruction(spec):
         assert is_cube_free(free)
 
 
-@given(sop_strategy(max_vars=4, max_cubes=5))
-def test_kernels_divide_evenly(spec):
-    """Every kernel's co-kernel divides the cover with that kernel inside
-    the quotient's cube-free part."""
-    cubes, n = spec
-    sop = Sop(cubes)
-    for kernel, cokernel in kernels(sop, max_kernels=20):
+@settings(max_examples=150, deadline=None)
+@given(kernel_covers, st.sampled_from([2, 5, 10, 20, 50, 200]))
+def test_kernels_divide_evenly(sop, cap):
+    """Every kernel is exactly the cover's quotient by its co-kernel, and
+    that quotient is cube-free with at least two cubes."""
+    for kernel, cokernel in kernels(sop, max_kernels=cap):
         quotient, _r = divide_by_cube(sop, cokernel)
-        free, _c = make_cube_free(quotient)
-        # the kernel is exactly the cube-free quotient at this co-kernel
-        # (for level-0 kernels) or one of its kernels; weak check: all
-        # kernel cubes appear in the quotient's cube-free part closure
-        assert kernel.num_cubes() <= quotient.num_cubes()
+        assert sorted(quotient.cubes) == sorted(kernel.cubes)
+        assert is_cube_free(kernel)
+        assert kernel.num_cubes() >= 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_cover(min_vars=1, max_vars=7, min_cubes=0, max_cubes=14))
+def test_kernels_are_every_cube_free_quotient(sop):
+    """Uncapped, the kernels are exactly the cube-free quotients ``F / c``
+    with two or more cubes, over every cube ``c`` of the support."""
+    support = sop.support()
+    expected = set()
+    for code in range(3 ** len(support)):
+        pos = neg = 0
+        for var in support:
+            code, phase = divmod(code, 3)
+            if phase == 1:
+                pos |= 1 << var
+            elif phase == 2:
+                neg |= 1 << var
+        quotient, _r = divide_by_cube(sop, (pos, neg))
+        if quotient.num_cubes() >= 2 and is_cube_free(quotient):
+            expected.add(tuple(sorted(quotient.cubes)))
+    found = kernels(sop, max_kernels=3 ** len(support) + 1)
+    assert {tuple(sorted(k.cubes)) for k, _ck in found} == expected
+    assert len(found) == len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_covers, st.sampled_from([2, 5, 10, 20, 50, 200]))
+def test_kernels_match_unpruned_walk(sop, cap):
+    """The co-kernel check drops only repeat visits: the same kernels with
+    the same co-kernels in the same order, under every cap."""
+    assert ([(k.cubes, ck) for k, ck in kernels(sop, cap)]
+            == [(k.cubes, ck) for k, ck in unpruned_kernels(sop, cap)])
 
 
 @given(sop_strategy())

@@ -76,6 +76,30 @@ class TestKernels:
         f = Sop([(0b1, 0)])
         assert best_kernel([f]) is None
 
+    def test_priority_chain_walks_each_cokernel_once(self, monkeypatch):
+        # F = x0 + !x0·x1 + !x0·!x1·x2 + ... over 16 terms.  Its kernels are
+        # the chains over x_j..x_15 with co-kernel !x0·...·!x_{j-1}; without
+        # the co-kernel check the walk re-enters them along every subset of
+        # the negated prefix, 2^14 recursive calls.
+        n = 16
+        f = Sop([(1 << i, (1 << i) - 1) for i in range(n)])
+        expected = [
+            ([(1 << i, ((1 << i) - 1) & ~((1 << j) - 1)) for i in range(j, n)],
+             (0, (1 << j) - 1))
+            for j in range(n - 1)
+        ]
+        calls = []
+        original = Sop.literal_occurrences
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(Sop, "literal_occurrences", counting)
+        found = [(k.cubes, ck) for k, ck in kernels(f, 50)]
+        assert found == expected
+        assert len(calls) <= 32
+
 
 class TestFactoring:
     def test_factor_preserves_function(self):
