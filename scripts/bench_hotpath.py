@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Regression-gated benchmark harness for the ``repro.hotpath`` layer.
+"""Regression-gated benchmark harness for the production fast paths.
 
-Runs the EPFL-subset SBM flow plus per-engine microbenchmarks, measuring
-every engine **twice in-process** — once on the optimized hot path and
-once with :mod:`repro.hotpath` disabled (the bit-identical reference
-path) — and writes ``BENCH_hotpath.json`` with wall times, speedups, and
-structural network checksums.
+Runs per-engine microbenchmarks plus the EPFL-subset SBM flow, and
+writes ``BENCH_hotpath.json`` with wall times, speedups, and structural
+network checksums.  Every engine is measured **twice in-process**: once
+on its production fast path and once on its frozen reference in
+``tests/reference_paths.py``; the two payloads must be equal.  Each flow
+runs once, under ``FlowConfig(verify_each_step=True)``.
 
-Because both paths run in the same process on the same machine, the
-*speedup ratio* is machine-independent in a way absolute seconds are
+Because both engine paths run in the same process on the same machine,
+the *speedup ratio* is machine-independent in a way absolute seconds are
 not; the regression gate (``--check``) therefore compares current ratios
 against the ratios recorded in ``results/perf_baseline.txt`` and fails
 when any engine lost more than ``--tolerance`` (default 25%) of its
 baselined speedup, or when a flow checksum diverges from the baseline
-(the hot path must stay bit-identical, not just fast).
+(the flow must stay bit-identical, not just fast).
 
 Usage:
     python scripts/bench_hotpath.py --quick          # CI smoke (~2 min)
@@ -31,20 +32,20 @@ import os
 import random
 import sys
 import time
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(1, ROOT)  # the frozen references live in tests/
 
-from repro import hotpath                                     # noqa: E402
 from repro.aig.simprogram import pack_rounds, sim_program, wide_mask  # noqa: E402
-from repro.aig.simulate import simulate_words                 # noqa: E402
-from repro.bdd import pool as bdd_pool                        # noqa: E402
 from repro.bdd.manager import BddManager                      # noqa: E402
 from repro.bench.registry import get_benchmark                # noqa: E402
 from repro.sbm.config import FlowConfig                       # noqa: E402
 from repro.sbm.flow import sbm_flow                           # noqa: E402
-from repro.tt.npn import npn_canonical                        # noqa: E402
+from repro.tt.npn import _npn_canonical_reference, npn_canonical  # noqa: E402
 from repro.tt.truthtable import TruthTable                    # noqa: E402
+from tests import reference_paths as ref                      # noqa: E402
 
 BASELINE_PATH = os.path.join(ROOT, "results", "perf_baseline.txt")
 REPORT_PATH = os.path.join(ROOT, "BENCH_hotpath.json")
@@ -74,36 +75,42 @@ def checksum(aig) -> str:
 
 # -- engine microbenchmarks ---------------------------------------------------
 #
-# Each returns (callable, payload-check) pairs run under both hot-path
-# states; payloads must be equal across states (bit-identity spot check).
+# Each returns a (fast, reference) pair of callables: the production fast
+# path and its frozen reference.  Their payloads must be equal
+# (bit-identity spot check).
 
 def bench_sim_multiround(bench: str, rounds: int):
-    """Multi-round 64-bit simulation (the SAT-sweep / guard pattern)."""
+    """Multi-round 64-bit simulation (the SAT-sweep / guard pattern): one
+    wide compiled pass against per-round interpreted walks."""
     aig = get_benchmark(bench, scaled=True)
 
-    def run():
+    def patterns():
         rng = random.Random(1)
-        pattern_rounds = [[rng.getrandbits(64) for _ in range(aig.num_pis)]
-                          for _ in range(rounds)]
-        if hotpath.enabled():
-            program = sim_program(aig)
-            packed = pack_rounds(pattern_rounds)
-            values = program.run(packed, wide_mask(rounds))
-            out = 0
-            mask64 = (1 << 64) - 1
-            for r in range(rounds):
-                shift = 64 * r
-                for node, _c in program.pos:
-                    out ^= (values[node] >> shift) & mask64
-            return out
+        return [[rng.getrandbits(64) for _ in range(aig.num_pis)]
+                for _ in range(rounds)]
+
+    def fast():
+        pattern_rounds = patterns()
+        program = sim_program(aig)
+        packed = pack_rounds(pattern_rounds)
+        values = program.run(packed, wide_mask(rounds))
         out = 0
-        for words in pattern_rounds:
-            values = simulate_words(aig, words)
+        mask64 = (1 << 64) - 1
+        for r in range(rounds):
+            shift = 64 * r
+            for node, _c in program.pos:
+                out ^= (values[node] >> shift) & mask64
+        return out
+
+    def reference():
+        out = 0
+        for words in patterns():
+            values = ref.simulate_words(aig, words)
             for po in aig.pos():
                 out ^= values[po >> 1]
         return out
 
-    return run
+    return fast, reference
 
 
 def bench_npn(lookups: int):
@@ -112,21 +119,21 @@ def bench_npn(lookups: int):
     tables = [rng.getrandbits(16) for _ in range(300)]
     seq = [tables[rng.randrange(300)] for _ in range(lookups)]
 
-    def run():
+    def run(canonical):
         acc = 0
         for bits in seq:
-            canon, _t = npn_canonical(TruthTable(bits, 4))
+            canon, _t = canonical(TruthTable(bits, 4))
             acc ^= canon.bits
         return acc
 
-    return run
+    return partial(run, npn_canonical), partial(run, _npn_canonical_reference)
 
 
 def bench_bdd(num_vars: int, ops: int):
     """Random AND/OR/XOR build-up, the SBM window workload shape."""
 
-    def run():
-        mgr = BddManager(num_vars)
+    def run(manager_cls):
+        mgr = manager_cls(num_vars)
         nodes = [mgr.var(i) for i in range(num_vars)]
         rng = random.Random(7)
         acc = 0
@@ -145,28 +152,32 @@ def bench_bdd(num_vars: int, ops: int):
                 del nodes[:200]
         return acc
 
-    return run
+    return partial(run, BddManager), partial(run, ref.ReferenceBddManager)
 
 
 def bench_simresub(bench: str):
     """Simulation-guided resubstitution: signature filter + budgeted SAT.
 
-    The hot path compiles the pattern-store simulation into a
-    ``SimProgram``; the reference path interprets it round by round.  The
-    payload (engine counters + structural checksum of the optimized
-    network) must be bit-identical across both.
+    The fast path simulates the pattern store in one compiled pass; the
+    reference swaps ``PatternStore.signatures`` for its frozen per-round
+    form.  The payload (engine counters + structural checksum of the
+    optimized network) must be bit-identical across both.
     """
     from repro.sbm.config import SimresubConfig
     from repro.sbm.simresub import simresub_pass
 
-    def run():
+    def fast():
         aig = get_benchmark(bench, scaled=True)
         stats = simresub_pass(aig, SimresubConfig())
         return (stats.candidates_proposed, stats.candidates_validated,
                 stats.candidates_refuted, stats.cex_patterns, stats.rewrites,
                 stats.gain, checksum(aig.cleanup()))
 
-    return run
+    def reference():
+        with ref.frozen_signatures():
+            return fast()
+
+    return fast, reference
 
 
 def measure(run, repeats: int = 1):
@@ -197,10 +208,9 @@ def run_engines(quick: bool):
             "simresub": bench_simresub("priority"),
         }
     results = {}
-    for name, run in engines.items():
-        hot_s, hot_payload = measure(run)
-        with hotpath.disabled():
-            ref_s, ref_payload = measure(run)
+    for name, (fast, reference) in engines.items():
+        hot_s, hot_payload = measure(fast)
+        ref_s, ref_payload = measure(reference)
         if hot_payload != ref_payload:
             raise SystemExit(f"BIT-IDENTITY VIOLATION in engine {name!r}: "
                              f"hot {hot_payload!r} != ref {ref_payload!r}")
@@ -214,37 +224,21 @@ def run_engines(quick: bool):
     return results
 
 
-def run_flows(names, with_ref: bool):
+def run_flows(names):
     results = {}
     for name in names:
         aig = get_benchmark(name, scaled=True)
         t0 = time.perf_counter()
         res, _stats = sbm_flow(aig, FlowConfig(verify_each_step=True))
-        hot_s = time.perf_counter() - t0
-        entry = {
-            "wall_s": round(hot_s, 3),
+        wall_s = time.perf_counter() - t0
+        results[name] = {
+            "wall_s": round(wall_s, 3),
             "size": res.num_ands,
             "depth": res.depth,
             "checksum": checksum(res),
         }
-        if with_ref:
-            bdd_pool.clear()
-            with hotpath.disabled():
-                aig = get_benchmark(name, scaled=True)
-                t0 = time.perf_counter()
-                ref, _stats = sbm_flow(aig, FlowConfig(verify_each_step=True))
-                ref_s = time.perf_counter() - t0
-            if checksum(ref) != entry["checksum"]:
-                raise SystemExit(f"BIT-IDENTITY VIOLATION in flow {name!r}: "
-                                 f"hot checksum {entry['checksum']} != "
-                                 f"ref {checksum(ref)}")
-            entry["ref_s"] = round(ref_s, 3)
-            entry["speedup"] = round(ref_s / hot_s, 2)
-        results[name] = entry
-        print(f"  flow {name:10s} hot {hot_s:8.1f}s  size {res.num_ands}  "
-              f"checksum {entry['checksum']}"
-              + (f"  ref {entry['ref_s']:.1f}s ({entry['speedup']}x)"
-                 if with_ref else ""), flush=True)
+        print(f"  flow {name:10s} {wall_s:8.1f}s  size {res.num_ands}  "
+              f"checksum {results[name]['checksum']}", flush=True)
     return results
 
 
@@ -252,7 +246,7 @@ def run_flows(names, with_ref: bool):
 
 def write_baseline(report, cmdline: str) -> None:
     lines = [
-        "# repro.hotpath performance baseline",
+        "# fast-path performance baseline",
         f"# regenerate with: {cmdline}",
         f"# mode: {'quick' if report['quick'] else 'full'}",
         "# columns: kind name ref_s hot_s speedup checksum",
@@ -261,8 +255,7 @@ def write_baseline(report, cmdline: str) -> None:
         lines.append(f"engine {name} {e['ref_s']} {e['hot_s']} "
                      f"{e['speedup']} -")
     for name, e in report["flows"].items():
-        lines.append(f"flow {name} {e.get('ref_s', '-')} {e['wall_s']} "
-                     f"{e.get('speedup', '-')} {e['checksum']}")
+        lines.append(f"flow {name} - {e['wall_s']} - {e['checksum']}")
     os.makedirs(os.path.dirname(BASELINE_PATH), exist_ok=True)
     with open(BASELINE_PATH, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -322,12 +315,7 @@ def check_regressions(report, tolerance: float) -> int:
         if base["checksum"] and e["checksum"] != base["checksum"]:
             failures.append(
                 f"flow {name}: checksum {e['checksum']} != baseline "
-                f"{base['checksum']} (hot path no longer bit-identical)")
-        if (base["speedup"] is not None and e.get("speedup") is not None
-                and e["speedup"] < base["speedup"] * (1.0 - tolerance)):
-            failures.append(
-                f"flow {name}: speedup {e['speedup']:.2f}x fell below "
-                f"baseline {base['speedup']:.2f}x - {tolerance:.0%}")
+                f"{base['checksum']} (flow no longer bit-identical)")
     for f in failures:
         print(f"REGRESSION: {f}")
     if not failures:
@@ -346,18 +334,16 @@ def main() -> int:
                         help="allowed fractional speedup loss (default 0.25)")
     parser.add_argument("--write-baseline", action="store_true",
                         help="refresh results/perf_baseline.txt")
-    parser.add_argument("--no-ref-flow", action="store_true",
-                        help="skip the slow reference-path flow runs")
     parser.add_argument("--output", default=REPORT_PATH,
                         help="report path (default BENCH_hotpath.json)")
     args = parser.parse_args()
 
     cmdline = "python scripts/bench_hotpath.py " + " ".join(sys.argv[1:])
     flows = QUICK_FLOWS if args.quick else FULL_FLOWS
-    print("engine microbenchmarks (hot vs reference, same process):")
+    print("engine microbenchmarks (fast vs frozen reference, same process):")
     engines = run_engines(args.quick)
     print("SBM flows (verify_each_step=True):")
-    flow_results = run_flows(flows, with_ref=not args.no_ref_flow)
+    flow_results = run_flows(flows)
 
     report = {
         "schema": "bench_hotpath_v1",

@@ -48,13 +48,13 @@ Commands
                          differential workload fuzzing (``repro.fuzz``):
                          seeded random networks through the flow, each
                          cross-examined by the oracle stack (SAT CEC,
-                         hotpath identity, jobs bit-identity, crash
-                         capture, chaos sweeps).  ``--budget N`` cases,
-                         ``--seed S`` the recipe stream, ``--tier NAME``
-                         picks the suite tier, ``--bundle-dir DIR``
-                         collects failure repro bundles, ``--corpus-dir
-                         DIR`` the persistent novelty corpus; exits 1 on
-                         any oracle verdict
+                         jobs bit-identity, crash capture, chaos
+                         sweeps).  ``--budget N`` cases, ``--seed S``
+                         the recipe stream, ``--tier NAME`` picks the
+                         suite tier, ``--bundle-dir DIR`` collects
+                         failure repro bundles, ``--corpus-dir DIR`` the
+                         persistent novelty corpus; exits 1 on any
+                         oracle verdict
 ``fuzz repro <bundle>``  replay a failure bundle from the file alone and
                          compare against its recorded verdict
                          (``--original`` replays the unminimized

@@ -11,9 +11,9 @@ Two flavours are provided:
 
 Both are backed by the compiled :class:`repro.aig.simprogram.SimProgram`
 (flat fanin arrays + cached topological order, recompiled only when the
-network's edit generation changes); the original interpreted walks are kept
-as the reference path behind :mod:`repro.hotpath` so tests and benchmarks
-can prove the compiled path bit-identical.  Multi-round callers should use
+network's edit generation changes).  The test suite keeps the original
+interpreted walks as frozen references and proves the compiled path
+bit-identical to them.  Multi-round callers should use
 :func:`repro.aig.simprogram.simulate_wide`, which evaluates W 64-bit rounds
 in a single pass over W×64-bit integers.
 """
@@ -23,10 +23,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
-from repro import hotpath
 from repro.aig.aig import Aig, lit_is_compl, lit_node
 from repro.aig.simprogram import sim_program
-from repro.aig.traversal import topological_order_all
 from repro.errors import AigError
 
 WORD_BITS = 64
@@ -47,10 +45,14 @@ def simulate_words(aig: Aig, pi_words: Sequence[int]) -> Dict[int, int]:
     -------
     dict mapping every live node id to its 64-bit output word.
     """
-    if not hotpath.enabled():
-        return _simulate_words_reference(aig, pi_words)
+    return _run_by_node(aig, pi_words, WORD_MASK)
+
+
+def _run_by_node(aig: Aig, pi_words: Sequence[int],
+                 mask: int) -> Dict[int, int]:
+    """Run the compiled program; map every live node id to its value."""
     program = sim_program(aig)
-    values = program.run(pi_words, WORD_MASK)
+    values = program.run(pi_words, mask)
     out: Dict[int, int] = {0: 0}
     for node in program.pi_nodes:
         out[node] = values[node]
@@ -58,21 +60,6 @@ def simulate_words(aig: Aig, pi_words: Sequence[int]) -> Dict[int, int]:
         n = op[0]
         out[n] = values[n]
     return out
-
-
-def _simulate_words_reference(aig: Aig, pi_words: Sequence[int]) -> Dict[int, int]:
-    """Reference implementation: interpreted per-call topological walk."""
-    if len(pi_words) != aig.num_pis:
-        raise AigError(f"expected {aig.num_pis} PI words, got {len(pi_words)}")
-    values: Dict[int, int] = {0: 0}
-    for node, word in zip(aig.pis(), pi_words):
-        values[node] = word & WORD_MASK
-    for n in topological_order_all(aig):
-        f0, f1 = aig.fanins(n)
-        v0 = values[lit_node(f0)] ^ (WORD_MASK if lit_is_compl(f0) else 0)
-        v1 = values[lit_node(f1)] ^ (WORD_MASK if lit_is_compl(f1) else 0)
-        values[n] = v0 & v1
-    return values
 
 
 def po_words(aig: Aig, values) -> List[int]:
@@ -101,27 +88,8 @@ def simulate_complete(aig: Aig) -> Dict[int, int]:
     if k > 24:
         raise AigError(f"complete simulation infeasible for {k} inputs")
     nbits = 1 << k
-    mask = (1 << nbits) - 1
-    if hotpath.enabled():
-        program = sim_program(aig)
-        patterns = [_variable_pattern(i, nbits) for i in range(k)]
-        flat = program.run(patterns, mask)
-        out: Dict[int, int] = {0: 0}
-        for node in program.pi_nodes:
-            out[node] = flat[node]
-        for op in program.ops:
-            n = op[0]
-            out[n] = flat[n]
-        return out
-    values: Dict[int, int] = {0: 0}
-    for i, node in enumerate(aig.pis()):
-        values[node] = _variable_pattern(i, nbits)
-    for n in topological_order_all(aig):
-        f0, f1 = aig.fanins(n)
-        v0 = values[lit_node(f0)] ^ (mask if lit_is_compl(f0) else 0)
-        v1 = values[lit_node(f1)] ^ (mask if lit_is_compl(f1) else 0)
-        values[n] = v0 & v1
-    return values
+    patterns = [_variable_pattern(i, nbits) for i in range(k)]
+    return _run_by_node(aig, patterns, (1 << nbits) - 1)
 
 
 def po_tables(aig: Aig, values: Optional[Dict[int, int]] = None) -> List[int]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro import hotpath
 from repro.errors import BddLimitError
 
 FALSE = 0  #: terminal node for constant 0
@@ -61,9 +60,9 @@ class BddManager:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._cache_ite: Dict[Tuple[int, int, int], int] = {}
         self._cache_not: Dict[int, int] = {}
-        #: Direct binary-op computed table keyed ``(op, f, g)`` — the hot
-        #: path answers repeated AND/OR/XOR requests without re-entering
-        #: the ITE machinery at all.
+        #: Direct binary-op computed table keyed ``(op, f, g)`` — answers
+        #: repeated AND/OR/XOR requests without re-entering the ITE
+        #: machinery at all.
         self._cache_op: Dict[Tuple[int, int, int], int] = {}
         self._vars: List[int] = []
         for _ in range(num_vars):
@@ -136,18 +135,16 @@ class BddManager:
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: the universal ternary BDD operator.
 
-        The hot path inlines cofactoring and the top-variable selection
-        (no ``min()`` generator, no ``_cofactors`` calls) while keeping
-        the reference's exact control flow — low subproblem fully
-        evaluated (including ``_mk`` allocations and cache writes) before
-        the high one, parent combined last — so node ids, cache
+        Cofactoring and the top-variable selection are inlined, while the
+        control flow stays that of the textbook recursion — low subproblem
+        fully evaluated (including ``_mk`` allocations and cache writes)
+        before the high one, parent combined last — so node ids, cache
         contents, and any :class:`~repro.errors.BddLimitError` fire at
-        identical points.  Recursion depth is bounded by the variable
-        count (``top`` strictly increases), so plain recursion is safe
-        and measurably cheaper than an explicit frame stack.
+        the same points as in the plain recursive formulation.  Recursion
+        depth is bounded by the variable count (``top`` strictly
+        increases), so plain recursion is safe and measurably cheaper than
+        an explicit frame stack.
         """
-        if not hotpath.enabled():
-            return self._ite_recursive(f, g, h)
         if f == TRUE:
             return g
         if f == FALSE:
@@ -193,49 +190,15 @@ class BddManager:
         cache[key] = result
         return result
 
-    def _ite_recursive(self, f: int, g: int, h: int) -> int:
-        """Reference ITE: the original recursive formulation."""
-        # Terminal cases.
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        key = (f, g, h)
-        cached = self._cache_ite.get(key)
-        if cached is not None:
-            return cached
-        top = min(v for v in (self._var[f],
-                              self._var[g] if g > 1 else 10 ** 9,
-                              self._var[h] if h > 1 else 10 ** 9))
-        f0, f1 = self._cofactors(f, top)
-        g0, g1 = self._cofactors(g, top)
-        h0, h1 = self._cofactors(h, top)
-        low = self._ite_recursive(f0, g0, h0)
-        high = self._ite_recursive(f1, g1, h1)
-        result = self._mk(top, low, high)
-        self._cache_ite[key] = result
-        return result
-
-    def _cofactors(self, node: int, var: int) -> Tuple[int, int]:
-        if node <= 1 or self._var[node] != var:
-            return node, node
-        return self._low[node], self._high[node]
-
     # -- boolean operations -------------------------------------------------------
 
     def apply_and(self, f: int, g: int) -> int:
         """Conjunction of two functions.
 
-        Hot path: terminal short-circuits (all allocation-free in the
-        reference formulation too) plus a direct ``(AND, f, g)`` computed
-        table in front of the ITE machinery.
+        Terminal short-circuits (all allocation-free in the plain
+        ``ite(f, g, 0)`` formulation too) plus a direct ``(AND, f, g)``
+        computed table in front of the ITE machinery.
         """
-        if not hotpath.enabled():
-            return self.ite(f, g, FALSE)
         if f == TRUE:
             return g
         if g == TRUE:
@@ -253,8 +216,6 @@ class BddManager:
 
     def apply_or(self, f: int, g: int) -> int:
         """Disjunction of two functions."""
-        if not hotpath.enabled():
-            return self.ite(f, TRUE, g)
         if f == TRUE or g == TRUE:
             return TRUE
         if f == FALSE:
@@ -273,14 +234,12 @@ class BddManager:
     def apply_xor(self, f: int, g: int) -> int:
         """Exclusive-or — the paper's Boolean difference ``∂f/∂g = f ⊕ g``.
 
-        Short-circuits are restricted to cases whose reference evaluation
-        allocates exactly the same nodes (``f ⊕ 1`` builds the complement
-        either way; ``0 ⊕ g`` is *not* short-circuited because the
-        reference eagerly builds ``¬g`` first), keeping bailout behaviour
-        under a node limit bit-identical.
+        Short-circuits are restricted to cases whose plain
+        ``ite(f, ¬g, g)`` evaluation allocates exactly the same nodes
+        (``f ⊕ 1`` builds the complement either way; ``0 ⊕ g`` is *not*
+        short-circuited because the plain form eagerly builds ``¬g``
+        first), keeping bailout behaviour under a node limit bit-identical.
         """
-        if not hotpath.enabled():
-            return self.ite(f, self.negate(g), g)
         if g == FALSE:
             return f
         if g == TRUE:

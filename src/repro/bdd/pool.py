@@ -12,21 +12,18 @@ Keeping the unique table warm across clients is deliberately off the
 table: :attr:`~repro.bdd.manager.BddManager.node_limit` counts
 cumulative allocations, so retained nodes would absorb part of a new
 client's allocation demand, shift the engines' bailout points, and
-break the hot path's bit-identity contract (a bailing partition that
-suddenly completes changes the final network).
+break the engines' bit-identity with fresh managers (a bailing partition
+that suddenly completes changes the final network).
 
 The pool is per-process (worker processes each grow their own) and
 capped both in depth and in retained-capacity footprint so it can never
-hoard unbounded memory.  With :mod:`repro.hotpath` disabled, ``acquire``
-degrades to plain construction and ``release`` drops the manager,
-reproducing the reference one-manager-per-partition discipline exactly.
+hoard unbounded memory.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro import hotpath
 from repro.bdd.manager import BddManager
 
 #: Maximum managers kept waiting for reuse.
@@ -40,19 +37,17 @@ _POOL: List[BddManager] = []
 
 def acquire(num_vars: int, node_limit: Optional[int] = None) -> BddManager:
     """A manager with *num_vars* variables and fresh-equivalent headroom."""
-    if hotpath.enabled():
-        while _POOL:
-            manager = _POOL.pop()
-            if manager.num_nodes <= MAX_POOLED_NODES:
-                manager.reset_for_reuse(num_vars, node_limit=node_limit)
-                return manager
+    while _POOL:
+        manager = _POOL.pop()
+        if manager.num_nodes <= MAX_POOLED_NODES:
+            manager.reset_for_reuse(num_vars, node_limit=node_limit)
+            return manager
     return BddManager(num_vars, node_limit=node_limit)
 
 
 def release(manager: BddManager) -> None:
     """Offer *manager* back for recycling (dropped when over budget)."""
-    if (hotpath.enabled() and len(_POOL) < MAX_POOLED
-            and manager.num_nodes <= MAX_POOLED_NODES):
+    if len(_POOL) < MAX_POOLED and manager.num_nodes <= MAX_POOLED_NODES:
         _POOL.append(manager)
 
 

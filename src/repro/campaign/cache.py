@@ -18,10 +18,9 @@ cache keys each job by **content**, never by name:
   ``pool`` — are excluded: the parallel contract
   guarantees bit-identical results for every ``jobs`` value, so a serial
   cold run and a 8-way warm run share entries.
-* :data:`repro.hotpath.CODE_VERSION` is salted in so bumping the engine
-  version invalidates every stale entry at once (partial invalidation:
-  entries under other salts stay untouched on disk and simply stop
-  matching).
+* :data:`CODE_VERSION` is salted in so bumping the engine version
+  invalidates every stale entry at once (partial invalidation: entries
+  under other salts stay untouched on disk and simply stop matching).
 
 Runs that are **not** pure functions of (network, config) are uncacheable
 and must bypass the cache entirely: chaos fault injection and wall-clock
@@ -66,7 +65,6 @@ import tempfile
 import threading
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple, Union
 
-from repro import hotpath
 from repro.aig.aig import Aig
 from repro.parallel.window_io import CompactAig
 from repro.partition.partitioner import PartitionConfig
@@ -74,6 +72,11 @@ from repro.partition.partitioner import PartitionConfig
 if TYPE_CHECKING:  # repro.sbm.flow imports this module
     from repro.sbm.config import FlowConfig
 
+#: Version tag of the optimization code itself, salted into every cache key
+#: and entry.  Bump whenever an engine change may alter *results* (not just
+#: speed): every cached entry computed under the old code then reads as a
+#: miss instead of replaying stale networks.
+CODE_VERSION = "sbm-flow/7"
 #: Bump when the entry layout (not the flow semantics) changes.
 CACHE_SCHEMA = "repro.campaign/cache-v1"
 #: Entry schema of the per-stage memo slot (``repro.orchestrate``).
@@ -289,7 +292,7 @@ def flow_cache_key(aig: Aig, config: FlowConfig) -> Optional[str]:
         return None
     return canonical_digest({
         "schema": CACHE_SCHEMA,
-        "code": hotpath.CODE_VERSION,
+        "code": CODE_VERSION,
         "network": canonical_network(aig),
         "config": semantic,
     })
@@ -310,7 +313,7 @@ def stage_cache_key(network_fp: str, stage: str,
     """
     return canonical_digest({
         "schema": STAGE_SCHEMA,
-        "code": hotpath.CODE_VERSION,
+        "code": CODE_VERSION,
         "network": network_fp,
         "stage": stage,
         "effort": effort,
@@ -427,7 +430,7 @@ class ResultCache:
             data = json.loads(raw)
             if (data.get("schema") == _SLOT_SCHEMAS[slot]
                     and data.get("key") == key
-                    and data.get("code") == hotpath.CODE_VERSION
+                    and data.get("code") == CODE_VERSION
                     and isinstance(data["stats"], dict)):
                 net = data["network"]
                 compact = CompactAig(
@@ -455,7 +458,7 @@ class ResultCache:
         compact = network if isinstance(network, CompactAig) \
             else CompactAig.from_aig(network)
         document = {"schema": _SLOT_SCHEMAS[slot], "key": key,
-                    "code": hotpath.CODE_VERSION,
+                    "code": CODE_VERSION,
                     "network": {"num_pis": compact.num_pis,
                                 "gates": [list(gate)
                                           for gate in compact.gates],

@@ -53,9 +53,9 @@ import posixpath
 import tarfile
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import hotpath
 from repro.campaign.cache import (
     CACHE_SCHEMA,
+    CODE_VERSION,
     STAGE_SCHEMA,
     atomic_write_text,
     canonical_digest,
@@ -159,7 +159,7 @@ def pack_cache(cache_dir: str, archive_path: str,
         payloads.append((rel, raw))
     manifest: Dict[str, Any] = {
         "schema": PACK_SCHEMA,
-        "code": hotpath.CODE_VERSION,
+        "code": CODE_VERSION,
         "entries": entries,
         "slot_stats": slot_stats,
         "corrupt_skipped": corrupt_skipped,

@@ -17,8 +17,6 @@ Fault kinds (spec syntax ``kind:threshold``):
   rewrite; caught by the SAT CEC oracle rung.
 * ``crash`` — raise ``RuntimeError`` under the same condition; caught by
   the crash-capture rung.
-* ``refpath-flip`` — flip PO 0 only when the hot path is *disabled*, so
-  the baseline run is clean and only the hotpath-identity rung trips.
 * ``jobs-flip`` — flip PO 0 only when the flow ran with ``jobs > 1``, so
   only the jobs-bit-identity rung trips.
 
@@ -38,7 +36,7 @@ from repro.aig.aig import Aig
 #: Environment variable consulted when no fault is installed in-process.
 ENV_VAR = "REPRO_FUZZ_INJECT"
 
-FAULT_KINDS = ("flip-po", "crash", "refpath-flip", "jobs-flip")
+FAULT_KINDS = ("flip-po", "crash", "jobs-flip")
 
 _ACTIVE: Optional["InjectedFault"] = None
 
@@ -68,15 +66,12 @@ class InjectedFault:
             ) from None
         return cls(kind=kind, threshold=threshold)
 
-    def apply(self, result: Aig, source: Aig, jobs: int,
-              hotpath_on: bool) -> Aig:
+    def apply(self, result: Aig, source: Aig, jobs: int) -> Aig:
         """The corrupted flow result (or *result* unchanged)."""
         if source.num_ands < self.threshold:
             return result
         if self.kind == "crash":
             raise RuntimeError(f"injected fault: crash (spec={self.spec})")
-        if self.kind == "refpath-flip" and hotpath_on:
-            return result
         if self.kind == "jobs-flip" and jobs <= 1:
             return result
         return _flip_first_po(result)

@@ -7,16 +7,14 @@ ladder of independent checks, in fixed order:
    message are captured as the verdict otherwise); a wall-clock budget
    overrun is reported as a ``timeout`` verdict.
 2. ``cec``     — SAT combinational equivalence of input vs. output (the
-   PR-3 ``StageGuard``/``assert_equivalent`` machinery via
+   ``StageGuard``/``assert_equivalent`` machinery via
    :func:`repro.sat.equivalence.find_counterexample`).  On a miscompare
    the guilty stage is identified by re-running the flow with
    ``verify_each_step=True`` and reading the first guard rollback.
-3. ``hotpath`` — the flow re-run with the hot path disabled must produce
-   the bit-identical network (the ``repro.hotpath`` contract).
-4. ``jobs``    — the flow re-run with ``jobs=N`` (process-parallel
+3. ``jobs``    — the flow re-run with ``jobs=N`` (process-parallel
    windows) must produce the bit-identical network (the
    ``repro.parallel`` contract).
-5. ``chaos``   — for each chaos seed, the flow under injected faults
+4. ``chaos``   — for each chaos seed, the flow under injected faults
    with the equivalence guard on must still complete and stay
    SAT-equivalent to the input (the ``repro.guard`` contract).
 
@@ -38,7 +36,6 @@ import hashlib
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import hotpath
 from repro.aig.aig import Aig
 from repro.fuzz import faults
 from repro.parallel.window_io import CompactAig
@@ -46,7 +43,7 @@ from repro.sat.equivalence import find_counterexample
 from repro.sbm.config import FlowConfig
 
 #: Fixed check order; the first failing rung is the case's primary verdict.
-CHECK_ORDER = ("crash", "timeout", "cec", "hotpath", "jobs", "chaos")
+CHECK_ORDER = ("crash", "timeout", "cec", "jobs", "chaos")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,7 +51,7 @@ class OracleConfig:
     """Which rungs run, and the flow shape they exercise."""
 
     iterations: int = 1
-    checks: Tuple[str, ...] = ("cec", "hotpath", "jobs", "chaos")
+    checks: Tuple[str, ...] = ("cec", "jobs", "chaos")
     jobs: int = 2                     #: width of the ``jobs`` rung
     chaos_seeds: Tuple[int, ...] = (7,)
     chaos_rate: float = 0.05          #: window-fault rate of the chaos rung
@@ -62,6 +59,13 @@ class OracleConfig:
     enable_simresub: bool = True
     exhaustive_limit: int = 12        #: CEC exhaustive-simulation cutoff
     case_timeout_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        unknown = [check for check in self.checks
+                   if check not in CHECK_ORDER]
+        if unknown:
+            raise ValueError(f"unknown oracle check {unknown[0]!r} "
+                             f"(expected names from {CHECK_ORDER})")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"iterations": self.iterations, "checks": list(self.checks),
@@ -178,8 +182,7 @@ def _execute_flow(source: Aig, config: FlowConfig) -> Tuple[Aig, Any]:
     result, stats = sbm_flow(source, config)
     fault = faults.active()
     if fault is not None:
-        result = fault.apply(result, source=source, jobs=config.jobs,
-                             hotpath_on=hotpath.enabled())
+        result = fault.apply(result, source=source, jobs=config.jobs)
     return result, stats
 
 
@@ -274,23 +277,7 @@ def run_case(aig: Aig, config: OracleConfig,
                     stage=_blame_stage(snapshot.to_aig(), config),
                     cex=list(cex.inputs)))
 
-        # -- rung 3: hot path on/off identity ----------------------------------
-        if "hotpath" in config.checks:
-            try:
-                with hotpath.disabled():
-                    reference, _ = _execute_flow(snapshot.to_aig(),
-                                                 config.flow_config())
-                if network_key(reference) != base_key:
-                    result.failures.append(OracleFailure(
-                        check="hotpath", kind="HotpathDivergence",
-                        detail="hotpath-off network differs from "
-                               "hotpath-on network"))
-            except Exception as exc:
-                result.failures.append(OracleFailure(
-                    check="hotpath", kind=type(exc).__name__,
-                    detail=f"hotpath-off re-run raised: {exc}"))
-
-        # -- rung 4: jobs=N vs jobs=1 bit-identity -----------------------------
+        # -- rung 3: jobs=N vs jobs=1 bit-identity -----------------------------
         if "jobs" in config.checks and config.jobs > 1:
             try:
                 wide, _ = _execute_flow(snapshot.to_aig(),
@@ -306,7 +293,7 @@ def run_case(aig: Aig, config: OracleConfig,
                     check="jobs", kind=type(exc).__name__,
                     detail=f"jobs={config.jobs} re-run raised: {exc}"))
 
-        # -- rung 5: chaos sweeps must survive and stay equivalent -------------
+        # -- rung 4: chaos sweeps must survive and stay equivalent -------------
         if "chaos" in config.checks:
             for seed in config.chaos_seeds:
                 from repro.guard.chaos import FaultPlan

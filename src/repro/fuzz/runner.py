@@ -134,8 +134,7 @@ def load_fuzz_suite(path: str, tier: Optional[str] = None) -> FuzzConfig:
     entry.update(tiers[tier])
     oracle = OracleConfig(
         iterations=int(entry.get("iterations", 1)),
-        checks=tuple(entry.get("checks",
-                               ("cec", "hotpath", "jobs", "chaos"))),
+        checks=tuple(entry.get("checks", ("cec", "jobs", "chaos"))),
         jobs=int(entry.get("oracle_jobs", 2)),
         chaos_seeds=tuple(int(s) for s in entry.get("chaos_seeds", (7,))),
         enable_simresub=bool(entry.get("enable_simresub", True)),
@@ -156,7 +155,7 @@ def _failure_predicate(config: OracleConfig, expected_check: str,
                        expected_kind: str):
     """The minimizer predicate: the same primary failure still shows."""
     # Only the failing rung is re-run during shrinking — a cec failure
-    # needs no hotpath/jobs/chaos re-runs per candidate.
+    # needs no jobs/chaos re-runs per candidate.
     reduced = dataclasses.replace(
         config, checks=(expected_check,) if expected_check in config.checks
         else config.checks, chaos_seeds=config.chaos_seeds[:1])

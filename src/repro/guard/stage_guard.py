@@ -29,15 +29,15 @@ schema v2 embeds under the ``guard`` key.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import hotpath
 from repro.aig.aig import Aig
-from repro.aig.simprogram import pack_rounds, sim_program, wide_mask
-from repro.aig.simulate import WORD_MASK, po_words, simulate_words
-from repro.sat.equivalence import Counterexample, find_counterexample
+from repro.sat.equivalence import (
+    Counterexample,
+    find_counterexample,
+    random_counterexample,
+)
 
 #: Default number of random patterns for the fast rung (multiple of 64).
 DEFAULT_PATTERNS = 256
@@ -70,49 +70,11 @@ class StageGuard:
     def fast_check(self, candidate: Aig) -> Optional[Counterexample]:
         """Random-simulation miscompare check; None when all patterns agree."""
         self.fast_checks += 1
-        rng = random.Random(self.seed)
-        rounds = (self.patterns + 63) // 64
-        if hotpath.enabled():
-            # Wide hot path: all rounds in one pass per network.  Patterns
-            # are drawn round-major (the reference RNG sequence) and the
-            # scan below follows the reference loop's (round, po, bit)
-            # order, so any counterexample is bit-identical.
-            num_pis = self.reference.num_pis
-            round_words = [[rng.getrandbits(64) for _ in range(num_pis)]
-                           for _ in range(rounds)]
-            packed = pack_rounds(round_words)
-            mask = wide_mask(rounds)
-            prog_a = sim_program(self.reference)
-            prog_b = sim_program(candidate)
-            wa = prog_a.po_words(prog_a.run(packed, mask), mask)
-            wb = prog_b.po_words(prog_b.run(packed, mask), mask)
-            for r in range(rounds):
-                shift = 64 * r
-                for po, (x, y) in enumerate(zip(wa, wb)):
-                    diff = ((x >> shift) ^ (y >> shift)) & WORD_MASK
-                    if diff:
-                        bit = (diff & -diff).bit_length() - 1
-                        inputs = [bool((w >> bit) & 1)
-                                  for w in round_words[r]]
-                        self.fast_rejects += 1
-                        return Counterexample(inputs, po,
-                                              self.reference.po_name(po))
-            return None
-        for _ in range(rounds):
-            words = [rng.getrandbits(64)
-                     for _ in range(self.reference.num_pis)]
-            wa = po_words(self.reference,
-                          simulate_words(self.reference, words))
-            wb = po_words(candidate, simulate_words(candidate, words))
-            for po, (x, y) in enumerate(zip(wa, wb)):
-                diff = x ^ y
-                if diff:
-                    bit = (diff & -diff).bit_length() - 1
-                    inputs = [bool((w >> bit) & 1) for w in words]
-                    self.fast_rejects += 1
-                    return Counterexample(inputs, po,
-                                          self.reference.po_name(po))
-        return None
+        cex = random_counterexample(self.reference, candidate, self.seed,
+                                    (self.patterns + 63) // 64)
+        if cex is not None:
+            self.fast_rejects += 1
+        return cex
 
     def check(self, candidate: Aig) -> Optional[Counterexample]:
         """Run the full ladder; a counterexample means "roll back"."""

@@ -379,12 +379,12 @@ class HistoryStore:
 def wrap_campaign_report(campaign_doc: Dict[str, Any],
                          command: Optional[str] = None) -> Dict[str, Any]:
     """A minimal, schema-valid v3 run-report document around one campaign."""
-    from repro import hotpath
+    from repro.campaign.cache import CODE_VERSION
     return {
         "schema": "repro.obs/run-report",
         "version": 3,
         "command": command,
-        "code": hotpath.CODE_VERSION,
+        "code": CODE_VERSION,
         "trace": [],
         "dropped_spans": 0,
         "metrics": {"counters": {}, "gauges": {}, "histograms": {}},

@@ -35,7 +35,7 @@ class ReportSchemaError(ValueError):
 
 def build_report(session, command: Optional[str] = None) -> Dict[str, Any]:
     """Assemble the JSON-safe run report from an enabled ObsSession."""
-    from repro.hotpath import CODE_VERSION
+    from repro.campaign.cache import CODE_VERSION
     return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,

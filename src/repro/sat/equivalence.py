@@ -24,12 +24,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.aig.aig import CONST0, Aig
-from repro.aig.simprogram import sim_program, wide_mask
+from repro.aig.simprogram import pack_rounds, sim_program, wide_mask
 from repro.aig.simulate import WORD_MASK, po_tables, po_words, simulate_words
-from repro import hotpath
 from repro.errors import EquivalenceError, SatError
 from repro.sat.cnf import AigCnf, _copy_into
 
+#: Seed and 64-bit rounds of the random rung ahead of the SAT sweep.
+CEC_SEED = 0xCEC
+CEC_ROUNDS = 4
 #: Random patterns that sign every miter node for the SAT sweep.
 SWEEP_PATTERNS = 1024
 #: Seed of those patterns, fixed so every counterexample repeats run to run.
@@ -134,6 +136,35 @@ def _proven_equal(cnf: AigCnf, x: int, y: int) -> bool:
                for query in ((sx, -sy), (-sx, sy)))
 
 
+def random_counterexample(aig_a: Aig, aig_b: Aig, seed: int,
+                          rounds: int) -> Optional[Counterexample]:
+    """A miscompare under *rounds* × 64 seeded random patterns, or ``None``.
+
+    PI words are drawn round-major from ``random.Random(seed)``, both
+    networks are simulated in one wide pass, and the scan visits
+    (round, PO, lowest bit) in that order, so the counterexample is a pure
+    function of the two networks, *seed* and *rounds*.
+    """
+    rng = random.Random(seed)
+    round_words = [[rng.getrandbits(64) for _ in range(aig_a.num_pis)]
+                   for _ in range(rounds)]
+    packed = pack_rounds(round_words)
+    mask = wide_mask(rounds)
+    prog_a = sim_program(aig_a)
+    prog_b = sim_program(aig_b)
+    wa = prog_a.po_words(prog_a.run(packed, mask), mask)
+    wb = prog_b.po_words(prog_b.run(packed, mask), mask)
+    for r in range(rounds):
+        shift = 64 * r
+        for po, (x, y) in enumerate(zip(wa, wb)):
+            diff = ((x >> shift) ^ (y >> shift)) & WORD_MASK
+            if diff:
+                bit = (diff & -diff).bit_length() - 1
+                inputs = [bool((w >> bit) & 1) for w in round_words[r]]
+                return Counterexample(inputs, po, aig_a.po_name(po))
+    return None
+
+
 def find_counterexample(aig_a: Aig, aig_b: Aig,
                         exhaustive_limit: int = 12
                         ) -> Optional[Counterexample]:
@@ -160,40 +191,9 @@ def find_counterexample(aig_a: Aig, aig_b: Aig,
                 return Counterexample(inputs, po, aig_a.po_name(po))
         return None
     # Random simulation first: a cheap refutation path.
-    rng = random.Random(0xCEC)
-    if hotpath.enabled():
-        # Wide hot path: one 256-bit pass per network replaces four 64-bit
-        # walks.  Patterns are drawn round-major (identical RNG sequence)
-        # and the miscompare scan below visits (round, po, bit) in the
-        # reference loop's order, so the counterexample is bit-identical.
-        rounds = [[rng.getrandbits(64) for _ in range(aig_a.num_pis)]
-                  for _ in range(4)]
-        packed = [rounds[0][i] | (rounds[1][i] << 64) | (rounds[2][i] << 128)
-                  | (rounds[3][i] << 192) for i in range(aig_a.num_pis)]
-        mask = wide_mask(4)
-        prog_a = sim_program(aig_a)
-        prog_b = sim_program(aig_b)
-        wa = prog_a.po_words(prog_a.run(packed, mask), mask)
-        wb = prog_b.po_words(prog_b.run(packed, mask), mask)
-        for r in range(4):
-            shift = 64 * r
-            for po, (x, y) in enumerate(zip(wa, wb)):
-                diff = ((x >> shift) ^ (y >> shift)) & WORD_MASK
-                if diff:
-                    bit = (diff & -diff).bit_length() - 1
-                    inputs = [bool((w >> bit) & 1) for w in rounds[r]]
-                    return Counterexample(inputs, po, aig_a.po_name(po))
-    else:
-        for _ in range(4):
-            words = [rng.getrandbits(64) for _ in range(aig_a.num_pis)]
-            wa = po_words(aig_a, simulate_words(aig_a, words))
-            wb = po_words(aig_b, simulate_words(aig_b, words))
-            for po, (x, y) in enumerate(zip(wa, wb)):
-                diff = x ^ y
-                if diff:
-                    bit = (diff & -diff).bit_length() - 1
-                    inputs = [bool((w >> bit) & 1) for w in words]
-                    return Counterexample(inputs, po, aig_a.po_name(po))
+    cex = random_counterexample(aig_a, aig_b, CEC_SEED, CEC_ROUNDS)
+    if cex is not None:
+        return cex
     inputs = _sweep_miter(aig_a, aig_b)
     if inputs is None:
         return None

@@ -12,10 +12,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro import hotpath
-from repro.aig.aig import Aig, lit_node
+from repro.aig.aig import Aig, lit_is_compl, lit_node
 from repro.aig.simprogram import pack_rounds, sim_program, wide_mask
-from repro.aig.simulate import po_words, simulate_words
 from repro.sat.equivalence import check_equivalence
 
 
@@ -37,28 +35,18 @@ def remove_redundancies(aig: Aig, max_checks: Optional[int] = None,
         baseline = aig.cleanup()
         patterns = [[rng.getrandbits(64) for _ in range(aig.num_pis)]
                     for _ in range(sim_rounds)]
-        if hotpath.enabled():
-            # Wide hot path: the per-round golden references collapse into
-            # one W x 64-bit PO word list; every candidate clone is then
-            # screened with a single compiled pass instead of *sim_rounds*
-            # interpreted walks.  The refutation decision is identical —
-            # a clone fails iff any round miscompares.
-            packed = pack_rounds(patterns)
-            mask = wide_mask(sim_rounds)
-            program = sim_program(baseline)
-            golden_wide = program.po_words(program.run(packed, mask), mask)
-            wide = (packed, golden_wide, mask)
-            golden = None
-        else:
-            golden = [po_words(baseline, simulate_words(baseline, words))
-                      for words in patterns]
-            wide = None
+        # All rounds in one W x 64-bit pass: a clone is refuted iff any
+        # round's PO words miscompare with the baseline's.
+        packed = pack_rounds(patterns)
+        mask = wide_mask(sim_rounds)
+        program = sim_program(baseline)
+        golden = program.po_words(program.run(packed, mask), mask)
         for node in list(baseline.topological_order()):
             for keep_index in (0, 1):
                 if max_checks is not None and checks >= max_checks:
                     return removed
                 candidate = _try_edge(baseline, node, keep_index,
-                                      patterns, golden, wide)
+                                      packed, golden, mask)
                 if candidate is None:
                     continue
                 checks += 1
@@ -75,15 +63,16 @@ def remove_redundancies(aig: Aig, max_checks: Optional[int] = None,
     return removed
 
 
-def _try_edge(aig: Aig, node: int, keep_index: int,
-              patterns: List[List[int]],
-              golden: Optional[List[List[int]]],
-              wide: Optional[tuple] = None) -> Optional[Aig]:
-    """Clone *aig* with one fanin of *node* forced to 1; None if sim refutes."""
+def _try_edge(aig: Aig, node: int, keep_index: int, packed: List[int],
+              golden: List[int], mask: int) -> Optional[Aig]:
+    """Clone *aig* with one fanin of *node* forced to 1; None if sim refutes.
+
+    *packed* are the wide PI words and *golden* the baseline's wide PO
+    words under them, both over *mask*.
+    """
     if not aig.is_and(node):
         return None
     clone, mapping = aig.cleanup_with_map()
-    from repro.aig.aig import lit_is_compl
     mapped = mapping.get(node)
     if mapped is None or lit_is_compl(mapped):
         return None
@@ -92,15 +81,9 @@ def _try_edge(aig: Aig, node: int, keep_index: int,
         return None
     kept = clone.fanins(clone_node)[keep_index]
     clone.replace(clone_node, kept)
-    if wide is not None:
-        packed, golden_wide, mask = wide
-        program = sim_program(clone)
-        if program.po_words(program.run(packed, mask), mask) != golden_wide:
-            return None
-        return clone.cleanup()
-    for words, reference in zip(patterns, golden):
-        if po_words(clone, simulate_words(clone, words)) != reference:
-            return None
+    program = sim_program(clone)
+    if program.po_words(program.run(packed, mask), mask) != golden:
+        return None
     return clone.cleanup()
 
 

@@ -243,8 +243,8 @@ def optimize_partition(aig: Aig, window: Window,
         stats.bdd_nodes_allocated += manager.num_nodes
     finally:
         # Cache clearing is the paper's per-iteration memory discipline;
-        # releasing (hot path) keeps the unique table warm for the next
-        # partition instead of discarding it.
+        # releasing hands the manager's grown capacity (not its nodes) to
+        # the next partition instead of discarding it.
         manager.clear_caches()
         bdd_pool.release(manager)
 

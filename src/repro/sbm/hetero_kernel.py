@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro import hotpath, obs
+from repro import obs
 from repro.aig.aig import Aig
 from repro.opt.balance import balance
 from repro.parallel.scheduler import register_engine
@@ -155,10 +155,10 @@ def _best_threshold_result(sub: Aig, config: KernelConfig
     base_net = SopNetwork.from_aig(sub)
     base_literals = base_net.total_literals()
     best: Optional[Tuple[int, Aig, int]] = None
-    # Hot path: one content-keyed kernel/saving memo for the whole threshold
-    # sweep — different thresholds eliminate to heavily overlapping covers,
-    # so later thresholds replay most kernel evaluations from cache.
-    kernel_cache: Optional[dict] = {} if hotpath.enabled() else None
+    # One content-keyed kernel/saving memo for the whole threshold sweep —
+    # different thresholds eliminate to heavily overlapping covers, so
+    # later thresholds replay most kernel evaluations from cache.
+    kernel_cache: dict = {}
     for threshold in config.eliminate_thresholds:
         net = SopNetwork.from_aig(sub)
         net.eliminate(threshold, max_cubes=config.max_cubes)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro import hotpath, obs
+from repro import obs
 from repro.aig.aig import Aig, lit, lit_node
 from repro.bdd import pool as bdd_pool
 from repro.bdd.manager import FALSE, TRUE, BddManager
@@ -189,10 +189,10 @@ def optimize_partition(aig: Aig, window: Window, config: MspfConfig,
                 window = refreshed
                 root_set = set(window.roots)
                 alive = list(window.nodes)
-                # Hot path: recycle the window's own manager (container
-                # capacity, not nodes) instead of constructing a fresh
-                # one per rebuild; reset_for_reuse replays fresh-manager
-                # state exactly.
+                # Recycle the window's own manager (container capacity,
+                # not nodes) instead of constructing a fresh one per
+                # rebuild; reset_for_reuse replays fresh-manager state
+                # exactly.
                 reuse, manager = manager, None
                 rebuilt = _window_bdds(aig, window, alive, config,
                                        reuse=reuse)
@@ -208,7 +208,7 @@ def _window_bdds(aig: Aig, window: Window, alive: List[int],
                  config: MspfConfig, reuse: Optional[BddManager] = None):
     """(manager, node→bdd, z variable) for the window, or None on bailout."""
     num_vars = len(window.leaves) + 1
-    if reuse is not None and hotpath.enabled():
+    if reuse is not None:
         manager = reuse
         manager.reset_for_reuse(num_vars, node_limit=config.bdd_node_limit)
     else:

@@ -19,10 +19,8 @@ The :class:`PatternStore` is that growing pattern set for one window:
   wide layout :func:`repro.aig.simprogram.simulate_wide` consumes, so all
   patterns simulate in a single compiled pass;
 * :meth:`signatures` computes per-node signature words over the current
-  pattern set, through the compiled :class:`~repro.aig.simprogram
-  .SimProgram` on the hot path and through per-round interpreted
-  :func:`~repro.aig.simulate.simulate_words` walks on the reference path
-  (``repro.hotpath`` disabled) — bit-identical by construction;
+  pattern set in one pass of the compiled :class:`~repro.aig.simprogram
+  .SimProgram`;
 * :meth:`add_pattern` appends a counterexample.  A counterexample from a
   refuted candidate necessarily differs from every stored pattern (the
   candidate agreed with the target on all of them), so no dedup pass is
@@ -34,10 +32,8 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
-from repro import hotpath
 from repro.aig.aig import Aig
-from repro.aig.simprogram import WORD_BITS, WORD_MASK, sim_program
-from repro.aig.simulate import simulate_words
+from repro.aig.simprogram import WORD_BITS, sim_program
 from repro.errors import AigError
 
 #: Default seed of the random pattern prefix (any fixed value works; it is
@@ -101,22 +97,10 @@ class PatternStore:
         """Node-indexed signature words of *aig* under the stored patterns.
 
         Entry *n* is node *n*'s output over all patterns (bit *b* =
-        pattern *b*); dead/unsimulated slots are 0.  The hot path runs the
-        compiled program once over the packed wide words; the reference
-        path assembles the same integers from per-round interpreted
-        simulations — callers observe identical values either way.
+        pattern *b*); dead/unsimulated slots are 0.  The compiled program
+        runs once over the packed wide words.
         """
         if aig.num_pis != self.num_inputs:
             raise AigError(f"network has {aig.num_pis} PIs, store has "
                            f"{self.num_inputs} inputs")
-        mask = self.mask
-        if hotpath.enabled():
-            return sim_program(aig).run(self._words, mask)
-        values = [0] * (aig.max_node + 1)
-        for r in range(self.width_words):
-            shift = WORD_BITS * r
-            round_words = [(w >> shift) & WORD_MASK for w in self._words]
-            round_values = simulate_words(aig, round_words)
-            for node, word in round_values.items():
-                values[node] |= word << shift
-        return [v & mask for v in values]
+        return sim_program(aig).run(self._words, self.mask)

@@ -24,9 +24,8 @@ The engine runs under the :class:`repro.parallel.scheduler
 picklable sub-networks, each window worker is a pure function of
 ``(sub-network, config)`` (the pattern seed travels in the config), and
 results merge in deterministic partition order — ``jobs=N`` is
-bit-identical to ``jobs=1``.  Signatures use the compiled simulation
-program on the hot path and the interpreted reference walk when
-:mod:`repro.hotpath` is disabled, with identical results.
+bit-identical to ``jobs=1``.  Signatures come from one pass of the
+compiled simulation program.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro import hotpath
-from repro.sop.cube import Cube, cube_divide
+from repro.sop.cube import Cube
 from repro.sop.sop import Sop
 
 
@@ -22,38 +21,14 @@ def divide(f: Sop, d: Sop) -> Tuple[Sop, Sop]:
     The quotient is the largest cover ``Q`` such that ``Q·D ⊆ F`` cube-wise;
     remainder collects the cubes of ``F`` not produced by ``Q·D``.  When the
     divisor is empty, returns ``(0, F)``.
-    """
-    if d.is_const0():
-        return Sop(), f.copy()
-    if hotpath._ENABLED:
-        return _divide_fast(f, d)
-    quotient: Optional[set] = None
-    for d_cube in d.cubes:
-        partial = set()
-        for f_cube in f.cubes:
-            q = cube_divide(f_cube, d_cube)
-            if q is not None:
-                partial.add(q)
-        if quotient is None:
-            quotient = partial
-        else:
-            quotient &= partial
-        if not quotient:
-            return Sop(), f.copy()
-    q_sop = Sop(sorted(quotient))
-    product = q_sop & d
-    remainder = Sop(c for c in f.cubes if c not in set(product.cubes))
-    return q_sop, remainder
-
-
-def _divide_fast(f: Sop, d: Sop) -> Tuple[Sop, Sop]:
-    """Inlined-bit-op weak division; same pure result as the reference.
 
     The quotient is a set intersection, so it is independent of cube
     iteration order; the remainder is a subset of the (already minimal)
-    cover of *f* in original order, so it can be assigned directly without
+    cover of *f* in original order, so it is assigned directly without
     re-running containment minimization.
     """
+    if d.is_const0():
+        return Sop(), f.copy()
     f_cubes = f.cubes
     quotient: Optional[set] = None
     for dp, dn in d.cubes:
@@ -77,35 +52,27 @@ def _divide_fast(f: Sop, d: Sop) -> Tuple[Sop, Sop]:
 
 
 def divide_by_cube(f: Sop, cube: Cube) -> Tuple[Sop, Sop]:
-    """Divide by a single cube (cheap special case)."""
-    if hotpath._ENABLED:
-        # Both outputs inherit minimality from *f*: quotients of distinct
-        # cubes of a minimal cover by the same cube stay distinct and
-        # containment-free (the divisor's literals are re-added uniformly),
-        # and the remainder is a subset of *f*'s cover — so neither side
-        # needs add_cube's containment scans.
-        dp, dn = cube
-        q_cubes = []
-        r_cubes = []
-        for c in f.cubes:
-            fp, fn = c
-            if not (dp & ~fp) and not (dn & ~fn):
-                q_cubes.append((fp & ~dp, fn & ~dn))
-            else:
-                r_cubes.append(c)
-        quotient = Sop()
-        quotient.cubes = q_cubes
-        remainder = Sop()
-        remainder.cubes = r_cubes
-        return quotient, remainder
-    quotient = Sop()
-    remainder = Sop()
+    """Divide by a single cube (cheap special case).
+
+    Both outputs inherit minimality from *f*: quotients of distinct cubes
+    of a minimal cover by the same cube stay distinct and containment-free
+    (the divisor's literals are re-added uniformly), and the remainder is a
+    subset of *f*'s cover — so neither side needs add_cube's containment
+    scans.
+    """
+    dp, dn = cube
+    q_cubes = []
+    r_cubes = []
     for c in f.cubes:
-        q = cube_divide(c, cube)
-        if q is not None:
-            quotient.add_cube(q)
+        fp, fn = c
+        if not (dp & ~fp) and not (dn & ~fn):
+            q_cubes.append((fp & ~dp, fn & ~dn))
         else:
-            remainder.add_cube(c)
+            r_cubes.append(c)
+    quotient = Sop()
+    quotient.cubes = q_cubes
+    remainder = Sop()
+    remainder.cubes = r_cubes
     return quotient, remainder
 
 

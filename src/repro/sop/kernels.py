@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro import hotpath
 from repro.sop.cube import Cube, TAUTOLOGY_CUBE, cube_common
 from repro.sop.division import divide, divide_by_cube
 from repro.sop.sop import Sop
@@ -112,8 +111,8 @@ def _support_masks(sop: Sop) -> Tuple[int, int]:
 def _node_saving(node: Sop, kernel: Sop) -> int:
     """Literal saving of rewriting *node* as ``Q·k + R`` (0 when it loses).
 
-    Pure function of the two covers; positive exactly when the reference
-    :func:`kernel_value` loop would count the node as a profitable use.
+    Pure function of the two covers; positive exactly when the node counts
+    as a profitable use of *kernel*.
     """
     quotient, remainder = divide(node, kernel)
     if quotient.is_const0():
@@ -129,37 +128,22 @@ def kernel_value(nodes: Iterable[Sop], kernel: Sop) -> int:
 
     For each node whose quotient by the kernel is non-trivial, the node is
     rewritten as ``Q·k + R``; the saving is the difference in total literals
-    (kernel literals are paid once).
+    (kernel literals are paid once).  A node whose cover lacks one of the
+    kernel's literals entirely has an empty quotient (that kernel cube
+    divides none of its cubes), so a union-mask screen skips most divisions
+    outright.
     """
     kernel_literals = kernel.num_literals()
-    if hotpath._ENABLED:
-        # A node whose cover lacks one of the kernel's literals entirely has
-        # an empty quotient (that kernel cube divides none of its cubes), so
-        # a union-mask screen skips most divisions outright.
-        kp, kn = _support_masks(kernel)
-        total_saving = 0
-        uses = 0
-        for node in nodes:
-            mp, mn = _support_masks(node)
-            if (kp & ~mp) or (kn & ~mn):
-                continue
-            saving = _node_saving(node, kernel)
-            if saving > 0:
-                total_saving += saving
-                uses += 1
-        if uses == 0:
-            return -kernel_literals
-        return total_saving - kernel_literals
+    kp, kn = _support_masks(kernel)
     total_saving = 0
     uses = 0
     for node in nodes:
-        quotient, remainder = divide(node, kernel)
-        if quotient.is_const0():
+        mp, mn = _support_masks(node)
+        if (kp & ~mp) or (kn & ~mn):
             continue
-        new_cost = quotient.num_literals() + quotient.num_cubes() + remainder.num_literals()
-        old_cost = node.num_literals()
-        if new_cost < old_cost:
-            total_saving += old_cost - new_cost
+        saving = _node_saving(node, kernel)
+        if saving > 0:
+            total_saving += saving
             uses += 1
     if uses == 0:
         return -kernel_literals
@@ -174,36 +158,22 @@ def best_kernel(nodes: List[Sop], max_kernels_per_node: int = 50,
     ``(kernel, value)`` with value > 0, or None when nothing profitable
     exists.
 
-    *_cache* (hot path only) memoizes across repeated calls on overlapping
-    node sets — the greedy extraction loop re-evaluates a nearly unchanged
-    network every round.  It holds two content-keyed tables: kernel lists
-    per cover (keyed by exact cube order, which kernel enumeration depends
-    on) and per-(node, kernel) saving contributions (keyed by node cube
-    order plus the kernel's canonical sorted-cube form — division results
-    are cover-level and iteration-order independent).  Both are pure
-    functions of cover content, so cached calls are bit-identical replays.
+    Kernel lists and savings are memoized in *_cache*, or in a dict local
+    to the call when none is given.  Passing one dict to repeated calls on
+    overlapping node sets shares the memo across them — the greedy
+    extraction loop re-evaluates a nearly unchanged network every round.
+    It holds two content-keyed tables: kernel lists per cover (keyed by
+    exact cube order, which kernel enumeration depends on) and
+    per-(node, kernel) saving contributions (keyed by node cube order plus
+    the kernel's canonical sorted-cube form — division results are
+    cover-level and iteration-order independent).  Both are pure functions
+    of cover content, so cached calls are bit-identical replays.
     """
-    if not hotpath._ENABLED:
-        _cache = None
+    if _cache is None:
+        _cache = {}
     best: Optional[Sop] = None
     best_value = 0
     seen: set = set()
-    if _cache is None:
-        for node in nodes:
-            for kernel, _cokernel in kernels(node, max_kernels_per_node):
-                if kernel.num_cubes() < 2:
-                    continue
-                key = tuple(sorted(kernel.cubes))
-                if key in seen:
-                    continue
-                seen.add(key)
-                value = kernel_value(nodes, kernel)
-                if value > best_value:
-                    best_value = value
-                    best = kernel
-        if best is None:
-            return None
-        return best, best_value
     kernel_cache = _cache.setdefault("kernels", {})
     saving_cache = _cache.setdefault("saving", {})
     node_keys = [tuple(node.cubes) for node in nodes]

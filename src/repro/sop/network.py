@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro import hotpath
 from repro.aig.aig import Aig, lit_is_compl, lit_node, lit_notcond
 from repro.sop.division import divide
 from repro.sop.factor import factored_literal_count, factor, sop_to_aig
@@ -210,18 +209,16 @@ class SopNetwork:
         (:func:`repro.sop.kernels.best_kernel`), materializes it as a new
         node, and rewrites every node where dividing by it pays off.
 
-        *_cache* optionally shares the hot path's kernel/saving memo with
-        other extractions over overlapping covers (the heterogeneous
-        threshold sweep re-kernels near-identical networks).
+        *_cache* optionally shares the kernel/saving memo with other
+        extractions over overlapping covers (the heterogeneous threshold
+        sweep re-kernels near-identical networks).
         """
         total_saving = 0
-        # Hot path: memoize kernel enumeration and per-(node, kernel) saving
-        # across rounds — each round rewrites a handful of nodes, so the
+        # Memoize kernel enumeration and per-(node, kernel) saving across
+        # rounds — each round rewrites a handful of nodes, so the
         # content-keyed cache turns the re-evaluation of the unchanged rest
         # into lookups (same pure results, bit-identical choice sequence).
-        cache: Optional[dict] = None
-        if hotpath.enabled():
-            cache = _cache if _cache is not None else {}
+        cache = _cache if _cache is not None else {}
         for _round in range(max_rounds):
             internal = [self.nodes[n] for n in self.topological_order()]
             found = best_kernel(internal, max_kernels_per_node, _cache=cache)

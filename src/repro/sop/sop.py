@@ -9,14 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro import hotpath
 from repro.sop.cube import (
     Cube,
     TAUTOLOGY_CUBE,
     cube_and,
-    cube_contains,
-    cube_is_contradiction,
-    cube_num_literals,
     cube_support,
 )
 
@@ -51,40 +47,32 @@ class Sop:
     # -- normal form -------------------------------------------------------------
 
     def add_cube(self, cube: Cube) -> None:
-        """Insert a cube, maintaining single-cube-containment minimality."""
-        if hotpath._ENABLED:
-            # Fused single scan with inlined bit tests: bail on the first
-            # covering cube, and materialize the survivor list lazily only
-            # when the new cube actually swallows an existing one.  Same
-            # final cover (containment minimality is an antichain; the
-            # covered/covering outcomes are order-independent).
-            p, n = cube
-            if p & n:
-                return
-            cubes = self.cubes
-            survivors = None
-            for i, c in enumerate(cubes):
-                ep, en = c
-                if not (ep & ~p) and not (en & ~n):
-                    return  # existing cube already covers the new one
-                if not (p & ~ep) and not (n & ~en):
-                    if survivors is None:
-                        survivors = cubes[:i]
-                elif survivors is not None:
-                    survivors.append(c)
-            if survivors is None:
-                cubes.append(cube)
-            else:
-                survivors.append(cube)
-                self.cubes = survivors
+        """Insert a cube, maintaining single-cube-containment minimality.
+
+        One scan with inlined bit tests: bail on the first covering cube,
+        and materialize the survivor list lazily only when the new cube
+        actually swallows an existing one.  Containment minimality is an
+        antichain, so the covered/covering outcomes are order-independent.
+        """
+        p, n = cube
+        if p & n:
             return
-        if cube_is_contradiction(cube):
-            return
-        for existing in self.cubes:
-            if cube_contains(existing, cube):
-                return  # already covered
-        self.cubes = [c for c in self.cubes if not cube_contains(cube, c)]
-        self.cubes.append(cube)
+        cubes = self.cubes
+        survivors = None
+        for i, c in enumerate(cubes):
+            ep, en = c
+            if not (ep & ~p) and not (en & ~n):
+                return  # existing cube already covers the new one
+            if not (p & ~ep) and not (n & ~en):
+                if survivors is None:
+                    survivors = cubes[:i]
+            elif survivors is not None:
+                survivors.append(c)
+        if survivors is None:
+            cubes.append(cube)
+        else:
+            survivors.append(cube)
+            self.cubes = survivors
 
     # -- queries --------------------------------------------------------------------
 

@@ -10,18 +10,20 @@ For up to 4 variables we canonicalize exactly by exhausting all
 ``2 * n! * 2**n`` transforms; beyond that a greedy semi-canonical form is used
 (sufficient for hashing, not guaranteed minimal).
 
-Hot path
---------
-The exhaustive search no longer rebuilds ``permutations(range(n))`` and
-re-applies :meth:`TruthTable.permute`/:meth:`~TruthTable.flip_variable`
-object chains per invocation.  Instead, the per-arity transform set is
-precomputed once at module load (permutation tuples plus, for every
-``(perm, phase)`` pair, byte-indexed lookup tables mapping raw table bits
-straight to transformed bits), and results are memoized in an LRU cache
-keyed by ``(num_vars, bits)`` — cut functions repeat heavily, so most
+Fast path
+---------
+Up to 4 variables the exhaustive search does not rebuild
+``permutations(range(n))`` or re-apply
+:meth:`TruthTable.permute`/:meth:`~TruthTable.flip_variable` object chains
+per invocation.  Instead, the per-arity transform set is precomputed once
+at module load (permutation tuples plus, for every ``(perm, phase)`` pair,
+byte-indexed lookup tables mapping raw table bits straight to transformed
+bits), and results are memoized in an LRU cache keyed by
+``(num_vars, bits)`` — cut functions repeat heavily, so most
 canonicalizations are a single dict probe.  The original object-based
-search is retained (:mod:`repro.hotpath` reference path) and the property
-suite proves both return identical ``(canonical, transform)`` pairs.
+search, :func:`_npn_canonical_reference`, is the only path above 4
+variables, and the test suite proves both return identical
+``(canonical, transform)`` pairs for every 4-input function.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, List, Tuple
 
-from repro import hotpath
 from repro.tt.truthtable import TruthTable, table_mask
 
 #: A transform: (output negated, input phase mask, permutation tuple).
 NpnTransform = Tuple[bool, int, Tuple[int, ...]]
 
-#: Per-arity permutation tuples, precomputed once at import (satellite of
-#: the hotpath layer: ``permutations(range(n))`` is never re-enumerated).
+#: Per-arity permutation tuples, precomputed once at import
+#: (``permutations(range(n))`` is never re-enumerated).
 _PERMS: Dict[int, Tuple[Tuple[int, ...], ...]] = {
     n: tuple(permutations(range(n))) for n in range(5)
 }
@@ -162,14 +163,18 @@ def npn_canonical(table: TruthTable) -> Tuple[TruthTable, NpnTransform]:
     Exhaustive: intended for ``num_vars <= 4``.
     """
     n = table.num_vars
-    if n <= 4 and hotpath.enabled():
+    if n <= 4:
         bits, transform = _canonical_cached(table.bits, n)
         return TruthTable(bits, n), transform
     return _npn_canonical_reference(table)
 
 
 def _npn_canonical_reference(table: TruthTable) -> Tuple[TruthTable, NpnTransform]:
-    """Reference search: per-call transform enumeration over TruthTable ops."""
+    """Reference search: per-call transform enumeration over TruthTable ops.
+
+    The only path above 4 variables; at 4 or fewer the tests compare the
+    LUT path against it.
+    """
     n = table.num_vars
     best_bits = None
     best_transform: NpnTransform = (False, 0, tuple(range(n)))

@@ -133,10 +133,10 @@ class TestCacheKey:
         assert semantic is not None and "simresub" in semantic
 
     def test_code_version_salts_the_key(self, monkeypatch):
-        from repro import hotpath
+        import repro.campaign.cache as cache_module
         aig = get_benchmark("router")
         base = flow_cache_key(aig, FlowConfig(iterations=1))
-        monkeypatch.setattr(hotpath, "CODE_VERSION", "sbm-flow/next")
+        monkeypatch.setattr(cache_module, "CODE_VERSION", "sbm-flow/next")
         assert flow_cache_key(aig, FlowConfig(iterations=1)) != base
 
 
@@ -226,9 +226,9 @@ class TestResultCache:
         assert cache.lookup(key) is not None
 
     def test_stale_code_version_is_a_miss(self, tmp_path, monkeypatch):
-        from repro import hotpath
+        import repro.campaign.cache as cache_module
         cache, _aig, _cold, key = self._store_one(tmp_path)
-        monkeypatch.setattr(hotpath, "CODE_VERSION", "sbm-flow/next")
+        monkeypatch.setattr(cache_module, "CODE_VERSION", "sbm-flow/next")
         assert cache.lookup(key) is None
 
     def test_cache_context_routes_deep_call_sites(self, tmp_path):

@@ -23,7 +23,7 @@ from repro.parallel.window_io import CompactAig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Fast oracle: CEC only, no hotpath/jobs/chaos re-runs.
+#: Fast oracle: CEC only, no jobs/chaos re-runs.
 CEC_ONLY = OracleConfig(checks=("cec",))
 
 #: Fast generator mix: skip the (slower) EPFL mutants.
@@ -118,13 +118,14 @@ class TestOracleRungs:
         assert primary is not None and primary.check == "crash"
         assert primary.kind == "RuntimeError"
 
-    def test_refpath_flip_trips_only_hotpath(self):
-        config = OracleConfig(checks=("cec", "hotpath"))
-        with faults.injected("refpath-flip:1"):
-            verdict = run_case(_tiny_network(), config)
-        checks = [f.check for f in verdict.failures]
-        assert checks == ["hotpath"]
-        assert verdict.failures[0].kind == "HotpathDivergence"
+    @pytest.mark.parametrize("name", ["cecc", "hotpath"])
+    def test_unknown_check_names_rejected(self, name):
+        # A misspelt or retired rung must fail loudly, not silently skip
+        # the check it names (a "cecc" rung would pass a flipped PO).
+        with pytest.raises(ValueError, match=repr(name)):
+            OracleConfig(checks=(name,))
+        with pytest.raises(ValueError, match=repr(name)):
+            OracleConfig.from_dict({"checks": ["cec", name]})
 
     def test_jobs_flip_trips_only_jobs(self):
         config = OracleConfig(checks=("cec", "jobs"), jobs=2)
@@ -309,11 +310,10 @@ class TestSuiteLoading:
         smoke = load_fuzz_suite(path, "smoke")
         assert smoke.name == "fuzz:smoke"
         assert smoke.budget == 200
-        assert smoke.oracle.checks == ("cec", "hotpath")
+        assert smoke.oracle.checks == ("cec",)
         nightly = load_fuzz_suite(path, "nightly")
         assert nightly.budget > smoke.budget
-        assert set(nightly.oracle.checks) == {"cec", "hotpath", "jobs",
-                                              "chaos"}
+        assert nightly.oracle.checks == ("cec", "jobs", "chaos")
         # The file's default tier resolves without naming one.
         assert load_fuzz_suite(path).name == "fuzz:smoke"
 
@@ -321,6 +321,12 @@ class TestSuiteLoading:
         path = os.path.join(REPO, "suites", "fuzz.toml")
         with pytest.raises(ValueError):
             load_fuzz_suite(path, "no-such-tier")
+
+    def test_unknown_check_in_suite_rejected(self, tmp_path):
+        path = tmp_path / "fuzz.toml"
+        path.write_text('[tiers.smoke]\nchecks = ["cec", "hotpath"]\n')
+        with pytest.raises(ValueError, match="'hotpath'"):
+            load_fuzz_suite(str(path), "smoke")
 
 
 class TestCampaignCitizenship:

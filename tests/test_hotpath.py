@@ -1,19 +1,18 @@
-"""Bit-identity proofs for the ``repro.hotpath`` optimization layer.
+"""Bit-identity proofs for the production fast paths.
 
-Every hot path must produce *exactly* the reference path's results —
-same values, same networks, same counterexamples, same allocation-order-
-sensitive BDD node tables.  These tests toggle :mod:`repro.hotpath` and
-compare, including the satellite obligations of the hotpath issue:
+Every fast path must produce *exactly* the results of its frozen
+reference in :mod:`tests.reference_paths` — same values, same networks,
+same counterexamples, same allocation-order-sensitive BDD node tables:
 
 * compiled ``SimProgram`` / ``simulate_wide`` agree with the interpreted
   walk on random networks and random words (hypothesis-driven),
 * the NPN LRU cache equals the uncached search for **all** 65536
   4-input functions,
-* bitmask cut dominance equals the set-based subset test and cut
-  enumeration is unchanged,
+* bitmask cut dominance equals the set-based subset test,
 * BDD op caches / iteration preserve node ids and bailout points,
 * the SAT sweeping / redundancy / guard / CEC call sites produce
-  identical merges, networks, and counterexamples.
+  identical merges, networks, and counterexamples,
+* the SOP algebra and the memoized kernel search return the same covers.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import hotpath
-from repro.aig.cuts import Cut, enumerate_cuts
+from repro.aig.cuts import Cut
 from repro.aig.io_aiger import write_aag_string
 from repro.aig.simprogram import (
     pack_rounds,
@@ -48,16 +46,15 @@ from repro.sat.sweep import sat_sweep
 from repro.tt.npn import _npn_canonical_reference, npn_canonical
 from repro.tt.truthtable import TruthTable
 
+from tests import reference_paths as ref
 from tests.conftest import make_random_aig
 
 
 @pytest.fixture(autouse=True)
-def _hotpath_on():
-    """Each test starts from the default (enabled) hot-path state."""
-    hotpath.set_enabled(True)
+def _empty_bdd_pool():
+    """Each test starts and ends with no pooled BDD managers."""
     bdd_pool.clear()
     yield
-    hotpath.set_enabled(True)
     bdd_pool.clear()
 
 
@@ -75,10 +72,9 @@ def test_simulate_words_matches_reference(spec, word_seed):
     rng = random.Random(word_seed)
     words = [rng.getrandbits(64) for _ in range(aig.num_pis)]
     hot = simulate_words(aig, words)
-    with hotpath.disabled():
-        ref = simulate_words(aig, words)
-    assert hot == ref
-    assert po_words(aig, hot) == po_words(aig, ref)
+    frozen = ref.simulate_words(aig, words)
+    assert hot == frozen
+    assert po_words(aig, hot) == po_words(aig, frozen)
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,11 +87,10 @@ def test_simulate_wide_matches_per_round_reference(spec, word_seed, rounds):
                       for _ in range(rounds)]
     wide = simulate_wide(aig, pack_rounds(pattern_rounds), rounds)
     mask64 = (1 << 64) - 1
-    with hotpath.disabled():
-        for r, words in enumerate(pattern_rounds):
-            ref = simulate_words(aig, words)
-            for node, value in ref.items():
-                assert (wide[node] >> (64 * r)) & mask64 == value
+    for r, words in enumerate(pattern_rounds):
+        frozen = ref.simulate_words(aig, words)
+        for node, value in frozen.items():
+            assert (wide[node] >> (64 * r)) & mask64 == value
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,10 +98,7 @@ def test_simulate_wide_matches_per_round_reference(spec, word_seed, rounds):
 def test_simulate_complete_matches_reference(spec):
     num_pis, num_nodes, seed = spec
     aig = make_random_aig(num_pis, num_nodes, seed)
-    hot = simulate_complete(aig)
-    with hotpath.disabled():
-        ref = simulate_complete(aig)
-    assert hot == ref
+    assert simulate_complete(aig) == ref.simulate_complete(aig)
 
 
 def test_sim_program_invalidated_by_edits():
@@ -118,9 +110,7 @@ def test_sim_program_invalidated_by_edits():
     p2 = sim_program(aig)
     assert p2 is not p1
     words = [random.Random(3).getrandbits(64) for _ in range(aig.num_pis)]
-    with hotpath.disabled():
-        ref = simulate_words(aig, words)
-    assert simulate_words(aig, words) == ref
+    assert simulate_words(aig, words) == ref.simulate_words(aig, words)
 
 
 def test_sim_program_survives_dict_swap():
@@ -133,9 +123,7 @@ def test_sim_program_survives_dict_swap():
     fresh = b.cleanup()
     a.__dict__.update(fresh.__dict__)
     words = [random.Random(9).getrandbits(64) for _ in range(4)]
-    with hotpath.disabled():
-        ref = simulate_words(a, words)
-    assert simulate_words(a, words) == ref
+    assert simulate_words(a, words) == ref.simulate_words(a, words)
 
 
 # -- NPN cache ----------------------------------------------------------------
@@ -172,25 +160,11 @@ def test_cut_dominates_equals_set_subset(leaves_a, leaves_b):
     assert cut_a.dominates(cut_b) == set(leaves_a).issubset(leaves_b)
 
 
-@settings(max_examples=25, deadline=None)
-@given(aig_specs, st.booleans())
-def test_enumerate_cuts_matches_reference(spec, tables):
-    num_pis, num_nodes, seed = spec
-    aig = make_random_aig(num_pis, num_nodes, seed)
-    hot = enumerate_cuts(aig, k=4, cut_limit=8, compute_tables=tables)
-    with hotpath.disabled():
-        ref = enumerate_cuts(aig, k=4, cut_limit=8, compute_tables=tables)
-    assert hot.keys() == ref.keys()
-    for node in hot:
-        assert [(c.leaves, c.table) for c in hot[node]] == \
-            [(c.leaves, c.table) for c in ref[node]]
+# -- BDD fast paths -----------------------------------------------------------
 
-
-# -- BDD hot paths ------------------------------------------------------------
-
-def _bdd_op_trace(seed, limit):
+def _bdd_op_trace(seed, limit, manager_cls):
     rng = random.Random(seed)
-    mgr = BddManager(8, node_limit=limit)
+    mgr = manager_cls(8, node_limit=limit)
     funcs = [mgr.var(i) for i in range(8)] + [mgr.nvar(i) for i in range(8)]
     trace = []
     for _ in range(300):
@@ -221,11 +195,9 @@ def _bdd_op_trace(seed, limit):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_bdd_hot_path_preserves_node_ids_and_bailouts(seed, limit):
     """Node ids, unique-table contents, and BddLimitError points are
-    allocation-order sensitive; the hot path must replay them exactly."""
-    hot = _bdd_op_trace(seed, limit)
-    with hotpath.disabled():
-        ref = _bdd_op_trace(seed, limit)
-    assert hot == ref
+    allocation-order sensitive; the fast path must replay them exactly."""
+    assert _bdd_op_trace(seed, limit, BddManager) == \
+        _bdd_op_trace(seed, limit, ref.ReferenceBddManager)
 
 
 def test_bdd_manager_reuse_is_functionally_identical():
@@ -249,10 +221,6 @@ def test_bdd_pool_round_trip_and_cap():
     assert m2 is m1  # recycled
     assert m2.num_vars == 6
     assert m2.node_limit == 2000
-    with hotpath.disabled():
-        bdd_pool.release(m2)
-        m3 = bdd_pool.acquire(4)
-        assert m3 is not m2  # reference path never recycles
 
 
 # -- optimizer call sites -----------------------------------------------------
@@ -262,10 +230,7 @@ def test_bdd_pool_round_trip_and_cap():
 def test_sat_sweep_matches_reference(seed):
     a = make_random_aig(5, 40, seed)
     b = make_random_aig(5, 40, seed)
-    merges_hot = sat_sweep(a)
-    with hotpath.disabled():
-        merges_ref = sat_sweep(b)
-    assert merges_hot == merges_ref
+    assert sat_sweep(a) == ref.sat_sweep(b)
     assert write_aag_string(a.cleanup()) == write_aag_string(b.cleanup())
 
 
@@ -274,24 +239,21 @@ def test_sat_sweep_matches_reference(seed):
 def test_remove_redundancies_matches_reference(seed):
     a = make_random_aig(5, 30, seed)
     b = make_random_aig(5, 30, seed)
-    removed_hot = remove_redundancies(a, max_checks=25)
-    with hotpath.disabled():
-        removed_ref = remove_redundancies(b, max_checks=25)
-    assert removed_hot == removed_ref
+    assert remove_redundancies(a, max_checks=25) == \
+        ref.remove_redundancies(b, max_checks=25)
     assert write_aag_string(a.cleanup()) == write_aag_string(b.cleanup())
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_find_counterexample_matches_reference(seed):
-    # >12 PIs forces the random-simulation (wide hot path) rung.
+    # >12 PIs forces the random-simulation (wide scan) rung.
     a = make_random_aig(14, 50, seed, num_pos=6)
     b = make_random_aig(14, 50, seed + 1, num_pos=6)
     hot_same = find_counterexample(a, a.cleanup())
     hot_diff = find_counterexample(a, b)
-    with hotpath.disabled():
-        ref_same = find_counterexample(a, a.cleanup())
-        ref_diff = find_counterexample(a, b)
+    ref_same = ref.find_counterexample(a, a.cleanup())
+    ref_diff = ref.find_counterexample(a, b)
     assert hot_same is None and ref_same is None
     if ref_diff is None:
         assert hot_diff is None
@@ -307,10 +269,9 @@ def test_stage_guard_fast_check_matches_reference(seed):
     ref_net = make_random_aig(9, 45, seed, num_pos=5)
     other = make_random_aig(9, 45, seed + 7, num_pos=5)
     guard_hot = StageGuard(ref_net.cleanup())
-    with hotpath.disabled():
-        guard_ref = StageGuard(ref_net.cleanup())
-        cex_same_ref = guard_ref.fast_check(ref_net.cleanup())
-        cex_diff_ref = guard_ref.fast_check(other)
+    guard_ref = ref.ReferenceStageGuard(ref_net.cleanup())
+    cex_same_ref = guard_ref.fast_check(ref_net.cleanup())
+    cex_diff_ref = guard_ref.fast_check(other)
     cex_same_hot = guard_hot.fast_check(ref_net.cleanup())
     cex_diff_hot = guard_hot.fast_check(other)
     assert cex_same_hot is None and cex_same_ref is None
@@ -320,6 +281,8 @@ def test_stage_guard_fast_check_matches_reference(seed):
         assert cex_diff_hot is not None
         assert (cex_diff_hot.inputs, cex_diff_hot.po_index) == \
             (cex_diff_ref.inputs, cex_diff_ref.po_index)
+    assert (guard_hot.fast_checks, guard_hot.fast_rejects) == \
+        (guard_ref.fast_checks, guard_ref.fast_rejects)
 
 
 def test_wide_mask_and_pack_rounds_layout():
@@ -331,7 +294,7 @@ def test_wide_mask_and_pack_rounds_layout():
     assert pack_rounds([]) == []
 
 
-# -- SOP hot paths ------------------------------------------------------------
+# -- SOP fast paths -----------------------------------------------------------
 
 def _random_cover(rng, num_vars, num_cubes):
     from repro.sop.sop import Sop
@@ -357,15 +320,19 @@ def test_sop_division_matches_reference(seed):
     f = _random_cover(rng, nv, rng.randrange(1, 9))
     d = _random_cover(rng, nv, rng.randrange(1, 4))
     cube = (rng.getrandbits(nv), rng.getrandbits(nv) & ~f.support_mask())
+    # A sub-cube of one of f's own cubes divides at least that cube, with
+    # literals of both phases.
+    fp, fn = rng.choice(f.cubes)
+    sub_cube = (fp & rng.getrandbits(nv), fn & rng.getrandbits(nv))
     q_hot, r_hot = divide(f, d)
-    qc_hot, rc_hot = divide_by_cube(f, cube)
-    with hotpath.disabled():
-        q_ref, r_ref = divide(f, d)
-        qc_ref, rc_ref = divide_by_cube(f, cube)
+    q_ref, r_ref = ref.divide(f, d)
     assert q_hot.cubes == q_ref.cubes
     assert r_hot.cubes == r_ref.cubes
-    assert qc_hot.cubes == qc_ref.cubes
-    assert rc_hot.cubes == rc_ref.cubes
+    for divisor in (cube, sub_cube):
+        qc_hot, rc_hot = divide_by_cube(f, divisor)
+        qc_ref, rc_ref = ref.divide_by_cube(f, divisor)
+        assert qc_hot.cubes == qc_ref.cubes
+        assert rc_hot.cubes == rc_ref.cubes
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,8 +347,7 @@ def test_sop_best_kernel_matches_reference(seed):
     found_cached = best_kernel(nodes, _cache=cache)
     found_replay = best_kernel(nodes, _cache=cache)
     found_plain = best_kernel(nodes)
-    with hotpath.disabled():
-        found_ref = best_kernel(nodes)
+    found_ref = ref.best_kernel(nodes)
     for found in (found_cached, found_replay, found_plain):
         if found_ref is None:
             assert found is None
@@ -391,10 +357,8 @@ def test_sop_best_kernel_matches_reference(seed):
             assert found[1] == found_ref[1]
     for node in nodes[:2]:
         for kernel, _ck in kernels(node, 10):
-            v_hot = kernel_value(nodes, kernel)
-            with hotpath.disabled():
-                v_ref = kernel_value(nodes, kernel)
-            assert v_hot == v_ref
+            assert kernel_value(nodes, kernel) == \
+                ref.kernel_value(nodes, kernel)
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,7 +370,4 @@ def test_sop_add_cube_matches_reference(seed):
     cubes = []
     for _ in range(rng.randrange(1, 14)):
         cubes.append((rng.getrandbits(nv), rng.getrandbits(nv)))
-    hot = Sop(cubes)
-    with hotpath.disabled():
-        ref = Sop(cubes)
-    assert hot.cubes == ref.cubes
+    assert Sop(cubes).cubes == ref.ReferenceSop(cubes).cubes

@@ -143,8 +143,8 @@ class TestOrderingSearch:
 
 class TestStageMemo:
     def test_warm_rerun_recomputes_nothing(self, tmp_path, monkeypatch):
-        from repro import hotpath
-        monkeypatch.setattr(hotpath, "CODE_VERSION", "sbm-flow/next")
+        import repro.campaign.cache as cache_module
+        monkeypatch.setattr(cache_module, "CODE_VERSION", "sbm-flow/next")
         aig = make_random_aig(7, 120, seed=17)
         config = small_search_config(k=3)
         with cache_context(str(tmp_path / "cache")):
@@ -272,9 +272,9 @@ class TestWiring:
             load_suite(str(path))
 
     def test_campaign_reports_cache_slots(self, tmp_path, monkeypatch):
-        from repro import hotpath
+        import repro.campaign.cache as cache_module
         from repro.campaign import jobs_from_benchmarks, run_campaign
-        monkeypatch.setattr(hotpath, "CODE_VERSION", "sbm-flow/next")
+        monkeypatch.setattr(cache_module, "CODE_VERSION", "sbm-flow/next")
         config = small_search_config(k=2, rounds=1)
         jobs = jobs_from_benchmarks(["router"], config=config)
         report = run_campaign(jobs, cache_dir=str(tmp_path / "cache"))

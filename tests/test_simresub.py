@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import hotpath
 from repro.aig.aig import lit
 from repro.aig.simulate import simulate_words
 from repro.bench.registry import get_benchmark
@@ -35,6 +34,7 @@ from repro.sbm.flow import sbm_flow
 from repro.sbm.simpatterns import PatternStore
 from repro.sbm.simresub import iter_candidates, simresub_pass
 
+from tests import reference_paths as ref
 from tests.conftest import make_random_aig
 
 
@@ -83,10 +83,8 @@ class TestPatternStore:
         aig = make_random_aig(7, 90, seed=3)
         store = PatternStore(7, num_words=2, seed=5)
         store.add_pattern([True] * 7)          # force a partial last round
-        hot = store.signatures(aig)
-        with hotpath.disabled():
-            ref = store.signatures(aig)
-        assert hot == ref
+        assert store.signatures(aig) == \
+            ref.pattern_store_signatures(store, aig)
 
     def test_signature_bits_are_per_pattern_simulations(self):
         # Bit b of every signature equals a scalar simulation of pattern b.
@@ -250,7 +248,7 @@ class TestSimresubPass:
         a = random_aig_factory(8, 150, seed=9)
         b = random_aig_factory(8, 150, seed=9)
         hot_stats = simresub_pass(a)
-        with hotpath.disabled():
+        with ref.frozen_signatures():
             ref_stats = simresub_pass(b)
         assert hot_stats == ref_stats
         assert structure(a.cleanup()) == structure(b.cleanup())
