@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.aig.aig import Aig, lit_is_compl, lit_node
 from repro.aig.traversal import topological_order_all
+from repro.tt.truthtable import swap_adjacent
 
 try:
     _popcount = int.bit_count  # Python >= 3.10
@@ -139,19 +140,24 @@ def _merge_tables(cut_a: Cut, cut_b: Cut, leaves: Tuple[int, ...],
 
 def _expand_table(table: int, from_leaves: Tuple[int, ...],
                   to_leaves: Tuple[int, ...], nbits: int) -> int:
-    """Re-express *table* (over *from_leaves*) over the superset *to_leaves*."""
+    """Re-express *table* (over *from_leaves*) over the superset *to_leaves*.
+
+    Both leaf tuples are sorted, as every cut's are.  The table is first
+    repeated up to *nbits* rows, so it spans all of *to_leaves* without
+    depending on the new top variables; then each of its variables,
+    topmost first, moves up to its position by adjacent-variable swaps.
+    """
     if from_leaves == to_leaves:
         return table
-    positions = [to_leaves.index(leaf) for leaf in from_leaves]
-    out = 0
-    for row in range(nbits):
-        idx = 0
-        for bit, pos in enumerate(positions):
-            if (row >> pos) & 1:
-                idx |= 1 << bit
-        if (table >> idx) & 1:
-            out |= 1 << row
-    return out
+    num_vars = len(to_leaves)
+    width = 1 << len(from_leaves)
+    while width < nbits:
+        table |= table << width
+        width <<= 1
+    for var in range(len(from_leaves) - 1, -1, -1):
+        for k in range(var, to_leaves.index(from_leaves[var])):
+            table = swap_adjacent(table, k, num_vars)
+    return table
 
 
 def cut_cone_size(aig: Aig, node: int, cut: Cut) -> int:

@@ -44,6 +44,11 @@ def collect_window(aig: Aig, pivot: int, max_leaves: int = 8,
                    levels: Optional[Dict[int, int]] = None) -> Optional[NodeWindow]:
     """Build a reconvergence-driven window around *pivot*.
 
+    The cone's inner nodes are always divisors.  The pivot's transitive
+    fanout is walked only when they leave room for more, so a caller
+    that asks for none (``max_divisors=0``, as ``refactor`` does) never
+    pays for it.
+
     Returns None when the pivot has no suitable cut (e.g. it is a PI).
     """
     if not aig.is_and(pivot):
@@ -73,11 +78,14 @@ def collect_window(aig: Aig, pivot: int, max_leaves: int = 8,
             if fn not in seen and aig.is_and(fn):
                 stack.append(fn)
     cone = post
+    divisors: List[int] = [n for n in cone if n != pivot]
+    if len(divisors) >= max_divisors:
+        return NodeWindow(pivot=pivot, leaves=leaves, cone=cone,
+                          divisors=divisors)
     # Divisors: grow from leaves/cone through fanouts that stay inside the
     # leaf-supported space and avoid the pivot's transitive fanout.
     tfo = transitive_fanout(aig, [pivot])
     inside: Set[int] = leaf_set | set(cone)
-    divisors: List[int] = [n for n in cone if n != pivot]
     frontier = list(inside)
     pivot_level = levels.get(pivot, 0)
     while frontier and len(divisors) < max_divisors:

@@ -50,8 +50,8 @@ def isop(lower: TruthTable, upper: TruthTable) -> List[Cube]:
         raise ReproError("isop bounds must share the variable count")
     if lower.bits & ~upper.bits & table_mask(lower.num_vars):
         raise ReproError("isop lower bound not contained in upper bound")
-    cubes, _table = _isop_rec(lower.bits, upper.bits, lower.num_vars,
-                              lower.num_vars)
+    cubes: List[Cube] = []
+    _isop_rec(lower.bits, upper.bits, lower.num_vars, 0, 0, cubes)
     return cubes
 
 
@@ -60,45 +60,51 @@ def isop_table(table: TruthTable) -> List[Cube]:
     return isop(table, table)
 
 
-def _isop_rec(lower: int, upper: int, var: int, num_vars: int):
-    """Recursive Minato–Morreale; returns (cubes, cover table bits)."""
+def _isop_rec(lower: int, upper: int, num_vars: int, pos: int, neg: int,
+              cubes: List[Cube]) -> int:
+    """Recursive Minato–Morreale; returns the cover's table bits.
+
+    *lower* and *upper* are ``2**num_vars``-bit tables over variables
+    ``0 .. num_vars-1`` with ``lower ⊆ upper``, and the returned cover has
+    the same width.  The top variables neither bound depends on are
+    dropped by halving both tables, so each recursive call gets cofactors
+    of ``2**v`` bits, where *v* is the split variable; on return the
+    cover is widened back, one doubling per dropped variable.
+
+    The cover's cubes, each ANDed with the literals ``(pos, neg)`` chosen
+    above this call, are appended to *cubes*: the negative branch's, then
+    the positive branch's, then those free of *v*.
+    """
     if lower == 0:
-        return [], 0
-    full = table_mask(num_vars)
-    if upper & full == full:
-        return [(0, 0)], full
-    # Find the topmost variable where either bound still branches.
-    v = var - 1
-    while v >= 0:
-        mask = variable_table(v, num_vars)
-        shift = 1 << v
-        l0 = lower & ~mask
-        l1 = (lower & mask) >> shift
-        u0 = upper & ~mask
-        u1 = (upper & mask) >> shift
-        l1 = l1 | (l1 << shift)
-        l0 = l0 | (l0 << shift)
-        u1 = u1 | (u1 << shift)
-        u0 = u0 | (u0 << shift)
-        if l0 != l1 or u0 != u1:
-            break
+        return 0
+    if upper == table_mask(num_vars):
+        cubes.append((pos, neg))
+        return upper
+    # Drop the top variables until one bound depends on the top one, v:
+    # the tables are then 2 * half bits wide and each half is a cofactor.
+    v = num_vars - 1
+    half = 1 << v
+    low = (1 << half) - 1
+    while lower >> half == lower & low and upper >> half == upper & low:
+        lower &= low
+        upper &= low
         v -= 1
-    if v < 0:
-        # Function is constant over remaining variables; lower != 0 here.
-        return [(0, 0)], full
-    # Cubes required exclusively in each branch.
-    cubes0, f0 = _isop_rec(l0 & ~u1 & full, u0, v, num_vars)
-    cubes1, f1 = _isop_rec(l1 & ~u0 & full, u1, v, num_vars)
-    # Remaining minterms can be covered without literal v.
-    new_lower = (l0 & ~f0) | (l1 & ~f1)
-    cubes2, f2 = _isop_rec(new_lower & full, u0 & u1, v, num_vars)
+        half >>= 1
+        low >>= half
+    l0, l1 = lower & low, lower >> half
+    u0, u1 = upper & low, upper >> half
     var_bit = 1 << v
-    result = ([(pos, neg | var_bit) for pos, neg in cubes0]
-              + [(pos | var_bit, neg) for pos, neg in cubes1]
-              + cubes2)
-    mask = variable_table(v, num_vars)
-    table = (f0 & ~mask) | (f1 & mask) | f2
-    return result, table
+    # Cubes required exclusively in each branch.
+    f0 = _isop_rec(l0 & ~u1, u0, v, pos, neg | var_bit, cubes)
+    f1 = _isop_rec(l1 & ~u0, u1, v, pos | var_bit, neg, cubes)
+    # Remaining minterms can be covered without literal v.
+    f2 = _isop_rec((l0 & ~f0) | (l1 & ~f1), u0 & u1, v, pos, neg, cubes)
+    table = f0 | f2 | ((f1 | f2) << half)
+    width = half << 1
+    while width < 1 << num_vars:
+        table |= table << width
+        width <<= 1
+    return table
 
 
 def cube_literal_count(cubes: List[Cube]) -> int:

@@ -9,6 +9,7 @@ operate on.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -20,18 +21,37 @@ def table_mask(num_vars: int) -> int:
 
 
 def variable_table(index: int, num_vars: int) -> int:
-    """Truth table of the projection function ``x_index``."""
-    if index >= num_vars:
+    """Truth table of the projection function ``x_index``.
+
+    Closed form, no loop: with ``s = 2**index``, dividing the all-ones
+    table by ``2**s + 1`` leaves the repeating word "s ones, s zeros"
+    (the complement of ``x_index``), and shifting it up by ``s`` rows
+    turns it into ``x_index``.
+    """
+    if not 0 <= index < num_vars:
         raise ReproError(f"variable {index} out of range for {num_vars} vars")
-    nbits = 1 << num_vars
-    period = 1 << (index + 1)
-    run = (1 << (1 << index)) - 1
-    out = 0
-    pos = 1 << index
-    while pos < nbits:
-        out |= run << pos
-        pos += period
-    return out
+    run = 1 << index
+    return (table_mask(num_vars) // ((1 << run) + 1)) << run
+
+
+@lru_cache(maxsize=128)
+def swap_mask(index: int, num_vars: int) -> int:
+    """Delta-swap mask exchanging variables *index* and *index* + 1.
+
+    Its set rows have ``x_index = 1`` and ``x_(index+1) = 0``; each pairs
+    with the row ``2**index`` above it, where the two bits are the other
+    way round.  Cached per (index, num_vars): the 120 masks up to 16
+    variables fit.
+    """
+    return (variable_table(index, num_vars)
+            & ~variable_table(index + 1, num_vars))
+
+
+def swap_adjacent(bits: int, index: int, num_vars: int) -> int:
+    """Table *bits* with variables *index* and *index* + 1 exchanged."""
+    shift = 1 << index
+    delta = ((bits >> shift) ^ bits) & swap_mask(index, num_vars)
+    return bits ^ delta ^ (delta << shift)
 
 
 class TruthTable:

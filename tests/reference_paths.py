@@ -2,19 +2,22 @@
 
 Every primitive under ``src/`` has one implementation: compiled wide
 simulation, the inlined BDD apply with its operation cache, the bit-test
-SOP algebra, the memoized kernel search, and the one-pass random screens
-of SAT sweeping, redundancy removal, CEC, the stage guard and the
-simresub pattern store.  This module keeps the plain formulation each of
-those replaced, copied verbatim, so that
+SOP algebra, the memoized kernel search, the one-pass random screens of
+SAT sweeping, redundancy removal, CEC, the stage guard and the simresub
+pattern store, and the truth-table kernel (loop-free projection masks,
+ISOP on shrinking cofactors, mask-swap cut-table expansion).  This module
+keeps the plain formulation each of those replaced, copied verbatim, so
+that
 
-* the identity tests (``tests/test_hotpath.py``, ``tests/test_simresub.py``)
-  prove every fast path bit-identical to its reference — same values,
+* the identity tests (``tests/test_hotpath.py``, ``tests/test_simresub.py``,
+  ``tests/test_property_tt.py``) prove every fast path bit-identical to its reference — same values,
   same node ids, same networks, same counterexamples — and
 * ``scripts/bench_hotpath.py`` times each engine against its reference.
 
 Inside this module the reference functions call each other (the frozen
 ``kernel_value`` divides with the frozen ``divide``; the frozen call sites
-simulate with the frozen ``simulate_words``), so the reference side of a
+simulate with the frozen ``simulate_words``; the frozen ``_isop_rec``
+masks with the frozen ``variable_table``), so the reference side of a
 comparison never runs the fast path under test.
 
 Do not edit the bodies to follow production: they are the specification
@@ -36,7 +39,7 @@ from repro.aig.simprogram import WORD_BITS
 from repro.aig.simulate import WORD_MASK, _variable_pattern, po_tables, po_words
 from repro.aig.traversal import topological_order_all
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.errors import AigError
+from repro.errors import AigError, ReproError
 from repro.guard.stage_guard import StageGuard
 from repro.sat.cnf import AigCnf, prove_equivalent
 from repro.sat.equivalence import (
@@ -50,6 +53,7 @@ from repro.sbm.simpatterns import PatternStore
 from repro.sop.cube import Cube, cube_contains, cube_divide, cube_is_contradiction
 from repro.sop.kernels import kernels
 from repro.sop.sop import Sop
+from repro.tt.truthtable import table_mask
 
 
 # -- simulation (repro.aig.simulate) ------------------------------------------
@@ -444,3 +448,78 @@ def frozen_signatures() -> Iterator[None]:
         yield
     finally:
         PatternStore.signatures = original  # type: ignore[method-assign]
+
+
+# -- truth tables (repro.tt.truthtable, repro.tt.isop, repro.aig.cuts) ---------
+
+def variable_table(index: int, num_vars: int) -> int:
+    """Truth table of the projection function ``x_index``."""
+    if index >= num_vars:
+        raise ReproError(f"variable {index} out of range for {num_vars} vars")
+    nbits = 1 << num_vars
+    period = 1 << (index + 1)
+    run = (1 << (1 << index)) - 1
+    out = 0
+    pos = 1 << index
+    while pos < nbits:
+        out |= run << pos
+        pos += period
+    return out
+
+
+def _isop_rec(lower: int, upper: int, var: int, num_vars: int):
+    """Recursive Minato–Morreale; returns (cubes, cover table bits)."""
+    if lower == 0:
+        return [], 0
+    full = table_mask(num_vars)
+    if upper & full == full:
+        return [(0, 0)], full
+    # Find the topmost variable where either bound still branches.
+    v = var - 1
+    while v >= 0:
+        mask = variable_table(v, num_vars)
+        shift = 1 << v
+        l0 = lower & ~mask
+        l1 = (lower & mask) >> shift
+        u0 = upper & ~mask
+        u1 = (upper & mask) >> shift
+        l1 = l1 | (l1 << shift)
+        l0 = l0 | (l0 << shift)
+        u1 = u1 | (u1 << shift)
+        u0 = u0 | (u0 << shift)
+        if l0 != l1 or u0 != u1:
+            break
+        v -= 1
+    if v < 0:
+        # Function is constant over remaining variables; lower != 0 here.
+        return [(0, 0)], full
+    # Cubes required exclusively in each branch.
+    cubes0, f0 = _isop_rec(l0 & ~u1 & full, u0, v, num_vars)
+    cubes1, f1 = _isop_rec(l1 & ~u0 & full, u1, v, num_vars)
+    # Remaining minterms can be covered without literal v.
+    new_lower = (l0 & ~f0) | (l1 & ~f1)
+    cubes2, f2 = _isop_rec(new_lower & full, u0 & u1, v, num_vars)
+    var_bit = 1 << v
+    result = ([(pos, neg | var_bit) for pos, neg in cubes0]
+              + [(pos | var_bit, neg) for pos, neg in cubes1]
+              + cubes2)
+    mask = variable_table(v, num_vars)
+    table = (f0 & ~mask) | (f1 & mask) | f2
+    return result, table
+
+
+def _expand_table(table: int, from_leaves: Tuple[int, ...],
+                  to_leaves: Tuple[int, ...], nbits: int) -> int:
+    """Re-express *table* (over *from_leaves*) over the superset *to_leaves*."""
+    if from_leaves == to_leaves:
+        return table
+    positions = [to_leaves.index(leaf) for leaf in from_leaves]
+    out = 0
+    for row in range(nbits):
+        idx = 0
+        for bit, pos in enumerate(positions):
+            if (row >> pos) & 1:
+                idx |= 1 << bit
+        if (table >> idx) & 1:
+            out |= 1 << row
+    return out

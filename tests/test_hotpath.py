@@ -12,11 +12,15 @@ same counterexamples, same allocation-order-sensitive BDD node tables:
 * BDD op caches / iteration preserve node ids and bailout points,
 * the SAT sweeping / redundancy / guard / CEC call sites produce
   identical merges, networks, and counterexamples,
-* the SOP algebra and the memoized kernel search return the same covers.
+* the SOP algebra and the memoized kernel search return the same covers,
+* the four EPFL-subset flows reproduce the checksums committed in
+  ``BENCH_hotpath.json``.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
 
 import pytest
@@ -371,3 +375,37 @@ def test_sop_add_cube_matches_reference(seed):
     for _ in range(rng.randrange(1, 14)):
         cubes.append((rng.getrandbits(nv), rng.getrandbits(nv)))
     assert Sop(cubes).cubes == ref.ReferenceSop(cubes).cubes
+
+
+# -- whole flows ----------------------------------------------------------------
+
+# The committed flow checksums of BENCH_hotpath.json (and, for router,
+# results/perf_baseline.txt): every fast path together must leave each
+# flow bit-identical.
+FLOW_CHECKSUMS = {
+    "router": "7c939065bb3e0262",
+    "i2c": "49f804aeaed857d6",
+    "cavlc": "1c3c6ff57d186171",
+    "priority": "029cb048667fa474",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_hotpath():
+    """``scripts/bench_hotpath.py`` as a module, for its ``checksum()``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "bench_hotpath.py")
+    spec = importlib.util.spec_from_file_location("bench_hotpath", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_CHECKSUMS))
+def test_flow_checksum_matches_committed(bench_hotpath, name):
+    from repro.bench.registry import get_benchmark
+    from repro.sbm.config import FlowConfig
+    from repro.sbm.flow import sbm_flow
+    result, _stats = sbm_flow(get_benchmark(name, scaled=True),
+                              FlowConfig(verify_each_step=True))
+    assert bench_hotpath.checksum(result) == FLOW_CHECKSUMS[name]

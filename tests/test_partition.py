@@ -131,6 +131,23 @@ class TestNodeWindows:
             w = collect_window(aig, n, max_leaves=6)
             assert len(w.leaves) <= 8  # small slack for the final expansion
 
+    def test_refactor_never_walks_fanout_cone(self, monkeypatch):
+        # refactor asks for no divisors (max_divisors=0), so collecting
+        # its windows must not walk any pivot's transitive fanout.
+        from repro.bench.registry import get_benchmark
+        from repro.opt.refactor import refactor
+        from repro.partition import window as window_module
+        calls = []
+        original = window_module.transitive_fanout
+
+        def counting(aig, roots):
+            calls.append(1)
+            return original(aig, roots)
+
+        monkeypatch.setattr(window_module, "transitive_fanout", counting)
+        refactor(get_benchmark("router"), max_leaves=12)
+        assert calls == []
+
     def test_pi_pivot_rejected(self):
         aig = Aig()
         a = aig.add_pi()

@@ -125,6 +125,8 @@ class TestTransforms:
 def test_variable_table_out_of_range():
     with pytest.raises(ReproError):
         variable_table(3, 3)
+    with pytest.raises(ReproError):
+        variable_table(-1, 3)
 
 
 def test_table_mask():

@@ -1,5 +1,6 @@
 """Tests for the Minato–Morreale ISOP algorithm."""
 
+import importlib
 import random
 
 import pytest
@@ -84,3 +85,26 @@ def test_isop_single_minterm():
     cubes = isop_table(t)
     assert len(cubes) == 1
     assert cube_literal_count(cubes) == 2
+
+
+def test_isop_never_rebuilds_projection_masks(monkeypatch):
+    # A 3-input majority in 12 variables.  The recursion finds its split
+    # variables by halving cofactors; a search that built a projection
+    # mask per step would build 19 here and 8,020 for a random
+    # 12-variable table.  (``repro.tt.isop`` is looked up by name
+    # because ``repro.tt`` re-exports the ``isop`` function under it.)
+    isop_module = importlib.import_module("repro.tt.isop")
+    calls = []
+    original = isop_module.variable_table
+
+    def counting(index, num_vars):
+        calls.append(index)
+        return original(index, num_vars)
+
+    monkeypatch.setattr(isop_module, "variable_table", counting)
+    n = 12
+    x = [TruthTable.variable(i, n) for i in range(3)]
+    maj = (x[0] & x[1]) | (x[0] & x[2]) | (x[1] & x[2])
+    cubes = isop_table(maj)
+    assert calls == []
+    assert sorted(cubes) == sorted([(0b011, 0), (0b101, 0), (0b110, 0)])
