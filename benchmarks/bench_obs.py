@@ -11,9 +11,8 @@ lookups.  This benchmark quantifies both directions on a mid-size AIG:
 * **enabled overhead** — the same flow with a live tracer + registry,
   reporting the price of ``--trace`` (informational: tracing is opt-in);
 * **live-bus overhead** — the flow with the :mod:`repro.obs.live`
-  progress bus enabled and a background pump draining it, the price of
-  ``--progress`` (contract: < 2%), plus the microbenchmarked cost of a
-  disabled-bus call site (one ``bus.enabled`` attribute check).
+  progress bus installed as the tracer's sink and a background pump
+  draining it, the price of ``--progress`` (contract: < 2%).
 
 Results are recorded in ``results/obs_overhead.txt`` and the
 machine-readable ``BENCH_obs.json`` at the repo root by
@@ -72,24 +71,12 @@ def null_call_site_cost_s() -> float:
     return (time.perf_counter() - start) / CALLS
 
 
-def null_bus_site_cost_s() -> float:
-    """Seconds per disabled live-bus call site (the ``enabled`` guard)."""
-    bus = obs.live_bus()
-    assert not bus.enabled
-    start = time.perf_counter()
-    for i in range(CALLS):
-        if bus.enabled:
-            bus.emit("stage_end", stage="mspf", nodes=i)
-    return (time.perf_counter() - start) / CALLS
-
-
 def measure() -> dict:
     """Run the comparison; returns the numbers the report prints."""
     off_s = min(_flow_once(enabled=False) for _ in range(2))
     on_s = min(_flow_once(enabled=True) for _ in range(2))
     live_s = min(_flow_once(enabled=False, live=True) for _ in range(2))
     per_site_s = null_call_site_cost_s()
-    per_bus_site_s = null_bus_site_cost_s()
     # Upper bound on call sites a flow executes: every span/metric write is
     # tied to a stage, window, or move — count the enabled run's spans and
     # counters as a proxy (each write costs *more* than a null call).
@@ -106,7 +93,6 @@ def measure() -> dict:
         "flow_on_s": on_s,
         "flow_live_s": live_s,
         "per_site_us": per_site_s * 1e6,
-        "per_bus_site_us": per_bus_site_s * 1e6,
         "call_sites": call_sites,
         "disabled_overhead_pct": 100.0 * (per_site_s * call_sites) / off_s,
         "enabled_overhead_pct": 100.0 * (on_s - off_s) / off_s,
@@ -128,7 +114,6 @@ def format_results(r: dict) -> str:
         f"({r['live_overhead_pct']:+.1f}% — the price of --progress; "
         f"contract: < 2%)",
         f"  null call site   : {r['per_site_us']:7.3f}us per span+counter",
-        f"  null bus site    : {r['per_bus_site_us']:7.4f}us per guarded emit",
         f"  instrumented sites exercised: ~{r['call_sites']}",
         f"  disabled overhead: {r['disabled_overhead_pct']:.3f}% of the flow "
         f"(contract: < 2%)",
@@ -143,8 +128,6 @@ def test_bench_obs_overhead(benchmark):
     assert results["disabled_overhead_pct"] < 2.0
     # Sanity on the microbench itself — a null call site is not a real span.
     assert results["per_site_us"] < 50.0
-    # A disabled live-bus site is one attribute check — far below a span.
-    assert results["per_bus_site_us"] < 5.0
     # Live streaming must stay near-free; 5% tolerates two-run wall noise
     # on CI machines (the recorded number is typically well under 2%).
     assert results["live_overhead_pct"] < 5.0

@@ -4,9 +4,8 @@
 
 * :mod:`repro.campaign.runner` — the orchestrator: one shared
   :class:`~repro.parallel.shared_pool.SharedProcessPool` for every flow
-  (work stealing across benchmarks), per-job telemetry collectors merged
-  back in deterministic job order, within-campaign dedup of identical
-  jobs;
+  (work stealing across benchmarks), one obs scope per job adopted in
+  deterministic job order, within-campaign dedup of identical jobs;
 * :mod:`repro.campaign.cache` — the crash-safe content-addressed result
   cache keyed by SHA-256 of (network, semantic config, code version);
   warm hits decode to networks bit-identical to the cold run.  Its

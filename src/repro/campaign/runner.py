@@ -12,12 +12,13 @@ The runner turns a list of :class:`CampaignJob` into one
   key is already on disk return the stored network without running
   (see :mod:`repro.campaign.cache`); jobs *within* one campaign that share
   a key are computed once and the rest marked ``dedup``;
-* **thread isolation for telemetry** — each job thread runs behind a
-  thread-local tracer/metrics override plus a per-job
-  :class:`~repro.obs.TelemetryCollector`; after all jobs finish, collected
-  flow/parallel/guard telemetry is merged into the active obs session in
-  **job order**, so a report produced from a concurrent campaign lists
-  flows in the same order as a serial one.
+* **one obs scope per job** — each job records into its own
+  :class:`repro.obs.Scope` (its own span stack, registry and report
+  lists), and the campaign adopts the scopes in **job order**: a
+  ``campaign`` span holds one ``job`` subtree per job that ran, and a
+  report from a concurrent campaign lists flows, passes and spans in the
+  same order as a serial one.  Job spans stream to the progress bus while
+  the job runs.
 
 Determinism contract: outcomes (result networks, node counts) are
 independent of ``workers``/``threads``; only timing and the
@@ -34,8 +35,6 @@ from typing import Any, Dict, List, Optional
 from repro import obs
 from repro.aig.aig import Aig
 from repro.campaign.cache import ResultCache, cached_sbm_flow, flow_cache_key
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
 from repro.parallel.shared_pool import SharedProcessPool
 from repro.parallel.stats import aggregate_reports
 from repro.sbm.config import FlowConfig
@@ -81,9 +80,6 @@ class JobResult:
     error: Optional[str] = None
     network: Optional[Aig] = None
     stats: Optional[Dict[str, Any]] = None  #: ``FlowStats.to_dict()`` shape
-    collector: Optional[obs.TelemetryCollector] = None
-    #: snapshot of the job's private metrics registry (session runs only)
-    collector_metrics: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe row for the run report's ``jobs_detail`` list."""
@@ -180,64 +176,50 @@ class CampaignReport:
 
 
 def _run_one(job: CampaignJob, cache: Optional[ResultCache],
-             pool: Optional[SharedProcessPool]) -> JobResult:
-    """Execute one job on the current thread; never raises."""
-    collector = obs.TelemetryCollector()
-    # The global Tracer keeps one span stack — concurrent job threads must
-    # not touch it.  Per-job engine metrics go to a private registry that
-    # the campaign merges back in job order.
-    registry = MetricsRegistry() if obs.session() is not None else None
-    obs.install_local(NULL_TRACER,
-                      registry if registry is not None else obs.NULL_METRICS)
-    obs.push_collector(collector)
+             pool: Optional[SharedProcessPool],
+             scope: obs.Scope) -> JobResult:
+    """Execute one job on the current thread in *scope*; never raises."""
     if pool is not None:
         pool.bind(job.name)
     start = time.perf_counter()
     result = JobResult(name=job.name, benchmark=job.benchmark,
-                       outcome="error", collector=collector)
-    bus = obs.live_bus()
-    if bus.enabled:
-        bus.emit("job_start", name=job.name, benchmark=job.benchmark)
-    try:
-        network = job.resolve_network()
-        result.nodes_before = network.num_ands
-        config = job.config
-        if pool is not None and config.pool is not pool:
-            config = dataclasses.replace(config, pool=pool)
-        optimized, stats, hit, key = cached_sbm_flow(network, config, cache)
-        result.key = key
-        result.network = optimized
-        result.nodes_after = optimized.num_ands
-        if hit:
-            result.outcome = "hit"
-            result.stats = stats                      # the cold run's dict
-        else:
-            result.outcome = "miss" if key is not None else "uncached"
-            result.stats = stats.to_dict()
-            result.flow_runtime_s = stats.runtime_s
-            if stats.guard is not None:
-                result.faults = len(stats.guard.faults)
-    except Exception as exc:  # a failed job must not sink the campaign
-        result.error = f"{type(exc).__name__}: {exc}"
-    finally:
-        result.wall_s = time.perf_counter() - start
-        result.pool_restarts = sum(
-            report.pool_restarts for report in collector.parallel_reports)
-        for parallel in collector.parallel_reports:
-            if parallel.total_gain:
-                result.engine_gain[parallel.engine] = \
-                    result.engine_gain.get(parallel.engine, 0) \
-                    + parallel.total_gain
-        if pool is not None:
-            result.stolen_windows = pool.stolen_windows(job.name)
-        obs.pop_collector()
-        obs.clear_local()
-        if registry is not None:
-            result.collector_metrics = registry.snapshot()
-        if bus.enabled:
-            bus.emit("job_end", name=job.name, outcome=result.outcome,
-                     nodes_before=result.nodes_before,
-                     nodes_after=result.nodes_after)
+                       outcome="error")
+    with scope, obs.span(f"job:{job.name}", kind="job", name=job.name,
+                         benchmark=job.benchmark) as span:
+        try:
+            network = job.resolve_network()
+            result.nodes_before = network.num_ands
+            config = job.config
+            if pool is not None and config.pool is not pool:
+                config = dataclasses.replace(config, pool=pool)
+            optimized, stats, hit, key = cached_sbm_flow(network, config,
+                                                         cache)
+            result.key = key
+            result.network = optimized
+            result.nodes_after = optimized.num_ands
+            if hit:
+                result.outcome = "hit"
+                result.stats = stats                  # the cold run's dict
+            else:
+                result.outcome = "miss" if key is not None else "uncached"
+                result.stats = stats.to_dict()
+                result.flow_runtime_s = stats.runtime_s
+                if stats.guard is not None:
+                    result.faults = len(stats.guard.faults)
+        except Exception as exc:  # a failed job must not sink the campaign
+            result.error = f"{type(exc).__name__}: {exc}"
+        span.set("outcome", result.outcome)
+        span.set("nodes_before", result.nodes_before)
+        span.set("nodes_after", result.nodes_after)
+    result.wall_s = time.perf_counter() - start
+    for parallel in scope.parallel_reports:
+        result.pool_restarts += parallel.pool_restarts
+        if parallel.total_gain:
+            result.engine_gain[parallel.engine] = \
+                result.engine_gain.get(parallel.engine, 0) \
+                + parallel.total_gain
+    if pool is not None:
+        result.stolen_windows = pool.stolen_windows(job.name)
     return result
 
 
@@ -285,97 +267,85 @@ def run_campaign(jobs: List[CampaignJob],
     threads = max(1, min(threads, len(jobs) or 1))
 
     report = CampaignReport(suite=suite, cache_dir=cache_dir, shard=shard)
-    bus = obs.live_bus()
-    if bus.enabled:
-        bus.emit("campaign_start", suite=suite, jobs=len(jobs))
     start_wall = time.perf_counter()
     start_cpu = time.process_time()
-    try:
-        # Within-campaign dedup: jobs sharing a cache key run once.  Keys
-        # are resolved up front (cheap: hash of the generated network) so
-        # leaders and followers are fixed regardless of thread timing.
-        leader_of: Dict[str, CampaignJob] = {}
-        followers: Dict[int, str] = {}           # job index -> leader name
-        for index, job in enumerate(jobs):
-            try:
-                key = flow_cache_key(job.resolve_network(), job.config)
-            except Exception:
-                # An unresolvable benchmark must not sink the campaign;
-                # _run_one reports it as an "error" row like any other
-                # per-job failure.
-                continue
-            if key is None:
-                continue
-            if key in leader_of:
-                followers[index] = leader_of[key].name
-            else:
-                leader_of[key] = job
-        runnable = [job for index, job in enumerate(jobs)
-                    if index not in followers]
-
-        outcomes: Dict[str, JobResult] = {}
-        if threads == 1 or len(runnable) <= 1:
-            for job in runnable:
-                outcomes[job.name] = _run_one(job, cache, pool)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as executor:
-                futures = {job.name: executor.submit(_run_one, job, cache,
-                                                     pool)
-                           for job in runnable}
-                for name, future in futures.items():
-                    outcomes[name] = future.result()
-
-        for index, job in enumerate(jobs):
-            if index in followers:
-                leader = outcomes[followers[index]]
-                row = dataclasses.replace(
-                    leader, name=job.name, benchmark=job.benchmark,
-                    outcome="dedup", wall_s=0.0, flow_runtime_s=0.0,
-                    stolen_windows=0, pool_restarts=0, faults=0,
-                    collector=None)
-                report.results.append(row)
-            else:
-                report.results.append(outcomes[job.name])
-    finally:
-        if pool is not None:
-            report.pool_rebuilds = pool.rebuilds
-            report.stolen_windows = pool.total_stolen
-            pool.shutdown()
-
-    for row in report.results:
-        counter = {"hit": "hits", "miss": "misses", "dedup": "deduped",
-                   "uncached": "uncached", "error": "errors"}[row.outcome]
-        setattr(report, counter, getattr(report, counter) + 1)
-        report.pool_restarts += row.pool_restarts
-    if cache is not None:
-        report.corrupt_entries = cache.corrupt
-        report.cache_slots = cache.slot_stats()
-    report.elapsed_s = time.perf_counter() - start_wall
-    report.cpu_s = time.process_time() - start_cpu
-
-    # Merge per-job telemetry into the session in job order — a concurrent
-    # campaign must report the same flow/parallel sequence as a serial one.
     all_parallel = []
-    session = obs.session()
-    for row in report.results:
-        collector = row.collector
-        if collector is None:
-            continue
-        all_parallel.extend(collector.parallel_reports)
-        if session is not None:
-            session.flow_stats.extend(collector.flow_stats)
-            session.parallel_reports.extend(collector.parallel_reports)
-            session.guard_reports.extend(collector.guard_reports)
-            if row.collector_metrics:
-                session.metrics.merge(row.collector_metrics)
-    if all_parallel:
-        aggregate = aggregate_reports(all_parallel)
-        report.parallel = aggregate
-        report.worker_wall_s = float(aggregate["worker_wall_s"])
-    if bus.enabled:
-        bus.emit("campaign_end", suite=suite, hits=report.hits,
-                 misses=report.misses, deduped=report.deduped,
-                 uncached=report.uncached, errors=report.errors)
+    with obs.span("campaign", kind="campaign", suite=suite,
+                  jobs=len(jobs)) as campaign_span:
+        try:
+            # Within-campaign dedup: jobs sharing a cache key run once.
+            # Keys are resolved up front (cheap: hash of the generated
+            # network) so leaders and followers are fixed regardless of
+            # thread timing.
+            leader_of: Dict[str, CampaignJob] = {}
+            followers: Dict[int, str] = {}       # job index -> leader name
+            for index, job in enumerate(jobs):
+                try:
+                    key = flow_cache_key(job.resolve_network(), job.config)
+                except Exception:
+                    # An unresolvable benchmark must not sink the campaign;
+                    # _run_one reports it as an "error" row like any other
+                    # per-job failure.
+                    continue
+                if key is None:
+                    continue
+                if key in leader_of:
+                    followers[index] = leader_of[key].name
+                else:
+                    leader_of[key] = job
+            runnable = [job for index, job in enumerate(jobs)
+                        if index not in followers]
+
+            # Each job records into its own scope; adopting the scopes as
+            # the jobs finish, in job order, gives a concurrent campaign a
+            # serial one's trace and report.
+            parent = obs.current()
+            scopes = {job.name: parent.child() for job in runnable}
+
+            def run(job: CampaignJob) -> JobResult:
+                return _run_one(job, cache, pool, scopes[job.name])
+
+            outcomes: Dict[str, JobResult] = {}
+            with ThreadPoolExecutor(max_workers=threads) as executor:
+                rows = executor.map(run, runnable) if threads > 1 \
+                    else map(run, runnable)
+                for job, row in zip(runnable, rows):
+                    outcomes[job.name] = row
+                    all_parallel.extend(scopes[job.name].parallel_reports)
+                    parent.adopt(scopes[job.name])
+
+            for index, job in enumerate(jobs):
+                if index in followers:
+                    leader = outcomes[followers[index]]
+                    row = dataclasses.replace(
+                        leader, name=job.name, benchmark=job.benchmark,
+                        outcome="dedup", wall_s=0.0, flow_runtime_s=0.0,
+                        stolen_windows=0, pool_restarts=0, faults=0)
+                    report.results.append(row)
+                else:
+                    report.results.append(outcomes[job.name])
+        finally:
+            if pool is not None:
+                report.pool_rebuilds = pool.rebuilds
+                report.stolen_windows = pool.total_stolen
+                pool.shutdown()
+
+        for row in report.results:
+            counter = {"hit": "hits", "miss": "misses", "dedup": "deduped",
+                       "uncached": "uncached", "error": "errors"}[row.outcome]
+            setattr(report, counter, getattr(report, counter) + 1)
+            report.pool_restarts += row.pool_restarts
+        if cache is not None:
+            report.corrupt_entries = cache.corrupt
+            report.cache_slots = cache.slot_stats()
+        report.elapsed_s = time.perf_counter() - start_wall
+        report.cpu_s = time.process_time() - start_cpu
+        if all_parallel:
+            aggregate = aggregate_reports(all_parallel)
+            report.parallel = aggregate
+            report.worker_wall_s = float(aggregate["worker_wall_s"])
+        for key in ("hits", "misses", "deduped", "uncached", "errors"):
+            campaign_span.set(key, getattr(report, key))
     obs.record_campaign_report(report)
     if history_db is not None:
         # Telemetry history is best-effort bookkeeping — a locked or

@@ -6,11 +6,11 @@ Seeded generators (:mod:`repro.fuzz.generators`) produce random AIGs,
 random SOP networks, and structural mutants of the EPFL registry designs;
 a differential oracle stack (:mod:`repro.fuzz.oracle`) runs the full SBM
 flow on each case and cross-examines the result — SAT CEC against the
-input, hot-path on/off identity, ``jobs=N`` vs serial bit-identity,
-crash/timeout capture, and chaos-seed sweeps layered on top.  Failures
-are shrunk to a local minimum (:mod:`repro.fuzz.minimize`) and written as
-self-contained repro bundles (:mod:`repro.fuzz.triage`) replayable with
-``python -m repro fuzz repro <bundle>``.
+input, ``jobs=N`` vs serial bit-identity, crash/timeout capture, and
+chaos-seed sweeps layered on top.  Failures are shrunk to a local minimum
+(:mod:`repro.fuzz.minimize`) and written as self-contained repro bundles
+(:mod:`repro.fuzz.triage`) replayable with ``python -m repro fuzz repro
+<bundle>``.
 
 Everything is deterministic: a case is its ``(generator, seed, params)``
 recipe, oracle decisions depend only on the recipe and the oracle

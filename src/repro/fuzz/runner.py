@@ -4,9 +4,11 @@ One :func:`run_fuzz` call is a first-class campaign citizen:
 
 * recipes stream from :func:`repro.fuzz.generators.iter_recipes` (after
   replaying the persistent corpus, when one is configured);
-* every case emits ``fuzz_case`` / ``fuzz_failure`` events on the obs
-  live bus, so ``--progress`` and ``--progress-jsonl`` work exactly as
-  they do for campaigns;
+* the run is a ``campaign`` span and every case a ``fuzz_case`` span
+  under it (``fuzz_case_start`` / ``fuzz_case_end`` on the progress bus,
+  the end carrying a failure's check, kind and fingerprint), so
+  ``--progress`` and ``--progress-jsonl`` work exactly as they do for
+  campaigns;
 * the finished run is recorded as a campaign report
   (``suite = "fuzz:<name>"``, one ``jobs_detail`` row per case) — run
   reports validate against schema v3 unchanged and the telemetry
@@ -201,42 +203,38 @@ def run_fuzz(config: FuzzConfig,
     if "jobs" in config.oracle.checks and config.oracle.jobs > 1:
         from repro.parallel.shared_pool import SharedProcessPool
         pool = SharedProcessPool(config.oracle.jobs)
-    bus = obs.live_bus()
     start = time.perf_counter()
-    if bus.enabled:
-        bus.emit("campaign_start", suite=f"fuzz:{config.name}",
-                 jobs=config.budget)
-    try:
-        replayed = [(recipe, True) for recipe in
-                    (corpus.recipes() if corpus is not None else [])]
-        generated = [(recipe, False) for recipe in
-                     iter_recipes(config.seed, config.budget,
-                                  generators=config.generators,
-                                  benchmarks=config.benchmarks,
-                                  max_gates=config.max_gates)]
-        for index, (recipe, from_corpus) in enumerate(replayed + generated):
-            if config.stop_after_failures is not None \
-                    and report.failures >= config.stop_after_failures:
-                break
-            row = _run_one(index, recipe, from_corpus, config, corpus,
-                           pool, bus)
-            report.cases.append(row)
-            if from_corpus:
-                report.corpus_replayed += 1
-            if row.fingerprint is not None:
-                report.fingerprints.append(row.fingerprint)
-            if row.bundle_path is not None:
-                report.bundles.append(row.bundle_path)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    report.elapsed_s = time.perf_counter() - start
-    report.corpus_added = corpus.added if corpus is not None else 0
-    if bus.enabled:
-        bus.emit("campaign_end", suite=f"fuzz:{config.name}",
-                 hits=0, misses=0, deduped=0,
-                 uncached=report.executed - report.failures,
-                 errors=report.failures)
+    with obs.span("campaign", kind="campaign", suite=f"fuzz:{config.name}",
+                  jobs=config.budget) as span:
+        try:
+            replayed = [(recipe, True) for recipe in
+                        (corpus.recipes() if corpus is not None else [])]
+            generated = [(recipe, False) for recipe in
+                         iter_recipes(config.seed, config.budget,
+                                      generators=config.generators,
+                                      benchmarks=config.benchmarks,
+                                      max_gates=config.max_gates)]
+            for index, (recipe, from_corpus) in enumerate(replayed
+                                                          + generated):
+                if config.stop_after_failures is not None \
+                        and report.failures >= config.stop_after_failures:
+                    break
+                row = _run_one(index, recipe, from_corpus, config, corpus,
+                               pool)
+                report.cases.append(row)
+                if from_corpus:
+                    report.corpus_replayed += 1
+                if row.fingerprint is not None:
+                    report.fingerprints.append(row.fingerprint)
+                if row.bundle_path is not None:
+                    report.bundles.append(row.bundle_path)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        report.elapsed_s = time.perf_counter() - start
+        report.corpus_added = corpus.added if corpus is not None else 0
+        span.set("uncached", report.executed - report.failures)
+        span.set("errors", report.failures)
     campaign = _campaign_report(report, report.elapsed_s)
     obs.record_campaign_report(campaign)
     if history_db is not None:
@@ -255,38 +253,39 @@ def run_fuzz(config: FuzzConfig,
 
 def _run_one(index: int, recipe: CaseRecipe, from_corpus: bool,
              config: FuzzConfig, corpus: Optional[FuzzCorpus],
-             pool: Any, bus: Any) -> CaseRow:
+             pool: Any) -> CaseRow:
     """Generate, judge, and (on failure) minimize + bundle one case."""
-    if bus.enabled:
-        bus.emit("fuzz_case", index=index, case=recipe.case_id,
-                 generator=recipe.generator, from_corpus=from_corpus)
-    network = build_case(recipe)
-    verdict = run_case(network, config.oracle, pool=pool)
-    row = CaseRow(index=index, recipe=recipe, verdict=verdict,
-                  from_corpus=from_corpus)
-    if corpus is not None and not from_corpus:
-        corpus.add_if_novel(recipe, verdict.signature)
-    primary = verdict.primary
-    if primary is None:
-        return row
-    minimized = None
-    try:
-        shrunk = minimize(network,
-                          _failure_predicate(config.oracle, primary.check,
-                                             primary.kind),
-                          max_evals=config.minimize_evals)
-        minimized = shrunk.network
-        row.minimized_nodes = shrunk.nodes_after
-    except ValueError:
-        # The failure did not reproduce under the reduced predicate
-        # (flaky verdict) — bundle the original network unminimized.
-        pass
-    bundle = build_bundle(recipe, config.oracle, network, verdict, minimized)
-    row.fingerprint = bundle.fingerprint
-    if config.bundle_dir is not None:
-        row.bundle_path, _new = write_bundle(config.bundle_dir, bundle)
-    if bus.enabled:
-        bus.emit("fuzz_failure", index=index, case=recipe.case_id,
-                 check=primary.check, kind=primary.kind,
-                 fingerprint=bundle.fingerprint)
+    with obs.span(f"case[{index}]", kind="fuzz_case", index=index,
+                  case=recipe.case_id, generator=recipe.generator,
+                  from_corpus=from_corpus) as span:
+        network = build_case(recipe)
+        verdict = run_case(network, config.oracle, pool=pool)
+        row = CaseRow(index=index, recipe=recipe, verdict=verdict,
+                      from_corpus=from_corpus)
+        if corpus is not None and not from_corpus:
+            corpus.add_if_novel(recipe, verdict.signature)
+        primary = verdict.primary
+        if primary is None:
+            return row
+        minimized = None
+        try:
+            shrunk = minimize(network,
+                              _failure_predicate(config.oracle,
+                                                 primary.check,
+                                                 primary.kind),
+                              max_evals=config.minimize_evals)
+            minimized = shrunk.network
+            row.minimized_nodes = shrunk.nodes_after
+        except ValueError:
+            # The failure did not reproduce under the reduced predicate
+            # (flaky verdict) — bundle the original network unminimized.
+            pass
+        bundle = build_bundle(recipe, config.oracle, network, verdict,
+                              minimized)
+        row.fingerprint = bundle.fingerprint
+        if config.bundle_dir is not None:
+            row.bundle_path, _new = write_bundle(config.bundle_dir, bundle)
+        span.set("check", primary.check)
+        span.set("failure", primary.kind)
+        span.set("fingerprint", bundle.fingerprint)
     return row

@@ -1,24 +1,24 @@
-"""Observability for the SBM flow: tracing, metrics, run reports.
+"""Observability for the SBM flow: spans, metrics, run reports, progress.
 
-The package answers "where did the time go, which moves fired, why did
-MSPF bail out" without print-debugging:
+Spans are the only producer of telemetry; the rest are sinks and views:
 
-* :mod:`repro.obs.tracer` — hierarchical span tracer
-  (``flow → iteration → stage → partition-window → move``) with wall/CPU
-  time, node-count deltas, and an optional JSONL event sink,
+* :mod:`repro.obs.tracer` — the span tracer (``campaign → job → flow →
+  iteration → stage → pass → window``), the tree it retains and its JSONL
+  sink,
+* :mod:`repro.obs.live` — the progress bus, a tracer sink behind
+  ``--progress`` and ``--progress-jsonl``,
 * :mod:`repro.obs.metrics` — counters/gauges/histograms for engine-level
-  events (move selections, budget spend, BDD/MSPF bailouts,
-  kernel-threshold winners, SAT-sweep merges, parallel fallbacks),
-* :mod:`repro.obs.report` — the stable JSON run-report schema and its
-  human renderings; ``FlowStats`` and ``ParallelReport`` objects register
-  themselves here, so the pre-existing telemetry becomes views over one
-  store.
+  events (move selections, BDD/MSPF bailouts, SAT-sweep merges, ...),
+* :mod:`repro.obs.report` — the stable JSON run-report schema.
 
-Instrumented code always talks to the *active* tracer/registry through the
-module-level accessors (:func:`span`, :func:`metrics`, :func:`tracer`).
-By default both are disabled no-op singletons, so the instrumentation adds
-near-zero overhead; :func:`enable` (the ``--trace``/``--report-json`` CLI
-flags) swaps in live objects for the duration of a run:
+Instrumented code talks to its thread's current :class:`Scope` — a
+tracer, a metrics registry and report lists — through :func:`span`,
+:func:`metrics` and :func:`tracer`, and hands it every finished
+``FlowStats``, ``ParallelReport``, ``GuardReport`` and ``CampaignReport``
+through the ``record_*`` functions.  The root scope is the
+:class:`ObsSession` that :func:`enable` opens (``--trace``,
+``--report-json``); with no session and no bus it is :data:`NULL_SCOPE`,
+whose no-op tracer and registry make instrumentation nearly free:
 
     session = obs.enable(jsonl_path="trace.jsonl")
     try:
@@ -27,28 +27,24 @@ flags) swaps in live objects for the duration of a run:
         obs.disable()
     report = build_report(session, command="optimize adder")
 
-Worker processes never write to the parent's tracer or registry: the
-parallel scheduler gives each window task a fresh local registry, ships
-its snapshot back inside the window payload, and merges the snapshots in
-deterministic partition order (see :mod:`repro.parallel.scheduler`).
-
-Worker *threads* (the campaign orchestrator runs one flow per thread over a
-shared process pool, see :mod:`repro.campaign`) use the **thread-local
-override**: :func:`install_local` redirects this thread's accessors to a
-private tracer/registry pair without touching other threads — the global
-:class:`Tracer` keeps a single span stack and must never be written from
-two threads.  :func:`push_collector` additionally redirects this thread's
-``record_flow_stats`` / ``record_parallel_report`` / ``record_guard_report``
-calls into a per-job :class:`TelemetryCollector`, which the campaign merges
-back into the session in deterministic job order afterwards.
+A tracer has one span stack, so a unit of work that may run beside others
+— a campaign job, a search candidate — records into a child scope
+(:meth:`Scope.child`) entered on its own thread, and the parent adopts
+the children in job or candidate order (:meth:`Scope.adopt`): the child's
+tree is grafted under the parent's innermost live span, its metrics
+merged and its reports appended (a search takes only each round winner's
+metrics and reports), so a concurrent run reports what a serial one does.
+Worker processes never touch the parent's scope: each window task runs in
+a fresh scope whose registry snapshot returns in the window payload (see
+:mod:`repro.parallel.scheduler`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
-from repro.obs.live import NULL_BUS, EventBus
+from repro.obs.live import BusSink, EventBus
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.tracer import (
     NULL_SPAN,
@@ -61,76 +57,155 @@ from repro.obs.tracer import (
     load_jsonl,
 )
 
-_tracer = NULL_TRACER
-_metrics = NULL_METRICS
-_session: Optional["ObsSession"] = None
+#: The report lists a scope keeps, in run-report order.
+_SECTIONS = ("flow_stats", "parallel_reports", "guard_reports",
+             "campaign_reports")
+
 _local = threading.local()
-_live = NULL_BUS
 
 
-class TelemetryCollector:
-    """Per-job sink for the ``record_*`` hooks (campaign thread isolation)."""
+class Scope:
+    """One thread of work's telemetry: a tracer, a registry, its reports."""
 
-    def __init__(self) -> None:
-        self.flow_stats: List[Any] = []
-        self.parallel_reports: List[Any] = []
-        self.guard_reports: List[Any] = []
-
-
-class ObsSession:
-    """One enabled observability run: tracer + metrics + telemetry store."""
-
-    def __init__(self, jsonl_path: Optional[str] = None,
-                 max_spans: int = 100_000) -> None:
-        self._sink_file = None
-        self._sink = sink = None
-        if jsonl_path is not None:
-            self._sink_file = open(jsonl_path, "w", encoding="utf-8")
-            self._sink = sink = JsonlSink(self._sink_file)
-        self.tracer = Tracer(sink=sink, max_spans=max_spans)
-        self.metrics = MetricsRegistry()
+    def __init__(self, tracer: Any = NULL_TRACER,
+                 metrics: Any = NULL_METRICS,
+                 keep_reports: bool = True) -> None:
+        self.tracer = tracer
+        self.metrics = metrics
+        self.keep_reports = keep_reports
         self.flow_stats: List[Any] = []
         self.parallel_reports: List[Any] = []
         self.guard_reports: List[Any] = []
         self.campaign_reports: List[Any] = []
+        self._outer: List[Optional[Scope]] = []
+
+    def __enter__(self) -> "Scope":
+        """Make this scope the current one on this thread."""
+        self._outer.append(getattr(_local, "scope", None))
+        _local.scope = self
+        return self
+
+    def __exit__(self, *exc: Any) -> bool:
+        _local.scope = self._outer.pop()
+        return False
+
+    def child(self, stream: bool = True) -> "Scope":
+        """A scope for one unit of work, to be taken back by :meth:`adopt`.
+
+        It traces and records metrics only if this scope does, and always
+        keeps its reports, so the caller can read them first.  *stream* is
+        :meth:`Tracer.child`'s: stream to the live sinks, or wait.
+        """
+        tracer = self.tracer.child(stream) if self.tracer.enabled \
+            else NULL_TRACER
+        metrics = MetricsRegistry() if self.metrics.enabled else NULL_METRICS
+        return Scope(tracer, metrics)
+
+    def adopt(self, child: "Scope", reports: bool = True,
+              **attrs: Any) -> None:
+        """Take in a finished child scope.
+
+        Its span tree is grafted under this scope's innermost live span,
+        with *attrs* set on every root; with *reports*, its metrics are
+        merged and its report lists appended to this scope's.
+        """
+        self.tracer.graft(child.tracer, **attrs)
+        if reports:
+            self.metrics.merge(child.metrics.snapshot())
+            for section in _SECTIONS:
+                for report in getattr(child, section):
+                    self._record(section, report)
+
+    def _record(self, section: str, report: Any) -> None:
+        if self.keep_reports:
+            getattr(self, section).append(report)
+
+
+#: The root scope while neither a session nor a bus is active.
+NULL_SCOPE = Scope(keep_reports=False)
+
+
+class ObsSession(Scope):
+    """The root scope of an enabled run.
+
+    It retains the span tree, records metrics, keeps every report handed
+    to it, and owns the optional JSONL trace file.
+    """
+
+    def __init__(self, jsonl_path: Optional[str] = None,
+                 max_spans: int = 100_000) -> None:
+        self._sink_file = None
+        sinks = []
+        if jsonl_path is not None:
+            self._sink_file = open(jsonl_path, "w", encoding="utf-8")
+            sinks.append(JsonlSink(self._sink_file))
+        super().__init__(Tracer(sinks, max_spans=max_spans),
+                         MetricsRegistry())
 
     def close(self) -> None:
-        """Flush and release the JSONL sink, if any (safe to call twice)."""
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
+        """Detach the sinks and close the JSONL file (safe to call twice)."""
+        self.tracer.sinks = []
         if self._sink_file is not None:
             self._sink_file.close()
             self._sink_file = None
+
+
+_root: Scope = NULL_SCOPE
+_session: Optional[ObsSession] = None
+_bus: Optional[EventBus] = None
+
+
+def _install_root() -> None:
+    """Rebuild the root scope from the active session and bus."""
+    global _root
+    live = [BusSink(_bus)] if _bus is not None else []
+    if _session is not None:
+        tracer = _session.tracer
+        tracer.sinks = [sink for sink in tracer.sinks if not sink.live] + live
+        _root = _session
+    elif live:
+        # Progress only: spans stream to the bus and no tree is kept.
+        _root = Scope(Tracer(live, retain=False), keep_reports=False)
+    else:
+        _root = NULL_SCOPE
 
 
 # -- global context -----------------------------------------------------------
 
 def enable(jsonl_path: Optional[str] = None,
            max_spans: int = 100_000) -> ObsSession:
-    """Activate tracing and metrics; returns the new session."""
-    global _tracer, _metrics, _session
+    """Open a session as the root scope; returns it."""
+    global _session
     if _session is not None:
         disable()
     _session = ObsSession(jsonl_path=jsonl_path, max_spans=max_spans)
-    _tracer = _session.tracer
-    _metrics = _session.metrics
+    _install_root()
     return _session
 
 
 def disable() -> None:
-    """Deactivate observability; the session object stays readable."""
-    global _tracer, _metrics, _session
+    """Close the session; the session object stays readable."""
+    global _session
     if _session is not None:
         _session.close()
-    _tracer = NULL_TRACER
-    _metrics = NULL_METRICS
     _session = None
+    _install_root()
 
 
-def enabled() -> bool:
-    """True while a session is active or this thread carries an override."""
-    return _session is not None or _override() is not None
+def enable_live(bus: Optional[EventBus] = None) -> EventBus:
+    """Stream the progress spans to *bus* (a new one by default)."""
+    global _bus
+    _bus = bus if bus is not None else EventBus()
+    _install_root()
+    return _bus
+
+
+def disable_live() -> Optional[EventBus]:
+    """Stop streaming; returns the bus that was installed (drainable)."""
+    global _bus
+    bus, _bus = _bus, None
+    _install_root()
+    return bus
 
 
 def session() -> Optional[ObsSession]:
@@ -138,177 +213,76 @@ def session() -> Optional[ObsSession]:
     return _session
 
 
-def _override() -> Optional[Tuple[Any, Any]]:
-    """This thread's ``(tracer, metrics)`` override pair, or ``None``."""
-    return getattr(_local, "override", None)
+def current() -> Scope:
+    """This thread's current scope (the root scope outside any child)."""
+    return getattr(_local, "scope", None) or _root
 
 
-def install_local(tracer_obj: Any, metrics_obj: Any) -> None:
-    """Redirect *this thread's* accessors to a private tracer/registry.
-
-    The global :class:`Tracer` has a single span stack; a flow running in
-    a worker thread (campaign jobs) must not write to it.  The override is
-    invisible to every other thread; clear it with :func:`clear_local`.
-    """
-    _local.override = (tracer_obj, metrics_obj)
-
-
-def clear_local() -> None:
-    """Remove this thread's tracer/metrics override, if any."""
-    _local.override = None
-
-
-# -- live progress bus ---------------------------------------------------------
-#
-# The live bus is orthogonal to the session: it can run with or without
-# tracing, is shared by every thread (it is internally locked, unlike the
-# tracer's single span stack), and is deliberately *not* forwarded into
-# worker processes — the partition scheduler publishes worker outcomes from
-# the parent, in partition order, so streams stay deterministic.
-
-def live_bus():
-    """The active progress bus (:data:`repro.obs.live.NULL_BUS` when off).
-
-    Call sites must guard emission with ``if bus.enabled:`` so a disabled
-    bus costs one attribute check — no payload allocation, no syscall.
-    """
-    return _live
-
-
-def enable_live(bus: Optional[EventBus] = None) -> EventBus:
-    """Activate live progress streaming; returns the installed bus."""
-    global _live
-    _live = bus if bus is not None else EventBus()
-    return _live
-
-
-def disable_live():
-    """Deactivate streaming; returns the bus that was active (drainable)."""
-    global _live
-    bus = _live
-    _live = NULL_BUS
-    return bus
+def enabled() -> bool:
+    """True while the current scope records metrics (under a session)."""
+    return current().metrics.enabled
 
 
 def tracer() -> Tracer:
-    """The active tracer (thread override first, null singleton when off)."""
-    override = _override()
-    return override[0] if override is not None else _tracer
+    """The current scope's tracer (the null singleton when off)."""
+    return current().tracer
 
 
 def metrics() -> MetricsRegistry:
-    """The active registry (thread override first, null singleton when off)."""
-    override = _override()
-    return override[1] if override is not None else _metrics
+    """The current scope's registry (the null singleton when off)."""
+    return (getattr(_local, "scope", None) or _root).metrics
 
 
-def span(name: str, kind: str = "span", **attrs: Any):
-    """Open a span on the active tracer (no-op singleton when disabled)."""
-    return tracer().span(name, kind=kind, **attrs)
-
-
-def install(tracer_obj, metrics_obj):
-    """Low-level: swap the active tracer/registry; returns the previous pair.
-
-    Used by the parallel scheduler's worker entry point to redirect engine
-    metrics into a per-window local registry (and silence the tracer, whose
-    JSONL sink must not be written from a forked worker).  The swap is
-    implemented as a *thread-local* override so an inline window executed
-    inside a campaign worker thread never touches what other threads see;
-    restoring the returned pair puts this thread back exactly where it was.
-    """
-    previous = _override()
-    if previous is None:
-        previous = (_tracer, _metrics)
-    if tracer_obj is _tracer and metrics_obj is _metrics:
-        # Re-installing exactly the global pair = dropping the override, so
-        # a restore leaves the thread clean instead of pinning stale objects.
-        _local.override = None
-    else:
-        _local.override = (tracer_obj, metrics_obj)
-    return previous
-
-
-def push_collector(collector: TelemetryCollector) -> None:
-    """Redirect this thread's ``record_*`` calls into *collector*.
-
-    The campaign runner installs one collector per job so telemetry from
-    concurrently running flows can be merged back into the session in
-    deterministic job order instead of interleaved completion order.
-    """
-    _local.collector = collector
-
-
-def pop_collector() -> None:
-    """Stop collecting on this thread; ``record_*`` reach the session again."""
-    _local.collector = None
-
-
-def _collector() -> Optional[TelemetryCollector]:
-    return getattr(_local, "collector", None)
+def span(name: str, /, kind: str = "span", **attrs: Any):
+    """Open a span on the current tracer (no-op singleton when disabled)."""
+    return (getattr(_local, "scope", None) or _root).tracer.span(
+        name, kind=kind, **attrs)
 
 
 def record_flow_stats(stats: Any) -> None:
-    """Register a finished FlowStats with the collector or active session."""
-    collector = _collector()
-    if collector is not None:
-        collector.flow_stats.append(stats)
-    elif _session is not None:
-        _session.flow_stats.append(stats)
+    """Hand a finished FlowStats to the current scope."""
+    current()._record("flow_stats", stats)
 
 
 def record_parallel_report(report: Any) -> None:
-    """Register a finished ParallelReport (collector first, then session)."""
-    collector = _collector()
-    if collector is not None:
-        collector.parallel_reports.append(report)
-    elif _session is not None:
-        _session.parallel_reports.append(report)
+    """Hand a finished ParallelReport to the current scope."""
+    current()._record("parallel_reports", report)
 
 
 def record_guard_report(report: Any) -> None:
-    """Register a flow's GuardReport (collector first, then session)."""
-    collector = _collector()
-    if collector is not None:
-        collector.guard_reports.append(report)
-    elif _session is not None:
-        _session.guard_reports.append(report)
+    """Hand a flow's GuardReport to the current scope."""
+    current()._record("guard_reports", report)
 
 
 def record_campaign_report(report: Any) -> None:
-    """Register a finished campaign report with the active session."""
-    if _session is not None:
-        _session.campaign_reports.append(report)
+    """Hand a finished campaign report to the current scope."""
+    current()._record("campaign_reports", report)
 
 
 __all__ = [
+    "BusSink",
     "EventBus",
     "JsonlSink",
     "MetricsRegistry",
-    "NULL_BUS",
     "NULL_METRICS",
+    "NULL_SCOPE",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullMetrics",
     "NullTracer",
     "ObsSession",
+    "Scope",
     "Span",
-    "TelemetryCollector",
     "Tracer",
-    "clear_local",
+    "current",
     "disable",
     "disable_live",
     "enable",
     "enable_live",
     "enabled",
-    "install",
-    "install_local",
     "iter_jsonl",
-    "live_bus",
     "load_jsonl",
     "metrics",
-    "pop_collector",
-    "push_collector",
     "record_campaign_report",
     "record_flow_stats",
     "record_guard_report",

@@ -1,43 +1,43 @@
-"""Live telemetry streaming: the non-blocking progress event bus.
+"""Live telemetry streaming: the progress bus, a sink of the span tracer.
 
-:mod:`repro.obs.tracer` materializes telemetry *after* a run finishes; this
-module is the second observability layer — the one a human (or the future
-synthesis-as-a-service daemon) watches *while* the flow runs.  Instrumented
-call sites in the flow, the partition scheduler, and the campaign runner
-publish small **progress events** to the process-wide
+:mod:`repro.obs.tracer` spans are the only producer of telemetry.  This
+module is the view a human (or the future synthesis-as-a-service daemon)
+watches *while* the flow runs: :class:`BusSink` sits beside the JSONL
+sink and the in-memory tree on the active tracer and turns the starts and
+ends of the progress spans into small **progress events** on a bounded
 :class:`EventBus`; consumers (a TTY renderer, a JSONL stream, a test)
-drain them asynchronously.
+drain them asynchronously through a :class:`LivePump`.
 
 Design constraints, in order:
 
-* **Zero cost when disabled.**  The default bus is the :data:`NULL_BUS`
-  singleton with ``enabled = False``; every call site guards with
-  ``if bus.enabled: bus.emit(...)`` so the hot path performs no payload
-  allocation and no syscall when streaming is off — the same discipline as
-  the null tracer (see ``benchmarks/bench_obs.py``).
+* **Zero cost when disabled.**  With no bus and no session every scope's
+  tracer is the null tracer, so no span exists and nothing is published —
+  instrumented code never branches on the bus (see
+  ``benchmarks/bench_obs.py``).  A bus-only run (``--progress``) streams
+  spans through a tracer that keeps no tree.
 * **Non-blocking.**  :meth:`EventBus.emit` never waits on a consumer: the
   queue is bounded and an emit against a full queue increments
   :attr:`EventBus.dropped` and returns.  A slow terminal can therefore
   never stall the flow.
-* **Deterministic payloads.**  Event *payloads* carry only values that are
-  bit-identical for every ``jobs`` count — node counts, stage names,
-  partition-ordered window outcomes — never wall times or worker ids.
-  Timing lives exclusively in the envelope (:attr:`ProgressEvent.t`,
+* **Deterministic payloads.**  A payload is the span's attributes, and
+  span attributes carry only values that are bit-identical for every
+  ``jobs`` count — node counts, stage names, partition-ordered window
+  outcomes — never wall times, worker ids or the worker count.  Timing
+  lives exclusively in the envelope (:attr:`ProgressEvent.t`,
   :attr:`ProgressEvent.seq`), so ``jobs=4`` and ``jobs=1`` streams differ
-  only in timestamps.  Worker processes never emit: the partition
-  scheduler publishes window events from the parent while merging worker
-  snapshots **in partition order**.  (``heartbeat`` events are the one
+  only in timestamps.  Worker processes never publish: the partition
+  scheduler records its window spans in the parent while merging worker
+  results **in partition order**.  A campaign job's scope streams to the
+  bus as the job runs; a search candidate's scope reaches it when its
+  round closes, in candidate order.  (``heartbeat`` events are the one
   wall-clock-driven kind; consumers comparing streams must filter them.)
 
 Event kinds
 -----------
-``flow_start / stage_start / stage_end / flow_end`` — from
-:mod:`repro.sbm.flow`; ``pass_start / window / pass_end`` — from
-:mod:`repro.parallel.scheduler`; ``campaign_start / job_start / job_end /
-campaign_end`` — from :mod:`repro.campaign.runner`; ``heartbeat`` —
-emitted by the :class:`LivePump` when the bus has been quiet for a while,
-so stream consumers can distinguish "working on a huge window" from
-"dead".
+:data:`PROGRESS_EVENTS` maps the published span kinds to their events;
+every other span kind stays off the bus.  ``heartbeat`` is emitted by
+the :class:`LivePump` when the bus has been quiet for a while, so stream
+consumers can distinguish "working on a huge window" from "dead".
 
 The CLI surfaces all of this as ``--progress`` (a TTY-aware status line on
 stderr) and ``--progress-jsonl PATH`` (one JSON object per event, flushed
@@ -53,7 +53,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 
 class ProgressEvent:
@@ -80,13 +80,11 @@ class ProgressEvent:
 class EventBus:
     """Bounded, thread-safe, non-blocking progress event queue.
 
-    Emitters (flow stages, the scheduler's merge loop, campaign job
-    threads) append; one consumer drains.  A full queue drops the new
-    event and counts it — emitters never block, and the drop counter makes
-    the loss visible instead of silent.
+    Emitters (the :class:`BusSink` of every tracer that streams to it, on
+    any thread, and the pump's heartbeat) append; one consumer drains.  A
+    full queue drops the new event and counts it — emitters never block,
+    and the drop counter makes the loss visible instead of silent.
     """
-
-    enabled = True
 
     def __init__(self, capacity: int = 8192) -> None:
         self.capacity = capacity
@@ -96,7 +94,7 @@ class EventBus:
         self._seq = 0
         self._epoch = time.perf_counter()
 
-    def emit(self, kind: str, **payload: Any) -> None:
+    def emit(self, kind: str, /, **payload: Any) -> None:
         """Publish one event; drops (counted) when the queue is full."""
         with self._lock:
             if len(self._events) >= self.capacity:
@@ -119,29 +117,45 @@ class EventBus:
         return len(self._events)
 
 
-class _NullBus:
-    """Disabled bus: emitting costs a single attribute check at call sites.
+#: Span kinds the bus publishes: kind -> (event at open, event at close).
+#: The scheduler's partition windows are recorded closed, so they publish
+#: once; the gradient engine's own windows are a different kind and stay
+#: off the bus, which they would flood.
+PROGRESS_EVENTS: Dict[str, Tuple[Optional[str], Optional[str]]] = {
+    "flow": ("flow_start", "flow_end"),
+    "stage": ("stage_start", "stage_end"),
+    "pass": ("pass_start", "pass_end"),
+    "window": (None, "window"),
+    "ordering": ("ordering_start", "ordering_end"),
+    "candidate": ("candidate_start", "candidate_end"),
+    "campaign": ("campaign_start", "campaign_end"),
+    "job": ("job_start", "job_end"),
+    "fuzz_case": ("fuzz_case_start", "fuzz_case_end"),
+}
 
-    Call sites must guard (``if bus.enabled: bus.emit(...)``) so that the
-    disabled path allocates nothing — not even the payload dict.
+
+class BusSink:
+    """Tracer sink: publishes the progress spans' attributes on a bus.
+
+    A live sink — child scopes on other threads feed it directly, so a
+    campaign job's events stream while the job runs.
     """
 
-    enabled = False
-    dropped = 0
-    capacity = 0
+    live = True
 
-    def emit(self, kind: str, **payload: Any) -> None:
-        pass
+    def __init__(self, bus: EventBus) -> None:
+        self.bus = bus
 
-    def drain(self) -> List[ProgressEvent]:
-        return []
+    def start(self, span: Any) -> None:
+        self._publish(span, 0)
 
-    def __len__(self) -> int:
-        return 0
+    def end(self, span: Any) -> None:
+        self._publish(span, 1)
 
-
-#: The singleton disabled bus (the default — see :func:`repro.obs.live_bus`).
-NULL_BUS = _NullBus()
+    def _publish(self, span: Any, edge: int) -> None:
+        event = PROGRESS_EVENTS.get(span.kind, (None, None))[edge]
+        if event is not None:
+            self.bus.emit(event, **span.attrs)
 
 
 # -- consumers -----------------------------------------------------------------
@@ -202,11 +216,14 @@ class TtyProgressSink:
     def handle(self, event: ProgressEvent) -> None:
         payload = event.payload
         kind = event.kind
-        if kind == "flow_start":
+        if kind.endswith("_end") and "error" in payload:
+            # The span closed on an exception: it has no outcome to show.
+            self._println(f"{kind[:-4]} failed: {payload['error']}")
+        elif kind == "flow_start":
             self.design = str(payload.get("design") or "flow")
             self.stage_total = int(payload.get("stages", 0))
             self.stage_index = 0
-            self.nodes = payload.get("nodes")
+            self.nodes = payload.get("nodes_before")
             self.windows_done = self.windows_total = 0
         elif kind == "stage_start":
             self.stage = str(payload.get("stage", ""))
@@ -214,11 +231,11 @@ class TtyProgressSink:
             self.stage_total = int(payload.get("total", self.stage_total))
             self.windows_done = self.windows_total = 0
         elif kind == "stage_end":
-            self.nodes = payload.get("nodes")
+            self.nodes = payload.get("nodes_after")
             if not self.tty:
                 self._println(
                     f"stage {self.stage_index}/{self.stage_total} "
-                    f"{payload.get('stage')}: {payload.get('nodes')} nodes "
+                    f"{payload.get('stage')}: {self.nodes} nodes "
                     f"({payload.get('level')})")
         elif kind == "pass_start":
             self.windows_done = 0
@@ -227,9 +244,9 @@ class TtyProgressSink:
             self.windows_done = int(payload.get("done", self.windows_done))
             self.windows_total = int(payload.get("total", self.windows_total))
         elif kind == "flow_end":
-            self.nodes = payload.get("nodes")
+            self.nodes = payload.get("nodes_after")
             self._println(f"flow {payload.get('design') or self.design}: "
-                          f"{payload.get('nodes')} nodes")
+                          f"{self.nodes} nodes")
         elif kind == "campaign_start":
             self.suite = str(payload.get("suite", ""))
             self.jobs_total = int(payload.get("jobs", 0))
@@ -368,7 +385,9 @@ def live_session(progress: bool = False,
                  capacity: int = 8192) -> Iterator[Optional[EventBus]]:
     """Install the live bus + consumers for the duration of a CLI command.
 
-    With neither *progress* nor *jsonl_path* the context is a no-op
+    The bus joins the active tracer as a :class:`BusSink`
+    (:func:`repro.obs.enable_live`).  With neither *progress* nor
+    *jsonl_path* the context is a no-op
     yielding ``None`` — callers can wrap a command unconditionally.  On
     exit the pump performs its final drain, the JSONL file is closed, and
     any dropped-event count is reported on stderr.

@@ -1,9 +1,9 @@
 """Machine-readable run reports over the observability store.
 
-One enabled run produces one report: the span tree, the metrics registry,
-every :class:`~repro.sbm.flow.FlowStats` and
-:class:`~repro.parallel.stats.ParallelReport` the run registered — the
-pre-existing telemetry becomes views over this single store.  The JSON
+One enabled run produces one report from its session (the root
+:class:`repro.obs.Scope`): the span tree, the metrics registry, and every
+``FlowStats``, ``ParallelReport``, ``GuardReport`` and ``CampaignReport``
+handed to it — the telemetry becomes views over this single store.  The JSON
 layout is a **stable schema** (``schema``/``version`` keys, validated by
 :func:`validate_report`); consumers can rely on it across releases, and CI
 runs the validator on a real flow report so schema drift fails the build.
@@ -34,7 +34,7 @@ class ReportSchemaError(ValueError):
 # -- building -----------------------------------------------------------------
 
 def build_report(session, command: Optional[str] = None) -> Dict[str, Any]:
-    """Assemble the JSON-safe run report from an enabled ObsSession."""
+    """Assemble the JSON-safe run report from an ObsSession."""
     from repro.campaign.cache import CODE_VERSION
     return {
         "schema": SCHEMA_NAME,
@@ -49,10 +49,9 @@ def build_report(session, command: Optional[str] = None) -> Dict[str, Any]:
         "flows": [stats.to_dict() for stats in session.flow_stats],
         "parallel_passes": [report.to_dict()
                             for report in session.parallel_reports],
-        "guard": [report.to_dict()
-                  for report in getattr(session, "guard_reports", [])],
+        "guard": [report.to_dict() for report in session.guard_reports],
         "campaign": [report.to_dict()
-                     for report in getattr(session, "campaign_reports", [])],
+                     for report in session.campaign_reports],
     }
 
 

@@ -11,15 +11,19 @@ API:
         ...
         sp.set("nodes_after", aig.num_ands)
 
-The tracer keeps the finished spans in an in-memory tree (``roots``) and
-can mirror every span start/end to a JSONL event sink, which
-:func:`load_jsonl` turns back into the same tree — the round-trip used by
-offline analysis and the test suite.
+A tracer streams every span start/end to its **sinks** — the
+:class:`JsonlSink` file, which :func:`load_jsonl` turns back into the same
+tree, and the live progress bus (:class:`repro.obs.live.BusSink`) — and,
+when it *retains*, keeps the finished spans as an in-memory tree
+(``roots``).  Attributes are deterministic values (node counts, names,
+window outcomes); times live only in ``wall_s``/``cpu_s``.
 
-Work executed in worker processes cannot open live spans in the parent;
-:meth:`Tracer.record` creates an already-closed child span from a measured
-wall time, which is how the parallel scheduler attributes per-window worker
-times to the current stage.
+Work on another thread records into a :meth:`Tracer.child`, whose tree
+the owner grafts under its innermost live span when the work is done
+(:meth:`Tracer.graft`).  Work executed in worker processes cannot open
+live spans in the parent; :meth:`Tracer.record` creates an already-closed
+child span from a measured wall time, which is how the parallel scheduler
+attributes per-window worker times to the current pass.
 
 Disabled tracing is the common case and must cost nothing: the module-level
 :data:`NULL_TRACER`/:data:`NULL_SPAN` singletons implement the same API as
@@ -33,7 +37,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from typing import Any, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, Sequence, TextIO
 
 #: Cap on events stored per span — point events (e.g. gradient move
 #: applications) are interesting individually but unbounded in number.
@@ -136,10 +140,12 @@ class NullTracer:
     """Disabled tracer: same API as :class:`Tracer`, costs nothing."""
 
     enabled = False
+    sinks: List[Any] = []
     roots: List[Span] = []
     dropped_spans = 0
 
-    def span(self, name: str, kind: str = "span", **attrs: Any) -> _NullSpan:
+    def span(self, name: str, /, kind: str = "span",
+             **attrs: Any) -> _NullSpan:
         return NULL_SPAN
 
     def record(self, name: str, kind: str = "span", wall_s: float = 0.0,
@@ -148,6 +154,9 @@ class NullTracer:
 
     def current(self) -> None:
         return None
+
+    def graft(self, child: Any, **attrs: Any) -> None:
+        pass
 
 
 #: The singleton disabled tracer (the default active tracer).
@@ -160,8 +169,12 @@ class JsonlSink:
     The stream is flushed on every span *end*, so the file is tail-able
     while a long flow runs (``tail -f trace.jsonl``, or the live trace
     converter in :mod:`repro.obs.trace`); buffering span starts is fine —
-    the matching end always pushes them out.
+    the matching end always pushes them out.  A start record's ``t`` is
+    the span's own open time, so a grafted subtree keeps its timeline.
     """
+
+    #: fed in tree order by the tracer that owns it, never by a child
+    live = False
 
     def __init__(self, stream: TextIO) -> None:
         self.stream = stream
@@ -171,7 +184,7 @@ class JsonlSink:
         self._write({"ev": "start", "id": span.span_id,
                      "parent": span.parent_id, "name": span.name,
                      "kind": span.kind,
-                     "t": round(time.perf_counter() - self._epoch, 6)})
+                     "t": round(span._t0 - self._epoch, 6)})
 
     def end(self, span: Span) -> None:
         record = {"ev": "end", "id": span.span_id,
@@ -193,36 +206,32 @@ class JsonlSink:
 
 
 class Tracer:
-    """Collects a span tree; optionally mirrors it to a JSONL sink.
+    """Streams spans to its sinks and, when *retain* is set, keeps the tree.
 
-    ``max_spans`` bounds the in-memory tree on pathological traces: once
-    reached, :meth:`span` hands out :data:`NULL_SPAN` and counts the drop
-    (the JSONL sink stops receiving those spans too).
+    A sink takes ``start(span)`` when a span opens and ``end(span)`` when
+    it closes.  ``max_spans`` bounds only the retained tree: a span past
+    the cap is counted in :attr:`dropped_spans` and still reaches every
+    sink, so it never silences the progress bus.
     """
 
     enabled = True
 
-    def __init__(self, sink: Optional[JsonlSink] = None,
+    def __init__(self, sinks: Sequence[Any] = (), retain: bool = True,
                  max_spans: int = 100_000) -> None:
-        self.sink = sink
+        self.sinks = list(sinks)
+        self.retain = retain
         self.max_spans = max_spans
         self.roots: List[Span] = []
         self.dropped_spans = 0
         self._stack: List[Span] = []
         self._next_id = 0
 
-    def span(self, name: str, kind: str = "span", **attrs: Any):
+    def span(self, name: str, /, kind: str = "span", **attrs: Any) -> Span:
         """Open a child span of the innermost live span (context manager)."""
-        if self._next_id >= self.max_spans:
-            self.dropped_spans += 1
-            return NULL_SPAN
-        parent = self._stack[-1] if self._stack else None
-        span = Span(name, kind, self, self._next_id,
-                    parent.span_id if parent else None, attrs)
-        self._next_id += 1
+        span = self._new(name, kind, attrs)
         self._stack.append(span)
-        if self.sink is not None:
-            self.sink.start(span)
+        for sink in self.sinks:
+            sink.start(span)
         return span
 
     def record(self, name: str, kind: str = "span", wall_s: float = 0.0,
@@ -232,24 +241,58 @@ class Tracer:
         The span is created closed, with ``wall_s`` taken verbatim and no
         CPU time (it was spent in another process).
         """
-        if self._next_id >= self.max_spans:
-            self.dropped_spans += 1
-            return
-        parent = self._stack[-1] if self._stack else None
-        span = Span(name, kind, self, self._next_id,
-                    parent.span_id if parent else None, attrs)
-        self._next_id += 1
+        span = self._new(name, kind, attrs)
         span.wall_s = wall_s
-        if self.sink is not None:
-            self.sink.start(span)
-            self.sink.end(span)
-        self._attach(span, parent)
+        for sink in self.sinks:
+            sink.start(span)
+            sink.end(span)
+        self._attach(span, self.current())
 
     def current(self) -> Optional[Span]:
         """The innermost live span, or None outside any span."""
         return self._stack[-1] if self._stack else None
 
+    def child(self, stream: bool) -> "Tracer":
+        """A tracer for work to be grafted back here; with *stream* it feeds
+        this tracer's live sinks as it goes, else only when grafted."""
+        if stream:
+            return Tracer([sink for sink in self.sinks if sink.live],
+                          retain=self.retain, max_spans=self.max_spans)
+        return Tracer(max_spans=self.max_spans)
+
+    def graft(self, child: "Tracer", **attrs: Any) -> None:
+        """Attach *child*'s finished tree, roots tagged with *attrs*, under
+        the innermost live span: renumbered, and replayed in tree order to
+        the sinks the child did not feed."""
+        sinks = [sink for sink in self.sinks if sink not in child.sinks]
+        parent = self.current()
+        self.dropped_spans += child.dropped_spans
+        for root in child.roots:
+            root.attrs.update(attrs)
+            self._replay(root, parent, sinks)
+
     # -- internal ------------------------------------------------------------
+
+    def _new(self, name: str, kind: str, attrs: Dict[str, Any]) -> Span:
+        parent = self.current()
+        span = Span(name, kind, self, self._next_id,
+                    parent.span_id if parent else None, attrs)
+        self._next_id += 1
+        return span
+
+    def _replay(self, span: Span, parent: Optional[Span],
+                sinks: List[Any]) -> None:
+        span.span_id = self._next_id
+        span.parent_id = parent.span_id if parent else None
+        self._next_id += 1
+        for sink in sinks:
+            sink.start(span)
+        children, span.children = span.children, []
+        for child in children:
+            self._replay(child, span, sinks)
+        for sink in sinks:
+            sink.end(span)
+        self._attach(span, parent)
 
     def _close(self, span: Span) -> None:
         span.wall_s = time.perf_counter() - span._t0
@@ -260,13 +303,16 @@ class Tracer:
             self._stack.pop()
         if self._stack:
             self._stack.pop()
-        parent = self._stack[-1] if self._stack else None
-        if self.sink is not None:
-            self.sink.end(span)
-        self._attach(span, parent)
+        for sink in self.sinks:
+            sink.end(span)
+        self._attach(span, self.current())
 
     def _attach(self, span: Span, parent: Optional[Span]) -> None:
-        if parent is not None:
+        if not self.retain:
+            return
+        if span.span_id >= self.max_spans:
+            self.dropped_spans += 1
+        elif parent is not None:
             parent.children.append(span)
         else:
             self.roots.append(span)

@@ -44,7 +44,6 @@ from repro import obs
 from repro.aig.aig import Aig
 from repro.campaign.cache import StageMemo, active_cache
 from repro.guard.stage_guard import GuardReport, StageGuard
-from repro.obs import NULL_METRICS, NULL_TRACER, TelemetryCollector
 from repro.orchestrate.bandit import TransitionBandit
 from repro.parallel.shared_pool import SharedProcessPool
 from repro.parallel.window_io import CompactAig
@@ -71,6 +70,8 @@ class CandidateOutcome:
     score: float
     #: per-stage rows: name, nodes_before/after, elapsed_s, cached flag
     rows: List[Dict[str, Any]]
+    #: the obs scope the candidate recorded into, adopted at round close
+    scope: obs.Scope
 
     @property
     def gains(self) -> List[int]:
@@ -94,26 +95,26 @@ def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
                         depth_limit: Optional[int],
                         objective: Objective,
                         round_index: int, cand_index: int,
-                        ) -> CandidateOutcome:
+                        scope: obs.Scope) -> CandidateOutcome:
     """Run one candidate ordering on a private copy of *base*.
 
-    Pure function of its arguments: obs is nulled for the duration (the
-    global tracer's span stack is single-threaded, and per-stage record_*
-    calls from losing candidates must not pollute the session), chaos
-    draws key on deterministic ``orch:`` sites, and every mutation
-    happens on networks this call owns.
+    Pure function of its arguments: telemetry goes to the candidate's own
+    obs *scope* (one tracer span stack per thread; the round adopts every
+    scope in candidate order), chaos draws key on deterministic ``orch:``
+    sites, and every mutation happens on networks this call owns.
     """
-    previous_obs = obs.install(NULL_TRACER, NULL_METRICS)
-    previous_collector = obs._collector()
-    obs.push_collector(TelemetryCollector())
-    try:
+    with scope, obs.span(f"candidate[{cand_index}]", kind="candidate",
+                         round=round_index, candidate=cand_index,
+                         ordering=">".join(sequence),
+                         nodes_before=base.num_ands) as span:
         net = base.to_aig()
         guard = StageGuard(net.cleanup()) if config.verify_each_step else None
         rows: List[Dict[str, Any]] = []
         for pos, name in enumerate(sequence):
             site = f"orch:r{round_index}:c{cand_index}:{pos}:{name}"
             outcome = run_stage(net, specs_by_name[name], config, effort=1,
-                                site=site, chaos_scope=site, guard=guard,
+                                site=site, chaos_scope=site, index=pos,
+                                total=len(sequence), guard=guard,
                                 depth_limit=depth_limit, memo=memo)
             net = outcome.network
             rows.append({"name": name,
@@ -122,15 +123,10 @@ def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
                          "elapsed_s": outcome.elapsed_s,
                          "cached": outcome.cached,
                          "rolled_back": outcome.rolled_back})
+        span.set("nodes_after", net.num_ands)
         return CandidateOutcome(index=cand_index, sequence=list(sequence),
                                 network=CompactAig.from_aig(net),
-                                score=objective(net), rows=rows)
-    finally:
-        if previous_collector is not None:
-            obs.push_collector(previous_collector)
-        else:
-            obs.pop_collector()
-        obs.install(*previous_obs)
+                                score=objective(net), rows=rows, scope=scope)
 
 
 def orchestrated_flow(aig: Aig, config: FlowConfig,
@@ -179,23 +175,17 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
     bandit = TransitionBandit(movable, seed=ocfg.seed,
                               explore=ocfg.explore,
                               min_stages=ocfg.min_stages)
-    start = time.time()
-    bus = obs.live_bus()
+    start = time.perf_counter()
     try:
+        current = aig.cleanup()
         with obs.span("flow", kind="flow", design=aig.name,
-                      orchestrate=True, k=ocfg.k,
-                      rounds=ocfg.rounds) as flow_span:
-            current = aig.cleanup()
+                      orchestrate=True, k=ocfg.k, rounds=ocfg.rounds,
+                      nodes_before=current.num_ands) as flow_span:
             stats.record("initial", current.num_ands)
             depth_limit = None
             if config.max_depth_growth is not None:
                 depth_limit = max(
                     1, int(current.depth * config.max_depth_growth))
-            flow_span.set("nodes_before", current.num_ands)
-            if bus.enabled:
-                bus.emit("flow_start", design=aig.name,
-                         nodes=current.num_ands, stages=0,
-                         iterations=ocfg.rounds)
             best = current
             best_score = objective(best)
             incumbent = list(movable)
@@ -203,21 +193,26 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
             for round_index in range(ocfg.rounds):
                 sequences = [candidate + pinned for candidate in
                              bandit.propose(ocfg.k, round_index, incumbent)]
-                if bus.enabled:
-                    bus.emit("ordering_start", round=round_index,
-                             k=len(sequences),
-                             incumbent=">".join(incumbent + pinned))
                 base = CompactAig.from_aig(current)
                 with obs.span(f"ordering[{round_index + 1}]",
                               kind="ordering", round=round_index,
                               k=len(sequences),
+                              incumbent=">".join(incumbent + pinned),
                               nodes_before=current.num_ands) as round_span:
                     outcomes = _evaluate_round(
                         base, sequences, specs_by_name, eval_config, memo,
                         depth_limit, objective, round_index, threads)
                     winner = min(outcomes,
                                  key=lambda o: (o.score, o.index))
+                    # Every candidate's spans, but only the winner's
+                    # metrics and pass reports: they shaped the network.
+                    scope = obs.current()
+                    for outcome in outcomes:
+                        scope.adopt(outcome.scope, reports=outcome is winner,
+                                    winner=outcome is winner)
                     round_span.set("nodes_after", winner.network.num_ands)
+                    round_span.set("ordering", ">".join(winner.sequence))
+                    round_span.set("cached", winner.cached_stages)
                 for outcome in outcomes:
                     bandit.update(outcome.sequence, outcome.gains)
                     for row in outcome.rows:
@@ -247,12 +242,7 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
                          "rollbacks": o.rollbacks}
                         for o in outcomes],
                 })
-                if bus.enabled:
-                    bus.emit("ordering_end", round=round_index,
-                             ordering=">".join(winner.sequence),
-                             nodes=winner.network.num_ands,
-                             cached=winner.cached_stages)
-            stats.runtime_s = time.time() - start
+            stats.runtime_s = time.perf_counter() - start
             stats.record("final", best.num_ands)
             stats.orchestrate = {
                 "k": ocfg.k,
@@ -261,8 +251,6 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
                 "stage_memo": memo.stats() if memo is not None else None,
             }
             flow_span.set("nodes_after", best.num_ands)
-            if bus.enabled:
-                bus.emit("flow_end", design=aig.name, nodes=best.num_ands)
     finally:
         if own_pool is not None:
             own_pool.shutdown()
@@ -282,17 +270,21 @@ def _evaluate_round(base: CompactAig, sequences: List[List[str]],
     """Evaluate a round's candidates (serial or thread-parallel).
 
     Results come back in candidate order regardless of completion order,
-    so everything downstream (winner pick, bandit updates, reports) is
-    schedule-independent.
+    so everything downstream (winner pick, bandit updates, reports, the
+    adopted candidate scopes) is schedule-independent.
     """
+    parent = obs.current()
+    work = [(seq, i, parent.child(stream=False))
+            for i, seq in enumerate(sequences)]
     if threads <= 1 or len(sequences) <= 1:
         return [_evaluate_candidate(base, seq, specs_by_name, config, memo,
-                                    depth_limit, objective, round_index, i)
-                for i, seq in enumerate(sequences)]
+                                    depth_limit, objective, round_index, i,
+                                    scope)
+                for seq, i, scope in work]
     with ThreadPoolExecutor(max_workers=min(threads, len(sequences)),
                             thread_name_prefix="orchestrate") as executor:
         futures = [executor.submit(_evaluate_candidate, base, seq,
                                    specs_by_name, config, memo, depth_limit,
-                                   objective, round_index, i)
-                   for i, seq in enumerate(sequences)]
+                                   objective, round_index, i, scope)
+                   for seq, i, scope in work]
         return [future.result() for future in futures]

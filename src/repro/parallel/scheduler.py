@@ -38,7 +38,6 @@ injected pool crash runs clean.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -50,9 +49,8 @@ from repro import obs
 from repro.aig.aig import Aig
 from repro.errors import BddLimitError
 from repro.guard.chaos import corrupt_window_result, in_worker_process
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
-from repro.parallel.shared_pool import SharedProcessPool
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.parallel.shared_pool import SharedProcessPool, default_mp_context
 from repro.parallel.stats import ParallelReport, WindowRecord
 from repro.parallel.window_io import (
     CompactAig,
@@ -114,13 +112,14 @@ def run_window_task(engine_name: str, task: WindowTask, config: Any,
     converted into a fallback result so a failing window can never poison
     the merge phase.
 
-    When ``collect_metrics`` is true (``None`` means "iff observability is
-    enabled in this process"), the engine runs against a fresh local
-    metrics registry — never the parent's, whose JSONL sink and span stack
-    must not be touched from a forked worker — and the registry snapshot is
-    shipped back in the result payload under :data:`OBS_PAYLOAD_KEY`.  The
-    scheduler passes the parent's setting explicitly so the behaviour does
-    not depend on the multiprocessing start method.
+    The engine runs in a fresh obs scope with no tracer — never the
+    parent's, whose sinks and span stack must not be touched from a forked
+    worker.  When ``collect_metrics`` is true (``None`` means "iff
+    observability is enabled in this process") the scope has a local
+    metrics registry, whose snapshot is shipped back in the result payload
+    under :data:`OBS_PAYLOAD_KEY`.  The scheduler passes the parent's
+    setting explicitly so the behaviour does not depend on the
+    multiprocessing start method.
 
     *inject* names a fault drawn by a :class:`repro.guard.chaos.FaultPlan`
     for this window; *timeout_hint* is the scheduler's per-window budget,
@@ -142,31 +141,28 @@ def run_window_task(engine_name: str, task: WindowTask, config: Any,
                                 wall_s=time.perf_counter() - start)
     if collect_metrics is None:
         collect_metrics = obs.enabled()
-    local = MetricsRegistry() if collect_metrics else None
-    previous = obs.install(NULL_TRACER, local) if local is not None else None
-    try:
-        if inject == "bdd-limit":
-            raise BddLimitError("chaos: forced BDD node limit")
-        engine = _resolve_engine(engine_name)
-        sub = task.compact.to_aig()
-        changed, optimized, payload = engine(sub, config)
-        compact = None
-        if changed and optimized is not None:
-            compact = CompactAig.from_aig(optimized)
-        result = WindowResult(index=task.index,
-                              changed=compact is not None,
-                              optimized=compact, payload=payload,
-                              wall_s=time.perf_counter() - start)
-        if inject == "corrupt-result":
-            result = corrupt_window_result(task, result)
-    except Exception as exc:  # fault isolation: report, don't propagate
-        result = _fallback_result(
-            task, f"worker-error:{type(exc).__name__}: {exc}",
-            wall_s=time.perf_counter() - start)
-    finally:
-        if previous is not None:
-            obs.install(*previous)
-    if local is not None and not local.is_empty():
+    local = MetricsRegistry() if collect_metrics else NULL_METRICS
+    with obs.Scope(metrics=local):
+        try:
+            if inject == "bdd-limit":
+                raise BddLimitError("chaos: forced BDD node limit")
+            engine = _resolve_engine(engine_name)
+            sub = task.compact.to_aig()
+            changed, optimized, payload = engine(sub, config)
+            compact = None
+            if changed and optimized is not None:
+                compact = CompactAig.from_aig(optimized)
+            result = WindowResult(index=task.index,
+                                  changed=compact is not None,
+                                  optimized=compact, payload=payload,
+                                  wall_s=time.perf_counter() - start)
+            if inject == "corrupt-result":
+                result = corrupt_window_result(task, result)
+        except Exception as exc:  # fault isolation: report, don't propagate
+            result = _fallback_result(
+                task, f"worker-error:{type(exc).__name__}: {exc}",
+                wall_s=time.perf_counter() - start)
+    if not local.is_empty():
         result.payload[OBS_PAYLOAD_KEY] = local.snapshot()
     return result
 
@@ -228,8 +224,8 @@ class PartitionScheduler:
         Edits *aig* in place and returns the pass telemetry.
         """
         start = time.perf_counter()
-        with obs.span(f"pass:{engine}", kind="pass", engine=engine,
-                      jobs=self.jobs) as pass_span:
+        with obs.span(f"pass:{engine}", kind="pass",
+                      engine=engine) as pass_span:
             if windows is None:
                 windows = partition_network(aig, partition_config)
             # Normalize every window against the (still unedited) network
@@ -242,19 +238,12 @@ class PartitionScheduler:
                        if w is not None]
             tasks = [extract_task(aig, w, i) for i, w in enumerate(windows)]
             injections = self._draw_faults(engine, tasks)
-            # Live progress is published from the parent only, and only
-            # during the partition-order merge below — worker processes
-            # never see the bus, so the event payload stream is identical
-            # for every jobs value (the determinism contract; timing lives
-            # in the event envelope, not the payload).
-            bus = obs.live_bus()
-            if bus.enabled:
-                bus.emit("pass_start", engine=engine, windows=len(tasks))
             results, restarts = self._execute(engine, tasks, config,
                                               injections)
             report = ParallelReport(engine=engine, jobs=self.jobs,
                                     pool_restarts=restarts)
             registry = obs.metrics()
+            tracer = obs.tracer()
             for done, (window, task) in enumerate(zip(windows, tasks), 1):
                 result = results.get(task.index)
                 if result is None:
@@ -272,31 +261,32 @@ class PartitionScheduler:
                     registry.inc("guard.chaos.injected", engine=engine,
                                  kind=kind)
                 report.records.append(record)
-                if bus.enabled:
-                    bus.emit("window", engine=engine, index=record.index,
-                             done=done, total=len(tasks),
-                             applied=record.applied, gain=record.gain,
-                             fallback=record.fallback)
+                # Window spans are recorded by the parent, in partition
+                # order, so the progress stream (a window span is a
+                # ``window`` event) is identical for every jobs value.
+                tracer.record(f"window[{record.index}]", kind="window",
+                              wall_s=record.wall_s, engine=engine,
+                              index=record.index, done=done,
+                              total=len(tasks), size=record.size,
+                              leaves=record.leaves, applied=record.applied,
+                              gain=record.gain, fallback=record.fallback)
             report.elapsed_s = time.perf_counter() - start
-            if bus.enabled:
-                bus.emit("pass_end", engine=engine,
-                         windows=report.num_windows,
-                         applied=report.num_applied,
-                         gain=report.total_gain,
-                         fallbacks=report.num_fallbacks)
             self._observe_report(report, pass_span)
-            # Outside the enabled() gate: a campaign job collector must see
-            # every pass even when no obs session is active.
             obs.record_parallel_report(report)
         return report
 
     @staticmethod
     def _observe_report(report: ParallelReport, pass_span) -> None:
-        """Publish the pass outcome to the active observability session."""
-        if not obs.enabled():
+        """Publish the pass outcome on its span and in the registry."""
+        if not obs.tracer().enabled:
             return
-        registry = obs.metrics()
         engine = report.engine
+        pass_span.set("windows", report.num_windows)
+        pass_span.set("applied", report.num_applied)
+        pass_span.set("gain", report.total_gain)
+        pass_span.set("fallbacks", report.num_fallbacks)
+        pass_span.set("pool_restarts", report.pool_restarts)
+        registry = obs.metrics()
         registry.inc("parallel.windows", report.num_windows, engine=engine)
         registry.inc("parallel.applied", report.num_applied, engine=engine)
         registry.inc("parallel.gain", report.total_gain, engine=engine)
@@ -306,16 +296,6 @@ class PartitionScheduler:
         for reason, count in sorted(report.fallback_reasons.items()):
             registry.inc("parallel.fallback", count, engine=engine,
                          reason=reason)
-        pass_span.set("windows", report.num_windows)
-        pass_span.set("applied", report.num_applied)
-        pass_span.set("gain", report.total_gain)
-        pass_span.set("pool_restarts", report.pool_restarts)
-        tracer = obs.tracer()
-        for r in report.records:
-            tracer.record(f"window[{r.index}]", kind="window",
-                          wall_s=r.wall_s, size=r.size, leaves=r.leaves,
-                          applied=r.applied, gain=r.gain,
-                          fallback=r.fallback)
 
     # -- execution -----------------------------------------------------------
 
@@ -403,7 +383,7 @@ class PartitionScheduler:
             generation = 0
             private = ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(tasks)),
-                mp_context=self._mp_context())
+                mp_context=default_mp_context())
             submit = private.submit
         try:
             futures = [(task, submit(run_window_task, engine, task,
@@ -473,14 +453,6 @@ class PartitionScheduler:
             elif broken and shared is not None:
                 shared.rebuild(generation)
         return retry
-
-    @staticmethod
-    def _mp_context():
-        """Prefer ``fork``: cheap worker startup, no re-import per task."""
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # platform without fork
-            return multiprocessing.get_context()
 
     # -- merge ---------------------------------------------------------------
 

@@ -40,7 +40,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Dict, Optional
 
 
-def _default_mp_context():
+def default_mp_context():
     """Prefer ``fork``: cheap worker startup, no re-import per task."""
     try:
         return multiprocessing.get_context("fork")
@@ -64,7 +64,7 @@ class SharedProcessPool:
     def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = workers if workers and workers > 0 \
             else (os.cpu_count() or 1)
-        self._mp_context = _default_mp_context()
+        self._mp_context = default_mp_context()
         self._lock = threading.Lock()
         self._generation = 0
         self._closed = False

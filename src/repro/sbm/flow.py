@@ -342,37 +342,43 @@ def memoizable(config: FlowConfig) -> bool:
 
 
 def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
-              effort: int, site: str, chaos_scope: str,
-              guard: Optional[StageGuard] = None,
+              effort: int, site: str, chaos_scope: str, index: int,
+              total: int, guard: Optional[StageGuard] = None,
               depth_limit: Optional[int] = None,
               memo: Optional[StageMemo] = None,
               deadline: Optional[DeadlineManager] = None) -> StageOutcome:
     """Run *spec* on *aig*: the only code that executes a flow stage.
 
     *site* names the stage's chaos site, *chaos_scope* the prefix of its
-    window sites.  *aig* may be edited in place.  A reduced-effort stage
-    bypasses *memo*; a replayed result still passes *guard*; a rolled-back
-    result is never stored.
+    window sites, and *index* of *total* its place in the caller's stage
+    sequence (a stage span attribute).  *aig* may be edited in place.  A
+    reduced-effort stage bypasses *memo*; a replayed result still passes
+    *guard*; a rolled-back result is never stored.  A skipped stage still
+    opens its span, with ``level=skipped``.
     """
     plan = deadline.plan(spec.name) if deadline is not None else None
     level = FULL if spec.vital or plan is None else plan.level
     outcome = StageOutcome(aig, level, plan, nodes_before=aig.num_ands)
-    if level == SKIP and deadline is not None:
-        deadline.finish(spec.name)
-        return outcome
-    t0 = time.perf_counter()
-    key: Optional[str] = None
-    replay: Optional[Aig] = None
-    before: Optional[Aig] = None
-    if memo is not None and level == FULL:
-        key = stage_cache_key(network_fingerprint(aig), spec.name,
-                              canonical_stage_config(config, spec.name),
-                              effort=effort, depth_limit=depth_limit)
-        replay = memo.lookup(key)
-    if replay is None and spec.snapshot != "none":
-        before = aig.cleanup() if spec.snapshot == "cleanup" else aig
-    with obs.span(spec.name, kind="stage", effort=effort,
-                  nodes_before=(before or aig).num_ands) as span:
+    with obs.span(spec.name, kind="stage", stage=spec.name, effort=effort,
+                  index=index, total=total,
+                  level=("full", "reduced", "skipped")[level]) as span:
+        if level == SKIP:
+            span.set("nodes_before", aig.num_ands)
+            span.set("nodes_after", aig.num_ands)
+            deadline.finish(spec.name)
+            return outcome
+        t0 = time.perf_counter()
+        key: Optional[str] = None
+        replay: Optional[Aig] = None
+        before: Optional[Aig] = None
+        if memo is not None and level == FULL:
+            key = stage_cache_key(network_fingerprint(aig), spec.name,
+                                  canonical_stage_config(config, spec.name),
+                                  effort=effort, depth_limit=depth_limit)
+            replay = memo.lookup(key)
+        if replay is None and spec.snapshot != "none":
+            before = aig.cleanup() if spec.snapshot == "cleanup" else aig
+        span.set("nodes_before", (before or aig).num_ands)
         if replay is not None:
             # Keys ignore labels, so a replay takes the input's names.
             result = replay
@@ -458,14 +464,14 @@ def sbm_flow(aig: Aig, config: Optional[FlowConfig] = None,
     stats.guard = report = GuardReport(
         budget_s=config.flow_timeout_s,
         chaos_seed=chaos.seed if chaos is not None else None)
-    start = time.time()
+    start = time.perf_counter()
     try:
         best = _execute_flow(aig, config, stats, report)
     finally:
         if chaos is not None:
             report.faults.extend(chaos.injected_since(chaos_mark))
         obs.record_guard_report(report)
-    stats.runtime_s = time.time() - start
+    stats.runtime_s = time.perf_counter() - start
     obs.record_flow_stats(stats)
     return best, stats
 
@@ -476,20 +482,15 @@ def _execute_flow(aig: Aig, config: FlowConfig, stats: FlowStats,
     per_iter = len(specs)
     total = per_iter * config.iterations
     chaos = config.chaos
+    best = aig.cleanup()
     with obs.span("flow", kind="flow", design=aig.name,
-                  iterations=config.iterations,
-                  jobs=config.jobs) as flow_span:
-        best = aig.cleanup()
+                  iterations=config.iterations, stages=total,
+                  nodes_before=best.num_ands) as flow_span:
         current = best
         stats.record("initial", best.num_ands)
         depth_limit = None
         if config.max_depth_growth is not None:
             depth_limit = max(1, int(best.depth * config.max_depth_growth))
-        flow_span.set("nodes_before", best.num_ands)
-        bus = obs.live_bus()
-        if bus.enabled:
-            bus.emit("flow_start", design=aig.name, nodes=best.num_ands,
-                     stages=total, iterations=config.iterations)
         deadline = DeadlineManager(config.flow_timeout_s, total)
         # One pass never revisits a (network, stage, effort) key, so the
         # memo only pays off against a cache a later run can replay.
@@ -506,23 +507,14 @@ def _execute_flow(aig: Aig, config: FlowConfig, stats: FlowStats,
                 for pos, spec in enumerate(specs):
                     index = iteration * per_iter + pos
                     name = spec.name
-                    if bus.enabled:
-                        bus.emit("stage_start", stage=name, effort=effort,
-                                 index=index, total=total)
                     outcome = run_stage(
                         current, spec, config, effort=effort,
                         site=f"stage:{index}:{name}",
-                        chaos_scope=f"it{effort}:{name}", guard=guard,
-                        depth_limit=depth_limit, memo=memo,
-                        deadline=deadline)
+                        chaos_scope=f"it{effort}:{name}", index=index,
+                        total=total, guard=guard, depth_limit=depth_limit,
+                        memo=memo, deadline=deadline)
                     current = outcome.network
                     _record_stage(outcome, name, iteration, stats, report)
-                    if bus.enabled:
-                        bus.emit("stage_end", stage=name, effort=effort,
-                                 index=index, total=total,
-                                 nodes=current.num_ands,
-                                 level=("full", "reduced",
-                                        "skipped")[outcome.level])
                     if chaos is not None and chaos.should_interrupt(index):
                         report.add("interrupted", name, iteration,
                                    stage_index=index)
@@ -532,8 +524,6 @@ def _execute_flow(aig: Aig, config: FlowConfig, stats: FlowStats,
                 best = current.cleanup()
         stats.record("final", best.num_ands)
         flow_span.set("nodes_after", best.num_ands)
-        if bus.enabled:
-            bus.emit("flow_end", design=aig.name, nodes=best.num_ands)
     return best
 
 

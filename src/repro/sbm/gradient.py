@@ -143,7 +143,9 @@ def _waterfall(aig: Aig, window: Window, admissible: List[Move],
                stats: GradientStats) -> int:
     """Try moves in order; keep the first that improves the partition."""
     registry = obs.metrics()
-    with obs.span("window", kind="window",
+    # Not kind "window": the progress bus publishes those, one event each,
+    # and this engine opens one per window it tries moves on.
+    with obs.span("window", kind="gradient_window",
                   size=len(window.nodes)) as window_span:
         for move in admissible:
             if all(aig.is_dead(n) for n in window.nodes):

@@ -454,6 +454,46 @@ class TestCampaignReporting:
         assert len(session.parallel_reports) == 8
         assert not session.metrics.is_empty()
 
+    def test_trace_holds_one_job_subtree_per_job_in_job_order(self,
+                                                              tmp_path):
+        from repro.obs import load_jsonl
+        shapes = []
+        for threads in (1, 2):
+            jobs = [CampaignJob(name=f"j{seed}", benchmark="adhoc",
+                                network=make_random_aig(8, 150, seed=seed),
+                                config=FlowConfig(iterations=1))
+                    for seed in (1, 2, 3)]
+            path = str(tmp_path / f"trace{threads}.jsonl")
+            session = obs.enable(jsonl_path=path)
+            try:
+                report = run_campaign(jobs, cache_dir=None, workers=2,
+                                      threads=threads, suite="trace")
+            finally:
+                obs.disable()
+            trace = [span.to_dict() for span in session.tracer.roots]
+            assert load_jsonl(path) == trace
+            [campaign] = trace
+            assert (campaign["kind"], campaign["attrs"]["suite"]) \
+                == ("campaign", "trace")
+            assert [job["attrs"]["name"] for job in campaign["children"]] \
+                == ["j1", "j2", "j3"]
+            for job, row in zip(campaign["children"], report.results):
+                assert job["kind"] == "job"
+                assert job["attrs"]["outcome"] == row.outcome == "uncached"
+                [flow] = job["children"]
+                assert flow["kind"] == "flow"
+                assert flow["attrs"]["nodes_after"] == row.nodes_after
+            shapes.append(_shape(campaign))
+        assert shapes[0] == shapes[1]
+
+
+def _shape(span):
+    """A span tree's names, kinds and node attributes (no timing)."""
+    nodes = {key: value for key, value in span["attrs"].items()
+             if key.startswith("nodes")}
+    return (span["name"], span["kind"], nodes,
+            [_shape(child) for child in span["children"]])
+
 
 # -- suite files --------------------------------------------------------------
 

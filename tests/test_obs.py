@@ -34,13 +34,14 @@ from repro.obs.tracer import (
     MAX_EVENTS_PER_SPAN,
     NULL_SPAN,
     NULL_TRACER,
+    JsonlSink,
     Tracer,
     load_jsonl,
 )
 from repro.parallel.stats import ParallelReport, WindowRecord
 from repro.partition.partitioner import PartitionConfig
-from repro.sbm.config import MspfConfig
-from repro.sbm.flow import FlowStats
+from repro.sbm.config import FlowConfig, MspfConfig, OrchestrateConfig
+from repro.sbm.flow import FlowStats, sbm_flow
 from repro.sbm.mspf import mspf_pass
 
 from tests.conftest import make_random_aig
@@ -57,6 +58,20 @@ def _obs_disabled():
 
 
 # -- tracer -------------------------------------------------------------------
+
+class _EndNames:
+    """A test sink that lists the names of the spans it saw close."""
+
+    def __init__(self, live: bool = False) -> None:
+        self.live = live
+        self.names = []
+
+    def start(self, span) -> None:
+        pass
+
+    def end(self, span) -> None:
+        self.names.append(span.name)
+
 
 class TestTracer:
     def test_nesting_builds_tree(self):
@@ -98,14 +113,44 @@ class TestTracer:
         assert span.to_dict()["dropped_events"] == 10
 
     def test_max_spans_drops_beyond_cap(self):
-        tracer = Tracer(max_spans=2)
+        sink = _EndNames()
+        tracer = Tracer(sinks=[sink], max_spans=2)
         with tracer.span("a"):
             pass
         with tracer.span("b"):
-            with tracer.span("c") as c:
-                assert c is NULL_SPAN
+            with tracer.span("c"):
+                pass
         assert tracer.dropped_spans == 1
         assert [s.name for s in tracer.roots] == ["a", "b"]
+        assert tracer.roots[1].children == []
+        assert sink.names == ["a", "c", "b"]   # the sinks still see "c"
+
+    def test_graft_renumbers_tags_and_replays_in_tree_order(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        with open(path, "w", encoding="utf-8") as stream:
+            live = _EndNames(live=True)
+            parent = Tracer(sinks=[JsonlSink(stream), live])
+            waiting, streaming = parent.child(False), parent.child(True)
+            assert waiting.sinks == [] and streaming.sinks == [live]
+            for child in (waiting, streaming):
+                with child.span("candidate", kind="candidate"):
+                    with child.span("mspf", kind="stage"):
+                        pass
+            assert live.names == ["mspf", "candidate"]   # streamed as run
+            with parent.span("ordering", kind="ordering") as ordering:
+                parent.graft(waiting, winner=True)
+                parent.graft(streaming, winner=False)
+        assert live.names == ["mspf", "candidate", "mspf", "candidate",
+                              "ordering"]
+        first, second = ordering.children
+        assert (first.attrs, second.attrs) == ({"winner": True},
+                                               {"winner": False})
+        assert first.parent_id == ordering.span_id
+        assert first.children[0].parent_id == first.span_id
+        ids = [ordering.span_id, first.span_id, first.children[0].span_id,
+               second.span_id, second.children[0].span_id]
+        assert len(set(ids)) == 5
+        assert load_jsonl(path) == [s.to_dict() for s in parent.roots]
 
     def test_exception_is_recorded_and_propagates(self):
         tracer = Tracer()
@@ -247,20 +292,122 @@ class TestDisabledOverhead:
         assert not obs.enabled() and obs.session() is None
         assert len(session.tracer.roots) == 1  # stays readable after disable
 
-    def test_install_restores_previous_pair(self):
+    def test_scope_restores_the_outer_scope(self):
         local = MetricsRegistry()
-        previous = obs.install(NULL_TRACER, local)
-        try:
+        with obs.Scope(metrics=local) as scope:
+            assert obs.current() is scope and obs.tracer() is NULL_TRACER
             obs.metrics().inc("worker_side")
-        finally:
-            obs.install(*previous)
         assert local.counter("worker_side") == 1
+        assert obs.current() is obs.NULL_SCOPE
         assert obs.metrics() is NULL_METRICS
+
+    def test_null_scope_keeps_no_reports(self):
+        obs.record_flow_stats(FlowStats())
+        assert obs.NULL_SCOPE.flow_stats == []
+
+
+# -- scopes -------------------------------------------------------------------
+
+class TestScopes:
+    def test_children_are_adopted_in_order_and_stream_as_run(self):
+        session = obs.enable()
+        bus = obs.enable_live()
+        try:
+            root = obs.current()
+            children = [root.child(), root.child()]
+            for index in (1, 0):                  # run out of order
+                with children[index], obs.span(f"job:{index}", kind="job",
+                                               name=str(index)):
+                    obs.metrics().inc("work")
+                    obs.record_flow_stats(index)
+            assert root.flow_stats == [] and root.metrics.is_empty()
+            with obs.span("campaign", kind="campaign"):
+                for child in children:
+                    root.adopt(child)
+        finally:
+            obs.disable_live()
+            obs.disable()
+        campaign = session.tracer.roots[0]
+        assert [c.name for c in campaign.children] == ["job:0", "job:1"]
+        assert session.flow_stats == [0, 1]
+        assert session.metrics.counter("work") == 2
+        assert [e.payload["name"] for e in bus.drain()
+                if e.kind == "job_end"] == ["1", "0"]
+
+    def test_concurrent_children_keep_their_own_trees(self):
+        # More threads than cores and a tiny switch interval: each child's
+        # spans must stay in its own tree, every event must reach the
+        # shared bus once, and adoption must restore child order.
+        import sys
+        import threading
+        session = obs.enable()
+        bus = obs.enable_live(obs.EventBus(capacity=100_000))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            root = obs.current()
+            children = [root.child() for _ in range(8)]
+
+            def work(index):
+                with children[index]:
+                    for step in range(100):
+                        with obs.span("job", kind="job", name=index):
+                            with obs.span("flow", kind="flow", step=step):
+                                obs.metrics().inc("steps")
+
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            for child in children:
+                root.adopt(child)
+        finally:
+            sys.setswitchinterval(interval)
+            obs.disable_live()
+            obs.disable()
+        roots = session.tracer.roots
+        assert [span.attrs["name"] for span in roots] \
+            == [i for i in range(8) for _ in range(100)]
+        assert all([c.attrs["step"] for c in span.children] == [step]
+                   for span, step in zip(roots, list(range(100)) * 8))
+        assert session.metrics.counter("steps") == 800
+        events = bus.drain()
+        assert len(events) == 8 * 100 * 4
+        assert [event.seq for event in events] == list(range(3200))
+
+    def test_children_of_the_null_scope_only_keep_reports(self):
+        child = obs.current().child()
+        assert child.tracer is NULL_TRACER and child.metrics is NULL_METRICS
+        with child:
+            obs.record_parallel_report("pass")
+        assert child.parallel_reports == ["pass"]
+        obs.current().adopt(child)
+        assert obs.NULL_SCOPE.parallel_reports == []
 
 
 # -- FlowStats / ParallelReport satellites ------------------------------------
 
 class TestFlowStats:
+    @pytest.mark.parametrize("orchestrate", [None, OrchestrateConfig(k=1)])
+    def test_runtime_survives_a_wall_clock_step_back(self, monkeypatch,
+                                                     orchestrate):
+        # Stepping the wall clock back an hour mid-flow must not turn the
+        # flow's runtime negative: it is a duration, not two timestamps.
+        wall = time.time
+        calls = []
+
+        def stepped_back() -> float:
+            calls.append(None)
+            return wall() - (3600.0 if len(calls) > 1 else 0.0)
+
+        monkeypatch.setattr(time, "time", stepped_back)
+        _, stats = sbm_flow(make_random_aig(6, 60, seed=3),
+                            FlowConfig(iterations=1, orchestrate=orchestrate))
+        assert stats.runtime_s >= 0.0
+
     def test_record_keeps_elapsed(self):
         stats = FlowStats()
         stats.record("initial", 100)

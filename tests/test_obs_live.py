@@ -1,8 +1,9 @@
 """Tests for the live progress bus (repro.obs.live).
 
-Covers the tentpole contracts of the second observability layer:
+Covers the contracts of the progress view of the span stream:
 
-* zero-cost disabled semantics (the NULL_BUS singleton),
+* the bus as a tracer sink: nothing is traced without a bus or a session,
+  and a progress-only run keeps no span tree,
 * bounded non-blocking emission with counted drops,
 * **payload determinism** — the ``jobs=4`` stream carries bit-identical
   payloads to ``jobs=1`` (only the envelope timing differs),
@@ -21,7 +22,7 @@ import pytest
 from tests.conftest import make_random_aig
 from repro import obs
 from repro.obs.live import (
-    NULL_BUS,
+    BusSink,
     EventBus,
     JsonlEventSink,
     LivePump,
@@ -29,8 +30,8 @@ from repro.obs.live import (
     TtyProgressSink,
     live_session,
 )
-from repro.obs.tracer import iter_jsonl
-from repro.sbm.config import FlowConfig
+from repro.obs.tracer import NULL_TRACER, iter_jsonl
+from repro.sbm.config import FlowConfig, OrchestrateConfig
 from repro.sbm.flow import sbm_flow
 
 
@@ -69,19 +70,30 @@ class TestEventBus:
         assert json.loads(line) == {"seq": 3, "t": 1.25, "kind": "stage_end",
                                     "payload": {"stage": "mspf"}}
 
-    def test_null_bus_is_disabled_noop(self):
-        assert NULL_BUS.enabled is False
-        NULL_BUS.emit("anything", x=1)   # must not raise or store
-        assert NULL_BUS.drain() == []
-        assert len(NULL_BUS) == 0
-        assert NULL_BUS.dropped == 0
+    def test_no_bus_no_session_traces_nothing(self):
+        assert obs.current() is obs.NULL_SCOPE
+        assert obs.tracer() is NULL_TRACER
 
     def test_enable_disable_roundtrip(self):
-        assert obs.live_bus() is NULL_BUS
         bus = obs.enable_live()
-        assert obs.live_bus() is bus and bus.enabled
+        sinks = obs.tracer().sinks
+        assert [type(sink) for sink in sinks] == [BusSink]
+        assert sinks[0].bus is bus
         assert obs.disable_live() is bus
-        assert obs.live_bus() is NULL_BUS
+        assert obs.tracer() is NULL_TRACER
+
+    def test_bus_joins_and_leaves_a_session_tracer(self, tmp_path):
+        session = obs.enable(jsonl_path=str(tmp_path / "t.jsonl"))
+        try:
+            obs.enable_live()
+            assert obs.tracer() is session.tracer
+            assert [sink.live for sink in session.tracer.sinks] \
+                == [False, True]
+            obs.disable_live()
+            assert [sink.live for sink in session.tracer.sinks] == [False]
+            assert obs.disable_live() is None
+        finally:
+            obs.disable()
 
 
 def _flow_events(aig, jobs):
@@ -128,9 +140,60 @@ class TestFlowEmissions:
 
     def test_disabled_flow_emits_nothing(self):
         aig = make_random_aig(8, 200, seed=3)
-        assert obs.live_bus() is NULL_BUS
+        bus = obs.enable_live()
+        obs.disable_live()
         sbm_flow(aig, FlowConfig(iterations=1))
-        assert NULL_BUS.drain() == []
+        assert bus.drain() == []
+
+    def test_progress_only_keeps_no_span_tree(self):
+        aig = make_random_aig(8, 200, seed=3)
+        bus = obs.enable_live()
+        tracer = obs.tracer()
+        try:
+            sbm_flow(aig, FlowConfig(iterations=1))
+        finally:
+            obs.disable_live()
+        assert not tracer.retain
+        assert tracer.roots == [] and tracer.current() is None
+        assert [e.kind for e in bus.drain()][-1] == "flow_end"
+
+    def test_max_spans_never_silences_the_bus(self):
+        aig = make_random_aig(8, 200, seed=3)
+        session = obs.enable(max_spans=1)
+        bus = obs.enable_live()
+        try:
+            sbm_flow(aig, FlowConfig(iterations=1))
+        finally:
+            obs.disable_live()
+            obs.disable()
+        kinds = [e.kind for e in bus.drain()]
+        assert kinds[0] == "flow_start" and kinds[-1] == "flow_end"
+        assert kinds.count("stage_end") == 9
+        assert [s.name for s in session.tracer.roots] == ["flow"]
+        assert session.tracer.roots[0].children == []
+        assert session.tracer.dropped_spans > 0
+
+
+class TestSearchEmissions:
+    def test_candidates_reach_the_bus_in_order_when_the_round_closes(self):
+        aig = make_random_aig(8, 200, seed=3)
+        bus = obs.enable_live()
+        try:
+            sbm_flow(aig, FlowConfig(iterations=1,
+                                     orchestrate=OrchestrateConfig(
+                                         k=2, rounds=1, threads=2)))
+        finally:
+            obs.disable_live()
+        events = bus.drain()
+        kinds = [e.kind for e in events]
+        ends = [e.payload for e in events if e.kind == "candidate_end"]
+        assert [end["candidate"] for end in ends] == [0, 1]
+        assert [end["winner"] for end in ends].count(True) == 1
+        assert kinds.index("ordering_start") < kinds.index("candidate_start")
+        last_end = max(i for i, kind in enumerate(kinds)
+                       if kind == "candidate_end")
+        assert last_end < kinds.index("ordering_end")
+        assert kinds.count("stage_start") == kinds.count("stage_end") > 0
 
 
 class TestCampaignEmissions:
@@ -179,7 +242,8 @@ class TestConsumers:
         stream = io.StringIO()
         sink = TtyProgressSink(stream, force_tty=True)
         sink.handle(ProgressEvent(0, 0.0, "flow_start",
-                                  {"design": "d", "stages": 9, "nodes": 100}))
+                                  {"design": "d", "stages": 9,
+                                   "nodes_before": 100}))
         sink.handle(ProgressEvent(1, 0.1, "stage_start",
                                   {"stage": "mspf", "index": 0, "total": 9}))
         sink.close()
@@ -194,15 +258,22 @@ class TestConsumers:
         sink.handle(ProgressEvent(0, 0.0, "stage_start",
                                   {"stage": "mspf", "index": 0, "total": 9}))
         sink.handle(ProgressEvent(1, 0.2, "stage_end",
-                                  {"stage": "mspf", "nodes": 90,
+                                  {"stage": "mspf", "nodes_after": 90,
                                    "level": "full"}))
         sink.handle(ProgressEvent(2, 0.3, "flow_end",
-                                  {"design": "d", "nodes": 90}))
+                                  {"design": "d", "nodes_after": 90}))
         sink.close()
         text = stream.getvalue()
         assert "\r" not in text
         assert "stage 1/9 mspf: 90 nodes (full)" in text
         assert "flow d: 90 nodes" in text
+
+    def test_sink_reports_a_span_that_closed_on_an_exception(self):
+        stream = io.StringIO()
+        sink = TtyProgressSink(stream, force_tty=False)
+        sink.handle(ProgressEvent(0, 0.0, "flow_end",
+                                  {"design": "d", "error": "ChaosInterrupt"}))
+        assert stream.getvalue() == "flow failed: ChaosInterrupt\n"
 
     def test_pump_delivers_everything_before_stop(self):
         bus = EventBus()
@@ -244,15 +315,15 @@ class TestLiveSession:
     def test_noop_without_consumers(self):
         with live_session() as bus:
             assert bus is None
-            assert obs.live_bus() is NULL_BUS
+            assert obs.tracer() is NULL_TRACER
 
     def test_jsonl_session_streams_flow(self, tmp_path):
         path = str(tmp_path / "progress.jsonl")
         aig = make_random_aig(8, 200, seed=11)
         with live_session(jsonl_path=path) as bus:
-            assert obs.live_bus() is bus
+            assert obs.tracer().sinks[0].bus is bus
             sbm_flow(aig, FlowConfig(iterations=1))
-        assert obs.live_bus() is NULL_BUS
+        assert obs.tracer() is NULL_TRACER
         kinds = [record["kind"] for record in iter_jsonl(path)]
         assert kinds[0] == "flow_start" and "flow_end" in kinds
 
@@ -311,6 +382,6 @@ class TestCliFlags:
         write_aag(aig, src)
         out = str(tmp_path / "progress.jsonl")
         assert cli_main(["optimize", src, "--progress-jsonl", out]) == 0
-        assert obs.live_bus() is NULL_BUS   # torn down on exit
+        assert obs.tracer() is NULL_TRACER   # torn down on exit
         kinds = [r["kind"] for r in iter_jsonl(out)]
         assert "flow_start" in kinds and "flow_end" in kinds

@@ -282,3 +282,47 @@ class TestWiring:
         assert set(slots) == {"flow", "stage"}
         assert slots["stage"]["stores"] > 0
         assert report.to_dict()["cache_slots"] == slots
+
+
+# -- the search's trace: one subtree per candidate ---------------------------
+
+class TestSearchTrace:
+    def test_ordering_spans_hold_tagged_candidate_subtrees(self):
+        from repro import obs
+        session = obs.enable()
+        try:
+            _, stats = sbm_flow(get_benchmark("router"),
+                                small_search_config(k=2, rounds=2))
+        finally:
+            obs.disable()
+        [flow] = session.tracer.roots
+        orderings = [span for span in flow.children
+                     if span.kind == "ordering"]
+        assert len(orderings) == 2
+        for r, ordering in enumerate(orderings):
+            candidates = ordering.children
+            assert [(c.kind, c.attrs["round"], c.attrs["candidate"])
+                    for c in candidates] \
+                == [("candidate", r, 0), ("candidate", r, 1)]
+            winners = [c for c in candidates if c.attrs["winner"]]
+            assert len(winners) == 1
+            assert winners[0].attrs["candidate"] \
+                == stats.orchestrate["rounds"][r]["winner"]
+            rows = [rec.size for rec in stats.records
+                    if rec.name.endswith(f"[r{r + 1}]")]
+            assert [stage.attrs["nodes_after"]
+                    for stage in winners[0].children
+                    if stage.kind == "stage"] == rows
+
+    def test_orchestrated_job_reports_its_winners_passes(self):
+        from repro.campaign import jobs_from_benchmarks, run_campaign
+        report = run_campaign(
+            jobs_from_benchmarks(["router"],
+                                 config=small_search_config(k=2, rounds=1)),
+            cache_dir=None, workers=1)
+        # Only the winner's passes count; a stage it replayed from the
+        # memo ran in another candidate and brings no pass report.
+        assert report.parallel is not None
+        assert 1 <= report.parallel["passes"] <= 4
+        assert set(report.result("router").engine_gain) \
+            <= {"kernel", "mspf", "simresub", "bdiff"}
