@@ -80,7 +80,7 @@ def checksum(aig) -> str:
 # (bit-identity spot check).
 
 def bench_sim_multiround(bench: str, rounds: int):
-    """Multi-round 64-bit simulation (the SAT-sweep / guard pattern): one
+    """Multi-round 64-bit simulation (the SAT-sweep / CEC-rung pattern): one
     wide compiled pass against per-round interpreted walks."""
     aig = get_benchmark(bench, scaled=True)
 

@@ -16,9 +16,11 @@ stage-level result corruption — and then asserts the robustness contract:
   network* as an uninterrupted run.
 
 Exit status 0 means every seed upheld the contract.  This is the script
-behind the CI chaos job:
+behind the CI chaos job, once above the 12-input exhaustive CEC limit and
+once below it:
 
     python scripts/chaos_soak.py --bench i2c --seeds 7 1234
+    python scripts/chaos_soak.py --bench cavlc --seeds 7 1234
 """
 
 from __future__ import annotations

@@ -21,10 +21,8 @@ from repro.aig.simprogram import (
     wide_mask,
 )
 from repro.aig.simulate import (
-    functional_fingerprints,
     po_tables,
     po_words,
-    random_words,
     simulate_complete,
     simulate_words,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "read_aag", "write_aag", "write_aag_string",
     "read_aig_binary", "write_aig_binary",
     "simulate_words", "simulate_complete", "po_words", "po_tables",
-    "random_words", "functional_fingerprints",
     "SimProgram", "sim_program", "simulate_wide", "pack_rounds", "wide_mask",
     "topological_order_all", "transitive_fanin", "transitive_fanout",
     "structural_support", "all_supports", "support_similarity",

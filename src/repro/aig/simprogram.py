@@ -3,8 +3,9 @@
 The interpreted :func:`repro.aig.simulate.simulate_words` re-derives the
 same structures on every call: a fresh topological sort, a per-node dict,
 tuple-returning ``fanins`` accessors and literal decoding for every gate.
-Multi-round callers (SAT sweeping, the stage guard's 256-pattern fast
-check, redundancy removal) pay that cost once per round.
+Multi-round callers (SAT sweeping, CEC's 256-pattern random rung, which
+the stage guard runs through, and redundancy removal) would pay that cost
+once per round.
 
 :class:`SimProgram` compiles the network once per *generation* (the
 :attr:`repro.aig.aig.Aig.generation` edit stamp) into flat parallel int
@@ -111,9 +112,9 @@ def pack_rounds(rounds: Sequence[Sequence[int]]) -> List[int]:
 
     ``rounds[r][i]`` is PI *i*'s word for round *r*; round *r* lands in
     bits ``[64*r, 64*r + 64)`` of the packed word, so bit ``64*r + b`` of
-    any simulated value is pattern bit *b* of round *r* — the layout every
-    wide-simulation caller in :mod:`repro.sat` and :mod:`repro.guard`
-    relies on when decoding counterexamples.
+    any simulated value is pattern bit *b* of round *r* — the layout
+    :func:`repro.sat.equivalence.first_miscompare` relies on when decoding
+    counterexamples.
     """
     if not rounds:
         return []

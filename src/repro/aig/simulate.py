@@ -2,9 +2,8 @@
 
 Two flavours are provided:
 
-* :func:`simulate_words` — 64-bit-word random/directed pattern simulation, the
-  workhorse behind SAT sweeping (candidate equivalence classes) and switching
-  activity estimation for the power model of the ASIC flow.
+* :func:`simulate_words` — 64-bit-word random/directed pattern simulation,
+  returning one word per live node.
 * :func:`simulate_complete` — complete truth-table simulation for networks with
   few inputs (the "small windows of logic (≈ 15 inputs)" regime of Section II),
   returning one Python integer truth table per node/PO.
@@ -20,7 +19,6 @@ in a single pass over W×64-bit integers.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.aig.aig import Aig, lit_is_compl, lit_node
@@ -71,12 +69,6 @@ def po_words(aig: Aig, values) -> List[int]:
     return out
 
 
-def random_words(num: int, rng: Optional[random.Random] = None) -> List[int]:
-    """Generate *num* random 64-bit simulation words."""
-    rng = rng or random.Random(0x5B5)
-    return [rng.getrandbits(WORD_BITS) for _ in range(num)]
-
-
 def simulate_complete(aig: Aig) -> Dict[int, int]:
     """Complete truth-table simulation (all ``2**num_pis`` patterns).
 
@@ -115,22 +107,3 @@ def _variable_pattern(index: int, nbits: int) -> int:
         pattern |= run << pos
         pos += period
     return pattern
-
-
-def functional_fingerprints(aig: Aig, num_words: int = 4,
-                            rng: Optional[random.Random] = None) -> Dict[int, int]:
-    """Multi-word random simulation fingerprint per node.
-
-    Concatenates *num_words* independent 64-bit simulations into one integer
-    per node.  Nodes with different fingerprints are certainly inequivalent;
-    equal fingerprints mark SAT-sweeping candidates (Section V-A's "SAT-based
-    sweeping").
-    """
-    rng = rng or random.Random(20190325)
-    fingerprints: Dict[int, int] = {}
-    for w in range(num_words):
-        words = [rng.getrandbits(WORD_BITS) for _ in range(aig.num_pis)]
-        values = simulate_words(aig, words)
-        for node, value in values.items():
-            fingerprints[node] = (fingerprints.get(node, 0) << WORD_BITS) | value
-    return fingerprints

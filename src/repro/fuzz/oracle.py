@@ -57,7 +57,6 @@ class OracleConfig:
     chaos_rate: float = 0.05          #: window-fault rate of the chaos rung
     stage_corrupt_rate: float = 0.05  #: stage-corruption rate, chaos rung
     enable_simresub: bool = True
-    exhaustive_limit: int = 12        #: CEC exhaustive-simulation cutoff
     case_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -73,7 +72,6 @@ class OracleConfig:
                 "chaos_rate": self.chaos_rate,
                 "stage_corrupt_rate": self.stage_corrupt_rate,
                 "enable_simresub": self.enable_simresub,
-                "exhaustive_limit": self.exhaustive_limit,
                 "case_timeout_s": self.case_timeout_s}
 
     @classmethod
@@ -87,7 +85,6 @@ class OracleConfig:
                    stage_corrupt_rate=float(
                        data.get("stage_corrupt_rate", 0.05)),
                    enable_simresub=bool(data.get("enable_simresub", True)),
-                   exhaustive_limit=int(data.get("exhaustive_limit", 12)),
                    case_timeout_s=data.get("case_timeout_s"))
 
     def flow_config(self, jobs: int = 1, chaos: Any = None,
@@ -268,8 +265,7 @@ def run_case(aig: Aig, config: OracleConfig,
 
         # -- rung 2: SAT CEC of input vs. output -------------------------------
         if "cec" in config.checks:
-            cex = find_counterexample(snapshot.to_aig(), baseline,
-                                      exhaustive_limit=config.exhaustive_limit)
+            cex = find_counterexample(snapshot.to_aig(), baseline)
             if cex is not None:
                 result.failures.append(OracleFailure(
                     check="cec", kind="EquivalenceError",
@@ -309,9 +305,7 @@ def run_case(aig: Aig, config: OracleConfig,
                         check="chaos", kind=type(exc).__name__,
                         detail=f"chaos seed {seed} raised: {exc}"))
                     continue
-                cex = find_counterexample(
-                    snapshot.to_aig(), shaken,
-                    exhaustive_limit=config.exhaustive_limit)
+                cex = find_counterexample(snapshot.to_aig(), shaken)
                 if cex is not None:
                     result.failures.append(OracleFailure(
                         check="chaos", kind="EquivalenceError",

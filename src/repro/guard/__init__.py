@@ -9,8 +9,9 @@ degrades gracefully, never corrupts, and always resumes:
   share of a flow-level wall-clock budget and a degradation ladder
   (full → reduced → skip) instead of a hang or a hard kill,
 * :mod:`repro.guard.stage_guard` — :class:`StageGuard` verifies every
-  stage with a 256-pattern random-simulation fast check then SAT CEC, and
-  rolls back to the last verified network on miscompare,
+  stage with one call to the CEC core,
+  :func:`repro.sat.equivalence.find_counterexample`, and rolls back to the
+  last verified network on miscompare,
 * :mod:`repro.guard.chaos` — :class:`FaultPlan`, a seeded deterministic
   fault-injection harness (worker crashes, window timeouts, corrupt
   results, forced BDD bailouts, a mid-flow interrupt) threaded through
@@ -41,16 +42,10 @@ from repro.guard.chaos import (
     corrupt_window_result,
     in_worker_process,
 )
-from repro.guard.stage_guard import (
-    DEFAULT_PATTERNS,
-    GuardEvent,
-    GuardReport,
-    StageGuard,
-)
+from repro.guard.stage_guard import GuardEvent, GuardReport, StageGuard
 
 __all__ = [
     "ChaosInterrupt",
-    "DEFAULT_PATTERNS",
     "DeadlineManager",
     "FAULT_KINDS",
     "FULL",

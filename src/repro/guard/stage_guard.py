@@ -1,18 +1,14 @@
 """Per-stage equivalence guard with rollback (``repro.guard.stage_guard``).
 
-Replaces the flow's old all-or-nothing ``verify_each_step`` assert with a
-two-rung ladder run after every stage, following Simulation-Guided Boolean
-Resubstitution (Lee et al.): random simulation is a cheap first-line
-correctness signal, SAT the expensive proof behind it.
-
-1. **Fast check** — 256 deterministic random input patterns (four 64-bit
-   simulation words per PI) compared PO-by-PO against the last *verified*
-   network; a miscompare yields the exact failing pattern immediately.
-2. **SAT CEC** — only when the fast check passes, a proof by
-   :func:`repro.sat.equivalence.find_counterexample`: its own random
-   refutation, then a SAT sweep that merges the miter of the two networks
-   bottom-up with small conflict-limited proofs, and one SAT call on the
-   PO pairs the merges leave apart.
+Replaces the flow's old all-or-nothing ``verify_each_step`` assert with one
+check after every stage: a :func:`repro.sat.equivalence.find_counterexample`
+call against the last *verified* network, the one simulate-then-prove
+core of :mod:`repro.sat`, after Simulation-Guided Boolean Resubstitution
+(Lee et al.): networks of up to 12 inputs are compared by complete
+simulation; wider ones meet 256 seeded random patterns, then a SAT sweep
+that merges the miter of the two networks bottom-up with small
+conflict-limited proofs, and one SAT call on the PO pairs the merges leave
+apart.
 
 A miscompare does not abort the run: the flow rolls the network back to
 the guard's reference (the last verified snapshot), the counterexample —
@@ -33,55 +29,21 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.aig.aig import Aig
-from repro.sat.equivalence import (
-    Counterexample,
-    find_counterexample,
-    random_counterexample,
-)
-
-#: Default number of random patterns for the fast rung (multiple of 64).
-DEFAULT_PATTERNS = 256
+from repro.sat.equivalence import Counterexample, find_counterexample
 
 
 class StageGuard:
-    """Equivalence ladder against the last verified network.
+    """Equivalence check against the last verified network.
 
-    Parameters
-    ----------
-    reference:
-        The initial verified network — a standalone copy the guard owns;
-        it must not be edited by the caller afterwards.
-    patterns:
-        Random patterns for the fast rung (rounded up to words of 64).
-    seed:
-        Seed of the fast rung's pattern generator; fixed so guard
-        verdicts are reproducible run-to-run.
+    *reference* is the initial verified network — a standalone copy the
+    guard owns; the caller must not edit it afterwards.
     """
 
-    def __init__(self, reference: Aig, patterns: int = DEFAULT_PATTERNS,
-                 seed: int = 0x5BAD) -> None:
+    def __init__(self, reference: Aig) -> None:
         self.reference = reference
-        self.patterns = max(64, patterns)
-        self.seed = seed
-        self.fast_checks = 0
-        self.fast_rejects = 0
-        self.sat_checks = 0
-
-    def fast_check(self, candidate: Aig) -> Optional[Counterexample]:
-        """Random-simulation miscompare check; None when all patterns agree."""
-        self.fast_checks += 1
-        cex = random_counterexample(self.reference, candidate, self.seed,
-                                    (self.patterns + 63) // 64)
-        if cex is not None:
-            self.fast_rejects += 1
-        return cex
 
     def check(self, candidate: Aig) -> Optional[Counterexample]:
-        """Run the full ladder; a counterexample means "roll back"."""
-        cex = self.fast_check(candidate)
-        if cex is not None:
-            return cex
-        self.sat_checks += 1
+        """A counterexample against the reference means "roll back"."""
         return find_counterexample(self.reference, candidate)
 
     def commit(self, verified: Aig) -> None:

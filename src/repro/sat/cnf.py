@@ -90,19 +90,34 @@ class AigCnf:
         return out
 
 
-def prove_equivalent(cnf: AigCnf, lit_a: int, lit_b: int,
-                     assumptions: Tuple[int, ...] = ()) -> Tuple[bool, Optional[List[bool]]]:
-    """Check two AIG literals for functional equivalence via two SAT calls.
+def sat_equal(solver: SatSolver, x: int, y: int,
+              conflicts: Optional[int] = None) -> Optional[bool]:
+    """The two-polarity SAT equality check of two SAT literals.
+
+    Asks ``x & ~y``, then ``~x & y``, each within *conflicts* conflicts
+    (``None``: no limit).  Returns ``True`` when both are UNSAT, ``False``
+    when one is satisfiable (the solver's model then separates the two),
+    and ``None`` when a query ran out of conflicts first.  Only ``True``
+    is a proof.  SAT sweeping, the CEC miter sweep and simresub's
+    candidate validation all prove through here, each with its own budget.
+    """
+    for query in ((x, -y), (-x, y)):
+        found = solver.solve_limited(query, conflicts)
+        if found is not False:
+            return None if found is None else False
+    return True
+
+
+def prove_equivalent(cnf: AigCnf, lit_a: int, lit_b: int
+                     ) -> Tuple[bool, Optional[List[bool]]]:
+    """Check two AIG literals for functional equivalence, with no limit.
 
     Returns ``(True, None)`` when equivalent, or ``(False, counterexample)``
     with the distinguishing PI assignment.
     """
-    sa = cnf.sat_literal(lit_a)
-    sb = cnf.sat_literal(lit_b)
-    for pa, pb in ((sa, -sb), (-sa, sb)):
-        if cnf.solver.solve(tuple(assumptions) + (pa, pb)):
-            return False, cnf.extract_pi_assignment()
-    return True, None
+    if sat_equal(cnf.solver, cnf.sat_literal(lit_a), cnf.sat_literal(lit_b)):
+        return True, None
+    return False, cnf.extract_pi_assignment()
 
 
 def build_miter(aig_a: Aig, aig_b: Aig) -> Aig:

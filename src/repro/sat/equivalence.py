@@ -1,4 +1,4 @@
-"""Combinational equivalence checking (CEC).
+"""Combinational equivalence checking (CEC): the simulate-then-prove core.
 
 Every experiment in the reproduction verifies its optimized network against
 the original — the paper's "all benchmarks are verified with an industrial
@@ -10,11 +10,19 @@ answers only small, conflict-limited questions about them.  Proven pairs
 are merged bottom-up, so each later proof stops at the merged frontier, and
 one SAT call settles the PO pairs the merges leave apart.
 
+The simulate half of that is shared with the rest of :mod:`repro.sat`:
+one round-major pattern draw, :func:`draw_rounds`, feeds CEC's random
+rung, SAT sweeping's fingerprints and the redundancy screen, and one
+miscompare scan, :func:`first_miscompare`, serves the random rung and the
+check of the SAT model.  The prove half is
+:func:`repro.sat.cnf.sat_equal`, the one two-polarity SAT equality check.
+The stage guard (:mod:`repro.guard.stage_guard`) is one
+:func:`find_counterexample` call.
+
 Miscompares are reported as a structured :class:`Counterexample` (the PI
 assignment plus the first miscomparing PO), and :func:`assert_equivalent`
 raises :class:`repro.errors.EquivalenceError` carrying that evidence — the
-guard layer (:mod:`repro.guard.stage_guard`) attaches it to the run report
-instead of aborting the flow.
+guard layer attaches it to the run report instead of aborting the flow.
 """
 
 from __future__ import annotations
@@ -25,10 +33,12 @@ from typing import List, Optional, Tuple
 
 from repro.aig.aig import CONST0, Aig
 from repro.aig.simprogram import pack_rounds, sim_program, wide_mask
-from repro.aig.simulate import WORD_MASK, po_tables, po_words, simulate_words
+from repro.aig.simulate import WORD_MASK, po_tables
 from repro.errors import EquivalenceError, SatError
-from repro.sat.cnf import AigCnf, _copy_into
+from repro.sat.cnf import AigCnf, _copy_into, sat_equal
 
+#: Networks with at most this many inputs are compared exhaustively.
+EXHAUSTIVE_LIMIT = 12
 #: Seed and 64-bit rounds of the random rung ahead of the SAT sweep.
 CEC_SEED = 0xCEC
 CEC_ROUNDS = 4
@@ -60,22 +70,6 @@ class Counterexample:
         """JSON-safe representation for the run report."""
         return {"inputs": [bool(b) for b in self.inputs],
                 "po_index": self.po_index, "po_name": self.po_name}
-
-
-def _first_miscomparing_po(aig_a: Aig, aig_b: Aig,
-                           inputs: List[bool]) -> int:
-    """Index of the first PO that differs under *inputs*.
-
-    Raises :class:`SatError` when no PO differs: the SAT model that produced
-    *inputs* is then wrong, and reporting it would roll back a good stage.
-    """
-    words = [(1 << 64) - 1 if bit else 0 for bit in inputs]
-    wa = po_words(aig_a, simulate_words(aig_a, words))
-    wb = po_words(aig_b, simulate_words(aig_b, words))
-    for po, (x, y) in enumerate(zip(wa, wb)):
-        if (x ^ y) & 1:
-            return po
-    raise SatError("SAT counterexample distinguishes no primary output")
 
 
 def _sweep_miter(aig_a: Aig, aig_b: Aig) -> Optional[List[bool]]:
@@ -114,7 +108,9 @@ def _sweep_miter(aig_a: Aig, aig_b: Aig) -> Optional[List[bool]]:
         normal = rlits[node] ^ phase
         first = firsts.setdefault(values[node] ^ (mask if phase else 0),
                                   normal)
-        if first != normal and _proven_equal(cnf, normal, first):
+        if first != normal and sat_equal(
+                cnf.solver, cnf.sat_literal(normal), cnf.sat_literal(first),
+                SWEEP_CONFLICTS):
             rlits[node] = first ^ phase
     diffs = []
     for a, b in zip(outs_a, outs_b):
@@ -128,62 +124,59 @@ def _sweep_miter(aig_a: Aig, aig_b: Aig) -> Optional[List[bool]]:
     return cnf.extract_pi_assignment()
 
 
-def _proven_equal(cnf: AigCnf, x: int, y: int) -> bool:
-    """Whether two AIG literals are proven equal within the conflict limit;
-    ``False`` also when a polarity is refuted or undecided."""
-    sx, sy = cnf.sat_literal(x), cnf.sat_literal(y)
-    return all(cnf.solver.solve_limited(query, SWEEP_CONFLICTS) is False
-               for query in ((sx, -sy), (-sx, sy)))
+def draw_rounds(rng: random.Random, num_pis: int,
+                rounds: int) -> List[List[int]]:
+    """*rounds* rounds of one 64-bit word per PI, drawn round-major from
+    *rng*: the patterns of CEC's random rung, SAT sweeping's fingerprints
+    and the redundancy screen.
 
-
-def random_counterexample(aig_a: Aig, aig_b: Aig, seed: int,
-                          rounds: int) -> Optional[Counterexample]:
-    """A miscompare under *rounds* × 64 seeded random patterns, or ``None``.
-
-    PI words are drawn round-major from ``random.Random(seed)``, both
-    networks are simulated in one wide pass, and the scan visits
-    (round, PO, lowest bit) in that order, so the counterexample is a pure
-    function of the two networks, *seed* and *rounds*.
+    :func:`repro.aig.simprogram.pack_rounds` lays them out for one wide
+    simulation pass, round *r* in bits ``[64*r, 64*r + 64)``.
     """
-    rng = random.Random(seed)
-    round_words = [[rng.getrandbits(64) for _ in range(aig_a.num_pis)]
-                   for _ in range(rounds)]
-    packed = pack_rounds(round_words)
-    mask = wide_mask(rounds)
+    return [[rng.getrandbits(64) for _ in range(num_pis)]
+            for _ in range(rounds)]
+
+
+def first_miscompare(aig_a: Aig, aig_b: Aig, rounds: List[List[int]]
+                     ) -> Optional[Counterexample]:
+    """The first miscompare of two networks under *rounds*, or ``None``.
+
+    *rounds* holds one 64-bit word per PI and round, as
+    :func:`draw_rounds` returns them.  Both networks are simulated in one
+    wide pass, and the scan visits (round, PO, lowest bit) in that order,
+    so the counterexample is a pure function of the networks and the
+    patterns.
+    """
+    packed = pack_rounds(rounds)
+    mask = wide_mask(len(rounds))
     prog_a = sim_program(aig_a)
     prog_b = sim_program(aig_b)
     wa = prog_a.po_words(prog_a.run(packed, mask), mask)
     wb = prog_b.po_words(prog_b.run(packed, mask), mask)
-    for r in range(rounds):
+    for r, words in enumerate(rounds):
         shift = 64 * r
         for po, (x, y) in enumerate(zip(wa, wb)):
             diff = ((x >> shift) ^ (y >> shift)) & WORD_MASK
             if diff:
                 bit = (diff & -diff).bit_length() - 1
-                inputs = [bool((w >> bit) & 1) for w in round_words[r]]
+                inputs = [bool((w >> bit) & 1) for w in words]
                 return Counterexample(inputs, po, aig_a.po_name(po))
     return None
 
 
-def find_counterexample(aig_a: Aig, aig_b: Aig,
-                        exhaustive_limit: int = 12
-                        ) -> Optional[Counterexample]:
+def find_counterexample(aig_a: Aig, aig_b: Aig) -> Optional[Counterexample]:
     """Return a :class:`Counterexample` if the networks differ, else ``None``.
 
-    Networks with at most *exhaustive_limit* inputs are compared by complete
-    simulation.  Larger ones meet 256 random patterns, then a SAT sweep:
-    both networks are strashed into one miter, proven-equal nodes are
-    merged bottom-up, and one SAT call decides the PO pairs left apart.
-    A SAT counterexample is checked by simulation before it is returned.
+    Networks with at most :data:`EXHAUSTIVE_LIMIT` inputs are compared by
+    complete simulation.  Larger ones meet 256 random patterns, then a SAT
+    sweep: both networks are strashed into one miter, proven-equal nodes
+    are merged bottom-up, and one SAT call decides the PO pairs left
+    apart.  A SAT model that separates no PO raises :class:`SatError`.
     """
     if aig_a.num_pis != aig_b.num_pis or aig_a.num_pos != aig_b.num_pos:
         raise ValueError("equivalence requires matching interfaces")
-    if aig_a.num_pis <= exhaustive_limit:
-        ta = po_tables(aig_a)
-        tb = po_tables(aig_b)
-        if ta == tb:
-            return None
-        for po, (x, y) in enumerate(zip(ta, tb)):
+    if aig_a.num_pis <= EXHAUSTIVE_LIMIT:
+        for po, (x, y) in enumerate(zip(po_tables(aig_a), po_tables(aig_b))):
             diff = x ^ y
             if diff:
                 row = (diff & -diff).bit_length() - 1
@@ -191,24 +184,29 @@ def find_counterexample(aig_a: Aig, aig_b: Aig,
                 return Counterexample(inputs, po, aig_a.po_name(po))
         return None
     # Random simulation first: a cheap refutation path.
-    cex = random_counterexample(aig_a, aig_b, CEC_SEED, CEC_ROUNDS)
+    cex = first_miscompare(aig_a, aig_b, draw_rounds(
+        random.Random(CEC_SEED), aig_a.num_pis, CEC_ROUNDS))
     if cex is not None:
         return cex
     inputs = _sweep_miter(aig_a, aig_b)
     if inputs is None:
         return None
-    po = _first_miscomparing_po(aig_a, aig_b, inputs)
-    return Counterexample(inputs, po, aig_a.po_name(po))
+    # The model, replicated across a word, is one round of the scan.
+    cex = first_miscompare(aig_a, aig_b,
+                           [[WORD_MASK if bit else 0 for bit in inputs]])
+    if cex is None:
+        raise SatError("SAT counterexample distinguishes no primary output")
+    return cex
 
 
-def check_equivalence(aig_a: Aig, aig_b: Aig,
-                      exhaustive_limit: int = 12) -> Tuple[bool, Optional[List[bool]]]:
+def check_equivalence(aig_a: Aig, aig_b: Aig
+                      ) -> Tuple[bool, Optional[List[bool]]]:
     """Decide whether two networks are combinationally equivalent.
 
     Returns ``(True, None)`` or ``(False, counterexample_pi_assignment)``.
     Thin compatibility wrapper over :func:`find_counterexample`.
     """
-    cex = find_counterexample(aig_a, aig_b, exhaustive_limit=exhaustive_limit)
+    cex = find_counterexample(aig_a, aig_b)
     if cex is None:
         return True, None
     return False, cex.inputs

@@ -3,8 +3,11 @@
 Reimplements the flow step the paper cites as [9] (Debnath et al., DATE'18):
 an AND-gate fanin is *redundant* when forcing it to constant 1 (a stuck-at-1
 fault on the edge) is undetectable at every primary output; the gate then
-collapses to its other fanin.  Candidates are filtered by random simulation
-and proven with a SAT miter, after which the edge is removed in place.
+collapses to its other fanin.  Candidates are screened by random
+simulation, with patterns from the shared round-major draw of
+:mod:`repro.sat.equivalence`, and proven by
+:func:`~repro.sat.equivalence.find_counterexample`, after which the edge is
+removed in place.
 """
 
 from __future__ import annotations
@@ -14,31 +17,32 @@ from typing import List, Optional
 
 from repro.aig.aig import Aig, lit_is_compl, lit_node
 from repro.aig.simprogram import pack_rounds, sim_program, wide_mask
-from repro.sat.equivalence import check_equivalence
+from repro.sat.equivalence import draw_rounds, find_counterexample
+
+#: Seed and 64-bit rounds of the simulation screen; each outer pass draws
+#: fresh rounds from the one generator.
+SCREEN_SEED = 0x9ED
+SCREEN_ROUNDS = 4
 
 
-def remove_redundancies(aig: Aig, max_checks: Optional[int] = None,
-                        rng: Optional[random.Random] = None,
-                        sim_rounds: int = 4) -> int:
+def remove_redundancies(aig: Aig, max_checks: Optional[int] = None) -> int:
     """Remove SAT-proven redundant AND fanin edges in place.
 
     Returns the number of edges removed.  Each proof is a full
     network-equivalence check, so *max_checks* bounds runtime; random
     simulation discards the vast majority of non-redundant candidates first.
     """
-    rng = rng or random.Random(0x9ED)
+    rng = random.Random(SCREEN_SEED)
+    mask = wide_mask(SCREEN_ROUNDS)
     removed = 0
     checks = 0
     progress = True
     while progress:
         progress = False
         baseline = aig.cleanup()
-        patterns = [[rng.getrandbits(64) for _ in range(aig.num_pis)]
-                    for _ in range(sim_rounds)]
         # All rounds in one W x 64-bit pass: a clone is refuted iff any
         # round's PO words miscompare with the baseline's.
-        packed = pack_rounds(patterns)
-        mask = wide_mask(sim_rounds)
+        packed = pack_rounds(draw_rounds(rng, aig.num_pis, SCREEN_ROUNDS))
         program = sim_program(baseline)
         golden = program.po_words(program.run(packed, mask), mask)
         for node in list(baseline.topological_order()):
@@ -50,8 +54,7 @@ def remove_redundancies(aig: Aig, max_checks: Optional[int] = None,
                 if candidate is None:
                     continue
                 checks += 1
-                ok, _cex = check_equivalence(baseline, candidate)
-                if ok:
+                if find_counterexample(baseline, candidate) is None:
                     baseline = candidate
                     removed += 1
                     progress = True

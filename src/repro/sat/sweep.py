@@ -2,12 +2,15 @@
 
 Part of the SBM flow's final stage, "SAT-based sweeping and redundancy
 removal as in [9]" (Section V-A).  Random simulation partitions nodes into
-candidate equivalence classes (equal fingerprints, up to complement).  Each
-member of a class is then proved once, by SAT, against the class's first
-member, and a proven member is merged onto it with :meth:`Aig.replace`.
-Classes are never split: a refutation's counterexample is discarded, so
-members that differ from the representative but equal each other stay
-unmerged.
+candidate equivalence classes (equal fingerprints, up to complement): the
+patterns come from the shared round-major draw of
+:mod:`repro.sat.equivalence`, and one wide pass signs every node.  Each
+member of a class is then proved once against the class's first member
+by :func:`repro.sat.cnf.prove_equivalent`, the shared two-polarity check
+with no conflict limit, and a proven member is merged onto it with
+:meth:`Aig.replace`.  Classes are never split: a refutation's
+counterexample is discarded, so members that differ from the
+representative but equal each other stay unmerged.
 """
 
 from __future__ import annotations
@@ -16,36 +19,29 @@ import random
 from typing import Dict, List, Optional
 
 from repro.aig.aig import Aig, lit
-from repro.aig.simprogram import WORD_MASK, sim_program, wide_mask
+from repro.aig.simprogram import pack_rounds, sim_program, wide_mask
 from repro.sat.cnf import AigCnf, prove_equivalent
+from repro.sat.equivalence import draw_rounds
+
+#: Seed and 64-bit rounds of the fingerprint patterns.
+SIM_SEED = 20190311
+SIM_ROUNDS = 8
 
 
-def sat_sweep(aig: Aig, num_sim_rounds: int = 8,
-              max_proofs: Optional[int] = None,
-              rng: Optional[random.Random] = None) -> int:
+def sat_sweep(aig: Aig, max_proofs: Optional[int] = None) -> int:
     """Merge SAT-proven equivalent (or antivalent) nodes in place.
 
     Returns the number of merges performed.  ``max_proofs`` caps SAT calls
     for runtime control (the scalability lever of the paper's engines).
     """
-    rng = rng or random.Random(20190311)
     if aig.num_pis == 0:
         return 0
-    # Fingerprint every node; bit-complement-normalized so that antivalent
-    # nodes land in the same class.
-    patterns: List[List[int]] = [
-        [rng.getrandbits(64) for _ in range(aig.num_pis)]
-        for _ in range(num_sim_rounds)
-    ]
-    # All rounds in one compiled pass.  Round 0 is packed into the HIGH 64
-    # bits, so a node's wide simulation value is its fingerprint
-    # ``sig = (sig << 64) | round_word`` over the rounds, bit for bit.
-    full = wide_mask(num_sim_rounds)
-    packed = [0] * aig.num_pis
-    for r, words in enumerate(patterns):
-        shift = 64 * (num_sim_rounds - 1 - r)
-        for i in range(aig.num_pis):
-            packed[i] |= (words[i] & WORD_MASK) << shift
+    # Fingerprint every node in one wide pass.  Classes are keyed by the
+    # phase-normalized fingerprint, so antivalent nodes share a class and
+    # the order of the rounds in the wide word cannot change a class.
+    full = wide_mask(SIM_ROUNDS)
+    packed = pack_rounds(draw_rounds(random.Random(SIM_SEED), aig.num_pis,
+                                     SIM_ROUNDS))
     signatures = sim_program(aig).run(packed, full)
 
     classes: Dict[int, List[int]] = {}

@@ -193,11 +193,12 @@ class FlowConfig:
     enable_simresub: bool = True
     enable_sat_sweep: bool = True
     enable_redundancy_removal: bool = False  # expensive; on for final effort
-    #: Verify every stage through the :class:`repro.guard.stage_guard
-    #: .StageGuard` ladder (256-pattern random-simulation fast check, then
-    #: SAT CEC) and roll a miscomparing stage back to the last verified
-    #: network instead of aborting.  Historically this was an
-    #: end-of-iteration ``assert_equivalent`` that raised on failure.
+    #: Verify every stage with the :class:`repro.guard.stage_guard
+    #: .StageGuard` — one ``find_counterexample`` call (complete simulation
+    #: up to 12 inputs; above, 256 random patterns, then the SAT sweep) —
+    #: and roll a miscomparing stage back to the last verified network
+    #: instead of aborting.  Historically this was an end-of-iteration
+    #: ``assert_equivalent`` that raised on failure.
     verify_each_step: bool = False
     #: Optional :class:`OrchestrateConfig`: replace the fixed waterfall
     #: with the DAG-aware pass-ordering search (``repro.orchestrate``).

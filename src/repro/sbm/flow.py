@@ -48,9 +48,11 @@ and every stage of every flow — this waterfall and each candidate of the
 * **chaos** — a :class:`repro.guard.chaos.FaultPlan` may corrupt the
   stage result at a site the caller names;
 * **the equivalence guard** — with ``verify_each_step``, every result,
-  fresh or replayed, passes the :class:`repro.guard.stage_guard
-  .StageGuard` ladder (256-pattern random simulation, then SAT CEC) and a
-  miscomparing one is rolled back to the last verified network.
+  fresh or replayed, is checked by the :class:`repro.guard.stage_guard
+  .StageGuard`, one :func:`repro.sat.equivalence.find_counterexample`
+  call against the last verified network (complete simulation up to 12
+  inputs; above, 256 random patterns, then the SAT sweep of the miter),
+  and a miscomparing one is rolled back to that network.
 
 The waterfall memoizes whenever a campaign ``ResultCache`` is active
 (:func:`repro.campaign.cache.cache_context`), so a killed run resumes by

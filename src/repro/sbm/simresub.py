@@ -37,7 +37,7 @@ from repro import obs
 from repro.aig.aig import Aig, lit, lit_notcond
 from repro.opt.shared import try_replace
 from repro.parallel.scheduler import register_engine
-from repro.sat.cnf import AigCnf
+from repro.sat.cnf import AigCnf, sat_equal
 from repro.sbm.config import SimresubConfig
 from repro.sbm.simpatterns import PatternStore
 
@@ -299,13 +299,10 @@ def _validate(cnf: AigCnf, n: int, cand: Candidate, conflict_limit: int
             solver.add_clause([t, a, -b])
             solver.add_clause([t, -a, b])
         g = -t if cand[3] else t
-    for pa, pb in ((g, -sn), (-g, sn)):
-        res = solver.solve_limited((pa, pb), conflict_limit)
-        if res is None:
-            return None, None
-        if res:
-            return False, cnf.extract_pi_assignment()
-    return True, None
+    verdict = sat_equal(solver, g, sn, conflict_limit)
+    if verdict is False:
+        return False, cnf.extract_pi_assignment()
+    return verdict, None
 
 
 def _builder(aig: Aig, cand: Candidate):

@@ -3,11 +3,10 @@
 Every primitive under ``src/`` has one implementation: compiled wide
 simulation, the inlined BDD apply with its operation cache, the bit-test
 SOP algebra, the memoized kernel search, the one-pass random screens of
-SAT sweeping, redundancy removal, CEC, the stage guard and the simresub
-pattern store, and the truth-table kernel (loop-free projection masks,
-ISOP on shrinking cofactors, mask-swap cut-table expansion).  This module
-keeps the plain formulation each of those replaced, copied verbatim, so
-that
+SAT sweeping, redundancy removal and CEC, the simresub pattern store, and
+the truth-table kernel (loop-free projection masks, ISOP on shrinking
+cofactors, mask-swap cut-table expansion).  This module keeps the plain
+formulation each of those replaced, copied verbatim, so that
 
 * the identity tests (``tests/test_hotpath.py``, ``tests/test_simresub.py``,
   ``tests/test_property_tt.py``) prove every fast path bit-identical to its reference — same values,
@@ -39,15 +38,9 @@ from repro.aig.simprogram import WORD_BITS
 from repro.aig.simulate import WORD_MASK, _variable_pattern, po_tables, po_words
 from repro.aig.traversal import topological_order_all
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.errors import AigError, ReproError
-from repro.guard.stage_guard import StageGuard
+from repro.errors import AigError, ReproError, SatError
 from repro.sat.cnf import AigCnf, prove_equivalent
-from repro.sat.equivalence import (
-    Counterexample,
-    _first_miscomparing_po,
-    _sweep_miter,
-    check_equivalence,
-)
+from repro.sat.equivalence import Counterexample, _sweep_miter, check_equivalence
 from repro.sat.redundancy import _replace_network
 from repro.sbm.simpatterns import PatternStore
 from repro.sop.cube import Cube, cube_contains, cube_divide, cube_is_contradiction
@@ -356,6 +349,22 @@ def _try_edge(aig: Aig, node: int, keep_index: int,
 
 # -- CEC (repro.sat.equivalence) ----------------------------------------------
 
+def _first_miscomparing_po(aig_a: Aig, aig_b: Aig,
+                           inputs: List[bool]) -> int:
+    """Index of the first PO that differs under *inputs*.
+
+    Raises :class:`SatError` when no PO differs: the SAT model that produced
+    *inputs* is then wrong, and reporting it would roll back a good stage.
+    """
+    words = [(1 << 64) - 1 if bit else 0 for bit in inputs]
+    wa = po_words(aig_a, simulate_words(aig_a, words))
+    wb = po_words(aig_b, simulate_words(aig_b, words))
+    for po, (x, y) in enumerate(zip(wa, wb)):
+        if (x ^ y) & 1:
+            return po
+    raise SatError("SAT counterexample distinguishes no primary output")
+
+
 def find_counterexample(aig_a: Aig, aig_b: Aig,
                         exhaustive_limit: int = 12
                         ) -> Optional[Counterexample]:
@@ -391,33 +400,6 @@ def find_counterexample(aig_a: Aig, aig_b: Aig,
         return None
     po = _first_miscomparing_po(aig_a, aig_b, inputs)
     return Counterexample(inputs, po, aig_a.po_name(po))
-
-
-# -- stage guard (repro.guard.stage_guard) ------------------------------------
-
-class ReferenceStageGuard(StageGuard):
-    """The guard with its original per-round fast check."""
-
-    def fast_check(self, candidate: Aig) -> Optional[Counterexample]:
-        """Random-simulation miscompare check; None when all patterns agree."""
-        self.fast_checks += 1
-        rng = random.Random(self.seed)
-        rounds = (self.patterns + 63) // 64
-        for _ in range(rounds):
-            words = [rng.getrandbits(64)
-                     for _ in range(self.reference.num_pis)]
-            wa = po_words(self.reference,
-                          simulate_words(self.reference, words))
-            wb = po_words(candidate, simulate_words(candidate, words))
-            for po, (x, y) in enumerate(zip(wa, wb)):
-                diff = x ^ y
-                if diff:
-                    bit = (diff & -diff).bit_length() - 1
-                    inputs = [bool((w >> bit) & 1) for w in words]
-                    self.fast_rejects += 1
-                    return Counterexample(inputs, po,
-                                          self.reference.po_name(po))
-        return None
 
 
 # -- simresub pattern store (repro.sbm.simpatterns) ---------------------------

@@ -6,10 +6,8 @@ import pytest
 
 from repro.aig.aig import Aig, lit_not
 from repro.aig.simulate import (
-    functional_fingerprints,
     po_tables,
     po_words,
-    random_words,
     simulate_complete,
     simulate_words,
 )
@@ -66,30 +64,6 @@ def test_simulate_complete_too_many_inputs():
     aig.add_pis(25)
     with pytest.raises(AigError):
         simulate_complete(aig)
-
-
-def test_fingerprints_distinguish_inequivalent_nodes():
-    aig = Aig()
-    a, b = aig.add_pis(2)
-    f = aig.add_and(a, b)
-    g = aig.add_or(a, b)
-    aig.add_po(f)
-    aig.add_po(g)
-    prints = functional_fingerprints(aig)
-    assert prints[f >> 1] != prints[g >> 1]
-
-
-def test_fingerprints_equal_for_identical_structure():
-    aig = Aig()
-    a, b = aig.add_pis(2)
-    f = aig.add_and(a, b)
-    aig.add_po(f)
-    prints = functional_fingerprints(aig, num_words=2)
-    assert prints[f >> 1] == prints[f >> 1]
-
-
-def test_random_words_deterministic():
-    assert random_words(4) == random_words(4)
 
 
 def test_dangling_nodes_also_simulated():

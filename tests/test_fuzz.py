@@ -21,6 +21,8 @@ from repro.fuzz.oracle import network_key
 from repro.fuzz.triage import FuzzCorpus, build_bundle
 from repro.parallel.window_io import CompactAig
 
+from tests.conftest import make_random_aig
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Fast oracle: CEC only, no jobs/chaos re-runs.
@@ -140,6 +142,15 @@ class TestOracleRungs:
             verdict = run_case(_tiny_network(), CEC_ONLY)
         assert verdict.ok
 
+    def test_old_bundle_exhaustive_limit_is_ignored(self):
+        # Bundles once carried a CEC exhaustive-simulation cutoff; above 24
+        # inputs it sent wide cases to complete simulation, which raised.
+        config = OracleConfig.from_dict({"checks": ["cec"],
+                                         "exhaustive_limit": 30})
+        verdict = run_case(make_random_aig(26, 40, 1), config)
+        assert verdict.ok and verdict.primary is None
+        assert "exhaustive_limit" not in config.to_dict()
+
 
 class TestFaultSpecs:
     def test_parse_round_trip(self):
@@ -169,7 +180,6 @@ class TestFaultSpecs:
 
 class TestMinimizer:
     def _failing_setup(self):
-        from tests.conftest import make_random_aig
         aig = make_random_aig(5, 40, seed=11)
 
         def predicate(candidate):

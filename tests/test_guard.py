@@ -4,8 +4,8 @@ Covers the four pillars of the robustness PR:
 
 * **Budgets** — the deadline manager's degradation ladder (full → reduced
   → skip) and its effect on a running flow.
-* **Equivalence guard** — the per-stage random-sim + SAT ladder, rollback
-  on miscompare, and the counterexample attached to the report.
+* **Equivalence guard** — the per-stage CEC call, rollback on miscompare,
+  and the counterexample attached to the report.
 * **Resume over the stage memo** — atomic write-then-rename commits,
   the memo's purity rules (degraded stages and result-changing fault
   plans stay out), and interrupted-then-rerun flows matching
@@ -24,6 +24,7 @@ import warnings
 import pytest
 
 from repro.aig.aig import Aig, lit_not
+from repro.aig.simprogram import SimProgram
 from repro.campaign.cache import (
     ResultCache,
     StageMemo,
@@ -45,6 +46,7 @@ from repro.sat.equivalence import (
     check_equivalence,
     find_counterexample,
 )
+from repro.sat.solver import SatSolver
 from repro.sbm.config import FlowConfig
 from repro.sbm.flow import sbm_flow
 
@@ -151,23 +153,62 @@ class TestBudgetedFlow:
 
 # -- equivalence guard --------------------------------------------------------
 
+def and_tree_and_chain(num_pis: int):
+    """Two equivalent, structurally different ANDs of *num_pis* inputs."""
+    tree = Aig("tree")
+    tree.add_po(tree.add_and_multi(tree.add_pis(num_pis)))
+    chain = Aig("chain")
+    acc = 1
+    for x in chain.add_pis(num_pis):
+        acc = chain.add_and(acc, x)
+    chain.add_po(acc)
+    return tree, chain
+
+
 class TestStageGuard:
     def test_accepts_equivalent_candidate(self):
         aig = make_random_aig(8, 120, seed=21)
         guard = StageGuard(aig.cleanup())
         assert guard.check(aig.cleanup()) is None
-        assert guard.sat_checks == 1
 
-    def test_fast_rung_catches_complemented_po(self):
-        aig = make_random_aig(8, 120, seed=22)
+    def test_fast_rung_catches_complemented_po(self, monkeypatch):
+        # Above 12 PIs CEC's random rung catches a complemented PO, so the
+        # guard's one CEC call never reaches SAT.
+        aig = make_random_aig(16, 120, seed=22)
         guard = StageGuard(aig.cleanup())
+        monkeypatch.setattr(SatSolver, "solve_limited", None)
         cex = guard.check(broken_copy(aig))
         assert cex is not None
-        assert guard.fast_rejects == 1  # never reached SAT
-        assert guard.sat_checks == 0
-        assert len(cex.inputs) == aig.num_pis
+        assert len(cex.inputs) == aig.num_pis and cex.po_index == 0
         # The counterexample genuinely distinguishes the two networks.
-        assert find_counterexample(aig, broken_copy(aig)) is not None
+        assert cex == find_counterexample(aig, broken_copy(aig))
+
+    @pytest.mark.parametrize("num_pis, runs", [(16, 3), (9, 2)])
+    def test_one_simulation_pass_per_rung(self, monkeypatch, num_pis, runs):
+        # A check is one CEC call, with no simulation pass of its own: above
+        # 12 PIs the random rung simulates both networks and the sweep its
+        # miter; at or below, complete simulation of both networks decides.
+        tree, chain = and_tree_and_chain(num_pis)
+        guard = StageGuard(tree)
+        calls = []
+        run = SimProgram.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(self)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimProgram, "run", counting_run)
+        assert guard.check(chain) is None
+        assert len(calls) == runs
+
+    @pytest.mark.parametrize("num_pis", [9, 16])
+    def test_check_is_the_cec_verdict(self, num_pis):
+        for seed in range(4):
+            reference = make_random_aig(num_pis, 45, seed, num_pos=5)
+            other = make_random_aig(num_pis, 45, seed + 7, num_pos=5)
+            cex = StageGuard(reference.cleanup()).check(other)
+            assert cex is not None
+            assert cex == find_counterexample(reference, other)
 
     def test_commit_advances_reference(self):
         aig = make_random_aig(6, 80, seed=23)

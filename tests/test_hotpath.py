@@ -10,8 +10,8 @@ same counterexamples, same allocation-order-sensitive BDD node tables:
   4-input functions,
 * bitmask cut dominance equals the set-based subset test,
 * BDD op caches / iteration preserve node ids and bailout points,
-* the SAT sweeping / redundancy / guard / CEC call sites produce
-  identical merges, networks, and counterexamples,
+* the SAT sweeping / redundancy / CEC call sites produce identical
+  merges, networks, and counterexamples,
 * the SOP algebra and the memoized kernel search return the same covers,
 * the four EPFL-subset flows reproduce the checksums committed in
   ``BENCH_hotpath.json``.
@@ -43,7 +43,6 @@ from repro.aig.simulate import (
 from repro.bdd import pool as bdd_pool
 from repro.bdd.manager import BddManager
 from repro.errors import BddLimitError
-from repro.guard.stage_guard import StageGuard
 from repro.sat.equivalence import find_counterexample
 from repro.sat.redundancy import remove_redundancies
 from repro.sat.sweep import sat_sweep
@@ -265,28 +264,6 @@ def test_find_counterexample_matches_reference(seed):
         assert hot_diff is not None
         assert (hot_diff.inputs, hot_diff.po_index) == \
             (ref_diff.inputs, ref_diff.po_index)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_stage_guard_fast_check_matches_reference(seed):
-    ref_net = make_random_aig(9, 45, seed, num_pos=5)
-    other = make_random_aig(9, 45, seed + 7, num_pos=5)
-    guard_hot = StageGuard(ref_net.cleanup())
-    guard_ref = ref.ReferenceStageGuard(ref_net.cleanup())
-    cex_same_ref = guard_ref.fast_check(ref_net.cleanup())
-    cex_diff_ref = guard_ref.fast_check(other)
-    cex_same_hot = guard_hot.fast_check(ref_net.cleanup())
-    cex_diff_hot = guard_hot.fast_check(other)
-    assert cex_same_hot is None and cex_same_ref is None
-    if cex_diff_ref is None:
-        assert cex_diff_hot is None
-    else:
-        assert cex_diff_hot is not None
-        assert (cex_diff_hot.inputs, cex_diff_hot.po_index) == \
-            (cex_diff_ref.inputs, cex_diff_ref.po_index)
-    assert (guard_hot.fast_checks, guard_hot.fast_rejects) == \
-        (guard_ref.fast_checks, guard_ref.fast_rejects)
 
 
 def test_wide_mask_and_pack_rounds_layout():

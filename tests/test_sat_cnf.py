@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig, lit_not
+from repro.aig.io_aiger import write_aag_string
 from repro.aig.simulate import po_words, simulate_words
 from repro.errors import SatError
 from repro.sat.cnf import AigCnf, build_miter, prove_equivalent
 from repro.sat.equivalence import (assert_equivalent, check_equivalence,
                                    find_counterexample)
 from repro.sat.solver import SatSolver
+from repro.sat.sweep import sat_sweep
 from repro.sbm import FlowConfig, sbm_flow
+from repro.sbm.simresub import simresub_pass
 from tests.conftest import make_random_aig
 
 
@@ -204,3 +207,39 @@ class TestSweepingCec:
         original = make_random_aig(16, 80, 3, num_pos=6)
         monkeypatch.setattr(SatSolver, "solve_limited", None)
         assert find_counterexample(original, original.cleanup()) is None
+
+
+def test_undecided_proof_never_counts_as_proven(monkeypatch):
+    # Every conflict-limited query runs out of conflicts; an unlimited one
+    # still answers.  No caller of the shared check may read "undecided"
+    # as "proven".
+    original = make_random_aig(24, 90, 5, num_pos=6)
+    optimized, _stats = sbm_flow(original, FlowConfig(iterations=1))
+    minterm = optimized.add_and_multi(optimized.pi_literals())
+    optimized.set_po(2, optimized.add_xor(optimized.pos()[2], minterm))
+    resub_net = make_random_aig(8, 150, seed=7)
+    assert simresub_pass(resub_net.cleanup()).rewrites > 0
+    swept = make_random_aig(8, 150, seed=3)
+    merges = sat_sweep(swept)
+    assert merges > 0
+
+    solve_limited = SatSolver.solve_limited
+
+    def give_up(self, assumptions=(), conflict_limit=None):
+        if conflict_limit is not None:
+            return None
+        return solve_limited(self, assumptions, conflict_limit)
+
+    monkeypatch.setattr(SatSolver, "solve_limited", give_up)
+    # The CEC sweep merges nothing; its unlimited residual call decides.
+    cex = find_counterexample(original, optimized)
+    assert cex is not None
+    assert cex.inputs == [True] * 24 and cex.po_index == 2
+    # simresub validates every candidate within a budget: none survives.
+    stats = simresub_pass(resub_net)
+    assert stats.rewrites == 0 and stats.candidates_validated == 0
+    # sat_sweep proves without a limit, so it merges exactly as before.
+    patched = make_random_aig(8, 150, seed=3)
+    assert sat_sweep(patched) == merges
+    assert write_aag_string(patched.cleanup()) == \
+        write_aag_string(swept.cleanup())

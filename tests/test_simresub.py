@@ -282,7 +282,7 @@ class TestFlowIntegration:
     def test_chaos_corrupting_the_stage_is_rolled_back(
             self, random_aig_factory):
         # The stage sits at spec index 4; a forced corrupt-result fault on
-        # its site must be caught by the guard ladder and rolled back.
+        # its site must be caught by the guard and rolled back.
         aig = random_aig_factory(8, 150, seed=24)
         plan = FaultPlan(seed=1, rate=0.0,
                          forced={"stage:4:simresub": "corrupt-result"})
