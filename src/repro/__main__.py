@@ -116,11 +116,15 @@ import sys
 from typing import List, Optional, Tuple
 
 
-def _parse_jobs_value(flag: str, value: str) -> int:
+def _parse_int(flag: str, value: str, minimum: Optional[int] = None) -> int:
+    """*value* as an integer (at least *minimum*), else a one-line exit."""
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise SystemExit(f"{flag} expects an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise SystemExit(f"{flag} must be >= {minimum}, got {number}")
+    return number
 
 
 def _extract_jobs(args: List[str]) -> Tuple[List[str], int]:
@@ -133,11 +137,11 @@ def _extract_jobs(args: List[str]) -> Tuple[List[str], int]:
         if arg in ("-j", "--jobs"):
             if i + 1 >= len(args):
                 raise SystemExit(f"{arg} requires a value")
-            jobs = _parse_jobs_value(arg, args[i + 1])
+            jobs = _parse_int(arg, args[i + 1])
             i += 2
             continue
         if arg.startswith("--jobs="):
-            jobs = _parse_jobs_value("--jobs", arg.split("=", 1)[1])
+            jobs = _parse_int("--jobs", arg.split("=", 1)[1])
             i += 1
             continue
         out.append(arg)
@@ -248,7 +252,8 @@ def main(argv=None) -> int:
     progress = "--progress" in args
     args = [a for a in args if a != "--progress"]
     guard_opts.cache_dir = cache_dir
-    guard_opts.iterations = int(iterations) if iterations is not None else None
+    if iterations is not None:
+        guard_opts.iterations = _parse_int("--iterations", iterations, 1)
     guard_opts.tier = tier
     guard_opts.shard = shard
     guard_opts.shard_costs = shard_costs
@@ -256,13 +261,8 @@ def main(argv=None) -> int:
     guard_opts.simresub = "--no-simresub" not in args
     args = [a for a in args if a != "--no-simresub"]
     if orchestrate_k is not None:
-        try:
-            guard_opts.orchestrate_k = int(orchestrate_k)
-        except ValueError:
-            raise SystemExit(f"--orchestrate expects an integer K, "
-                             f"got {orchestrate_k!r}") from None
-        if guard_opts.orchestrate_k < 1:
-            raise SystemExit("--orchestrate K must be >= 1")
+        guard_opts.orchestrate_k = _parse_int("--orchestrate", orchestrate_k,
+                                              1)
     if not args:
         print(__doc__)
         return 1
@@ -353,7 +353,7 @@ def _dispatch(command: str, rest: List[str], jobs: int,
                                         flow_config=flow_config)))
     elif command == "table3":
         from repro.experiments.table3 import format_summary, run_table3
-        count = int(rest[0]) if rest else 6
+        count = _parse_int("table3 count", rest[0], 1) if rest else 6
         print(format_summary(run_table3(num_designs=count,
                                         sbm_config=flow_config)))
     elif command == "runtime":
@@ -636,6 +636,7 @@ def _run_orchestrate_command(rest: List[str], flow_config,
 def _run_fuzz_command(rest: List[str], guard_opts: GuardOptions) -> int:
     """``python -m repro fuzz run|repro ...`` (see ``repro.fuzz``)."""
     import dataclasses
+    import json
     import os
     if not rest:
         raise SystemExit("fuzz requires a subcommand: run | repro")
@@ -701,8 +702,9 @@ def _run_fuzz_command(rest: List[str], guard_opts: GuardOptions) -> int:
         print(f"bundle   : {bundle.fingerprint}  "
               f"(generator {bundle.recipe.get('generator')}, "
               f"seed {bundle.recipe.get('seed')})")
-        if bundle.injected:
-            print(f"injected : {bundle.injected}  (test-only fault hook)")
+        faults = bundle.oracle.get("faults")
+        if faults is not None:
+            print(f"faults   : {json.dumps(faults, sort_keys=True)}")
         print(f"expected : {expected.check}: {expected.kind}"
               f" @ {expected.stage}" if expected is not None
               else "expected : <none>")

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.aig.aig import Aig, lit_is_compl, lit_node
 from repro.aig.simprogram import sim_program
 from repro.errors import AigError
+from repro.tt.truthtable import variable_table
 
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -80,7 +81,7 @@ def simulate_complete(aig: Aig) -> Dict[int, int]:
     if k > 24:
         raise AigError(f"complete simulation infeasible for {k} inputs")
     nbits = 1 << k
-    patterns = [_variable_pattern(i, nbits) for i in range(k)]
+    patterns = [variable_table(i, k) for i in range(k)]
     return _run_by_node(aig, patterns, (1 << nbits) - 1)
 
 
@@ -95,15 +96,3 @@ def po_tables(aig: Aig, values: Optional[Dict[int, int]] = None) -> List[int]:
         v = values[lit_node(po)]
         out.append((v ^ mask) if lit_is_compl(po) else v)
     return out
-
-
-def _variable_pattern(index: int, nbits: int) -> int:
-    """Truth table of input variable *index* over *nbits* rows."""
-    period = 1 << (index + 1)
-    run = (1 << (1 << index)) - 1
-    pattern = 0
-    pos = 1 << index
-    while pos < nbits:
-        pattern |= run << pos
-        pos += period
-    return pattern

@@ -17,6 +17,13 @@ recipe, oracle decisions depend only on the recipe and the oracle
 config, and the minimizer is a fixed-order greedy reducer — the same
 seed always produces the same verdicts, which is what lets CI run a
 fixed budget and fail on *any* oracle verdict.
+
+The fuzzer's own soundness is checked against a deliberately broken
+flow, and the only way to break it is a
+:class:`repro.guard.chaos.FaultPlan`: :attr:`OracleConfig.faults` holds
+the plan's keyword arguments (the ``soundness`` tier of
+``suites/fuzz.toml`` forces one ``corrupt-result`` stage fault), so the
+bundle of a planted bug replays it with nothing else installed.
 """
 
 from repro.fuzz.generators import CaseRecipe, build_case, iter_recipes

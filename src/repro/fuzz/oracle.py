@@ -23,10 +23,13 @@ off): the stage guard *rolls back* miscomparing stages, which would
 silently repair the very bugs the fuzzer exists to find.  The guarded
 re-run is used only post-failure, for stage blame.
 
-Every flow execution funnels through :func:`_execute_flow`, which is
-also where the test-only :mod:`repro.fuzz.faults` hook corrupts results
-— that single choke point is what makes the soundness self-test (and
-bundle replay of injected bugs) exact.
+Every rung but ``chaos`` runs ``sbm_flow`` under a fresh
+:class:`~repro.guard.chaos.FaultPlan` built from
+:attr:`OracleConfig.faults`, the one way to break the flow on purpose:
+the soundness self-test forces a ``corrupt-result`` fault at a stage
+site, and since the field travels in every bundle's ``oracle`` dict, a
+replay rebuilds the same broken flow from the bundle alone.  The chaos
+rung keeps its own seeded plans, under the guard.
 """
 
 from __future__ import annotations
@@ -37,13 +40,18 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.aig.aig import Aig
-from repro.fuzz import faults
+from repro.guard.chaos import FaultPlan
 from repro.parallel.window_io import CompactAig
 from repro.sat.equivalence import find_counterexample
 from repro.sbm.config import FlowConfig
+from repro.sbm.flow import sbm_flow
 
 #: Fixed check order; the first failing rung is the case's primary verdict.
 CHECK_ORDER = ("crash", "timeout", "cec", "jobs", "chaos")
+
+#: Stage-corruption rate of the chaos rung's plans (their window-fault
+#: rate is ``FaultPlan``'s default, also 0.05).
+CHAOS_STAGE_CORRUPT_RATE = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,10 +62,11 @@ class OracleConfig:
     checks: Tuple[str, ...] = ("cec", "jobs", "chaos")
     jobs: int = 2                     #: width of the ``jobs`` rung
     chaos_seeds: Tuple[int, ...] = (7,)
-    chaos_rate: float = 0.05          #: window-fault rate of the chaos rung
-    stage_corrupt_rate: float = 0.05  #: stage-corruption rate, chaos rung
     enable_simresub: bool = True
     case_timeout_s: Optional[float] = None
+    #: ``FaultPlan`` keyword arguments (plain JSON values) every rung but
+    #: chaos runs under — a deliberately broken flow; ``None`` runs clean
+    faults: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
         unknown = [check for check in self.checks
@@ -65,14 +74,27 @@ class OracleConfig:
         if unknown:
             raise ValueError(f"unknown oracle check {unknown[0]!r} "
                              f"(expected names from {CHECK_ORDER})")
+        self.fault_plan()  # bundles are outside input: reject bad plans now
+
+    def fault_plan(self) -> Optional[FaultPlan]:
+        """A fresh plan from :attr:`faults`, or ``None`` when unset.
+
+        An unknown key or fault kind raises :class:`ValueError`.
+        """
+        if self.faults is None:
+            return None
+        try:
+            return FaultPlan(**self.faults)
+        except TypeError as exc:
+            raise ValueError(f"bad oracle fault plan {self.faults!r}: "
+                             f"{exc}") from None
 
     def to_dict(self) -> Dict[str, Any]:
         return {"iterations": self.iterations, "checks": list(self.checks),
                 "jobs": self.jobs, "chaos_seeds": list(self.chaos_seeds),
-                "chaos_rate": self.chaos_rate,
-                "stage_corrupt_rate": self.stage_corrupt_rate,
                 "enable_simresub": self.enable_simresub,
-                "case_timeout_s": self.case_timeout_s}
+                "case_timeout_s": self.case_timeout_s,
+                "faults": self.faults}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "OracleConfig":
@@ -81,17 +103,18 @@ class OracleConfig:
                    jobs=int(data.get("jobs", 2)),
                    chaos_seeds=tuple(int(s) for s in
                                      data.get("chaos_seeds", ())),
-                   chaos_rate=float(data.get("chaos_rate", 0.05)),
-                   stage_corrupt_rate=float(
-                       data.get("stage_corrupt_rate", 0.05)),
                    enable_simresub=bool(data.get("enable_simresub", True)),
-                   case_timeout_s=data.get("case_timeout_s"))
+                   case_timeout_s=data.get("case_timeout_s"),
+                   faults=data.get("faults"))
 
-    def flow_config(self, jobs: int = 1, chaos: Any = None,
+    def flow_config(self, jobs: int = 1, chaos: Optional[FaultPlan] = None,
                     verify_each_step: bool = False,
                     pool: Any = None) -> FlowConfig:
+        """A rung's flow: under *chaos* when given (the chaos rung), else
+        under a fresh plan from :attr:`faults`."""
         return FlowConfig(iterations=self.iterations, jobs=jobs,
-                          chaos=chaos, pool=pool,
+                          chaos=chaos if chaos is not None
+                          else self.fault_plan(), pool=pool,
                           enable_simresub=self.enable_simresub,
                           verify_each_step=verify_each_step)
 
@@ -168,21 +191,6 @@ def network_key(aig: Aig) -> str:
     return network_fingerprint(aig)
 
 
-def _execute_flow(source: Aig, config: FlowConfig) -> Tuple[Aig, Any]:
-    """Run ``sbm_flow`` — the single choke point every oracle rung uses.
-
-    The test-only :mod:`repro.fuzz.faults` hook corrupts the result here
-    (and only here), so an installed fault behaves exactly like a buggy
-    rewrite inside the flow under test.
-    """
-    from repro.sbm.flow import sbm_flow
-    result, stats = sbm_flow(source, config)
-    fault = faults.active()
-    if fault is not None:
-        result = fault.apply(result, source=source, jobs=config.jobs)
-    return result, stats
-
-
 def _signature(stats: Any, failures: List[OracleFailure]) -> str:
     """Stage-coverage signature: stage names × did-the-size-move, plus any
     failure kinds.  Novelty of this string decides corpus admission."""
@@ -212,13 +220,11 @@ def _blame_stage(source: Aig, config: OracleConfig) -> Optional[str]:
     With ``verify_each_step=True`` the :class:`StageGuard` SAT-checks
     every stage and *rolls back* the guilty one — the first
     ``rolled_back`` guard event names it.  A clean guarded re-run means
-    the corruption happened outside any stage (e.g. the test-only fault
-    hook): blamed as ``final``.
+    the corruption happened outside every stage: blamed as ``final``.
     """
     try:
-        _result, stats = _execute_flow(source,
-                                       config.flow_config(
-                                           verify_each_step=True))
+        _result, stats = sbm_flow(source,
+                                  config.flow_config(verify_each_step=True))
     except Exception:
         return None
     guard = getattr(stats, "guard", None)
@@ -245,8 +251,7 @@ def run_case(aig: Aig, config: OracleConfig,
     baseline: Optional[Aig] = None
     stats: Any = None
     try:
-        baseline, stats = _execute_flow(snapshot.to_aig(),
-                                        config.flow_config())
+        baseline, stats = sbm_flow(snapshot.to_aig(), config.flow_config())
     except Exception as exc:
         result.failures.append(OracleFailure(
             check="crash", kind=type(exc).__name__, detail=str(exc)))
@@ -276,9 +281,9 @@ def run_case(aig: Aig, config: OracleConfig,
         # -- rung 3: jobs=N vs jobs=1 bit-identity -----------------------------
         if "jobs" in config.checks and config.jobs > 1:
             try:
-                wide, _ = _execute_flow(snapshot.to_aig(),
-                                        config.flow_config(jobs=config.jobs,
-                                                           pool=pool))
+                wide, _ = sbm_flow(snapshot.to_aig(),
+                                   config.flow_config(jobs=config.jobs,
+                                                      pool=pool))
                 if network_key(wide) != base_key:
                     result.failures.append(OracleFailure(
                         check="jobs", kind="JobsDivergence",
@@ -292,11 +297,10 @@ def run_case(aig: Aig, config: OracleConfig,
         # -- rung 4: chaos sweeps must survive and stay equivalent -------------
         if "chaos" in config.checks:
             for seed in config.chaos_seeds:
-                from repro.guard.chaos import FaultPlan
-                plan = FaultPlan(seed=seed, rate=config.chaos_rate,
-                                 stage_corrupt_rate=config.stage_corrupt_rate)
+                plan = FaultPlan(seed=seed,
+                                 stage_corrupt_rate=CHAOS_STAGE_CORRUPT_RATE)
                 try:
-                    shaken, _ = _execute_flow(
+                    shaken, _ = sbm_flow(
                         snapshot.to_aig(),
                         config.flow_config(chaos=plan,
                                            verify_each_step=True))

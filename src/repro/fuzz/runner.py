@@ -33,8 +33,7 @@ from repro.fuzz.generators import (GENERATOR_NAMES, MUTATION_BENCHMARKS,
                                    CaseRecipe, build_case, iter_recipes)
 from repro.fuzz.minimize import minimize
 from repro.fuzz.oracle import CaseResult, OracleConfig, run_case
-from repro.fuzz.triage import (FailureBundle, FuzzCorpus, build_bundle,
-                               write_bundle)
+from repro.fuzz.triage import FuzzCorpus, build_bundle, write_bundle
 
 #: Minimizer predicate evaluations per failing case.
 DEFAULT_MINIMIZE_EVALS = 120
@@ -123,7 +122,8 @@ def load_fuzz_suite(path: str, tier: Optional[str] = None) -> FuzzConfig:
 
     The file carries a ``name``, optional top-level defaults, and one
     ``[tiers.<name>]`` table per tier; *tier* defaults to the file's
-    ``default_tier`` (or ``smoke``).
+    ``default_tier`` (or ``smoke``).  A tier's ``faults`` inline table
+    becomes :attr:`OracleConfig.faults`.
     """
     with open(path, "rb") as handle:
         data = tomllib.load(handle)
@@ -140,7 +140,8 @@ def load_fuzz_suite(path: str, tier: Optional[str] = None) -> FuzzConfig:
         jobs=int(entry.get("oracle_jobs", 2)),
         chaos_seeds=tuple(int(s) for s in entry.get("chaos_seeds", (7,))),
         enable_simresub=bool(entry.get("enable_simresub", True)),
-        case_timeout_s=entry.get("case_timeout_s"))
+        case_timeout_s=entry.get("case_timeout_s"),
+        faults=entry.get("faults"))
     return FuzzConfig(
         budget=int(entry.get("budget", 100)),
         seed=int(entry.get("seed", 0xF022)),

@@ -3,10 +3,10 @@
 A failing case is only useful if someone else can replay it, so every
 failure becomes one **self-contained JSON bundle**: the recipe, the
 original and minimized networks (byte-stable CompactAig dicts — the same
-encoding the cache layer uses), the oracle configuration,
-the verdict, and the injected-fault spec when the test-only hook was
-active.  ``python -m repro fuzz repro <bundle>`` rebuilds everything
-from the bundle alone — no repo state, no seed files, no corpus.
+encoding the cache layer uses), the oracle configuration (including any
+fault plan the flow ran under), and the verdict.  ``python -m repro fuzz
+repro <bundle>`` rebuilds everything from the bundle alone — no repo
+state, no seed files, no corpus.
 
 Bundles are **deduplicated by failure fingerprint**: SHA-256 over
 ``(failure kind, blamed stage, minimized-network content key)``.  Two
@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.aig.aig import Aig
 from repro.campaign.cache import atomic_write_text
-from repro.fuzz import faults
 from repro.fuzz.generators import CaseRecipe
 from repro.fuzz.oracle import (CaseResult, OracleConfig, OracleFailure,
                                network_key, run_case)
@@ -71,13 +70,12 @@ class FailureBundle:
     minimized: Optional[Dict[str, Any]]
     verdict: Dict[str, Any]           #: ``CaseResult.to_dict()``
     fingerprint: str
-    injected: Optional[str] = None    #: test-only fault spec, when active
 
     def to_dict(self) -> Dict[str, Any]:
         return {"schema": BUNDLE_SCHEMA, "recipe": self.recipe,
                 "oracle": self.oracle, "network": self.network,
                 "minimized": self.minimized, "verdict": self.verdict,
-                "fingerprint": self.fingerprint, "injected": self.injected}
+                "fingerprint": self.fingerprint}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FailureBundle":
@@ -85,13 +83,13 @@ class FailureBundle:
             raise ValueError(f"not a fuzz bundle (schema="
                              f"{data.get('schema')!r}, expected "
                              f"{BUNDLE_SCHEMA!r})")
+        OracleConfig.from_dict(data["oracle"])  # bad check or fault plan
         return cls(recipe=dict(data["recipe"]), oracle=dict(data["oracle"]),
                    network=dict(data["network"]),
                    minimized=(dict(data["minimized"])
                               if data.get("minimized") else None),
                    verdict=dict(data["verdict"]),
-                   fingerprint=str(data["fingerprint"]),
-                   injected=data.get("injected"))
+                   fingerprint=str(data["fingerprint"]))
 
     @property
     def primary(self) -> Optional[OracleFailure]:
@@ -106,7 +104,6 @@ def build_bundle(recipe: CaseRecipe, config: OracleConfig, network: Aig,
     """Assemble the bundle for one failing case."""
     primary = verdict.primary
     assert primary is not None, "build_bundle called on a passing case"
-    fault = faults.active()
     anchor = minimized if minimized is not None else network
     return FailureBundle(
         recipe=recipe.to_dict(), oracle=config.to_dict(),
@@ -114,8 +111,7 @@ def build_bundle(recipe: CaseRecipe, config: OracleConfig, network: Aig,
         minimized=(compact_to_dict(CompactAig.from_aig(minimized))
                    if minimized is not None else None),
         verdict=verdict.to_dict(),
-        fingerprint=fingerprint_of(primary, anchor),
-        injected=fault.spec if fault is not None else None)
+        fingerprint=fingerprint_of(primary, anchor))
 
 
 def write_bundle(directory: str, bundle: FailureBundle) -> Tuple[str, bool]:
@@ -152,16 +148,14 @@ def replay_bundle(bundle: FailureBundle,
     """Re-run the oracle on the bundled network; compare primary verdicts.
 
     Replays the *minimized* network by default (the original with
-    ``minimized=False``).  A recorded injected-fault spec is re-installed
-    for the replay — reproducing a soundness self-test requires the same
-    deliberately broken flow the bundle was recorded against.
+    ``minimized=False``).  The bundled oracle config carries its fault
+    plan, so a soundness self-test replays against the same deliberately
+    broken flow it was recorded against.
     """
     source = bundle.minimized if (minimized and bundle.minimized) \
         else bundle.network
     aig = compact_from_dict(source).to_aig()
-    config = OracleConfig.from_dict(bundle.oracle)
-    with faults.injected(bundle.injected):
-        verdict = run_case(aig, config)
+    verdict = run_case(aig, OracleConfig.from_dict(bundle.oracle))
     expected = bundle.primary
     actual = verdict.primary
     reproduced = (expected is not None and actual is not None

@@ -15,7 +15,9 @@ degrades gracefully, never corrupts, and always resumes:
 * :mod:`repro.guard.chaos` — :class:`FaultPlan`, a seeded deterministic
   fault-injection harness (worker crashes, window timeouts, corrupt
   results, forced BDD bailouts, a mid-flow interrupt) threaded through
-  the partition scheduler and the stage executor.
+  the partition scheduler and the stage executor.  It is the only fault
+  injector: the fuzz oracle's chaos rung and its soundness self-test
+  (``repro.fuzz.oracle.OracleConfig.faults``) build plans too.
 
 Every stage of every flow runs through one executor,
 :func:`repro.sbm.flow.run_stage`, which applies all three and consults

@@ -37,6 +37,13 @@ deterministic stand-in for ``kill -9`` used by the rerun-after-interrupt
 CI check.  A plan whose only fault is the interrupt cannot change any
 stage result (:attr:`FaultPlan.alters_results` is false), so it leaves
 the stage memo on.
+
+This is the repo's only fault injector.  Besides ``--chaos`` and
+``scripts/chaos_soak.py``, the fuzz oracle (:mod:`repro.fuzz.oracle`)
+runs under plans: seeded ones in its chaos rung, and, for its soundness
+self-test, the plan whose keyword arguments
+``OracleConfig.faults`` holds (a forced stage ``corrupt-result`` flips
+PO 0 of that stage's result; a result without outputs draws no fault).
 """
 
 from __future__ import annotations

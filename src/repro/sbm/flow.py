@@ -397,7 +397,7 @@ def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
                     result = before
                     outcome.depth_rollback = before.num_ands
             chaos = config.chaos
-            if chaos is not None \
+            if chaos is not None and result.num_pos \
                     and chaos.draw_stage(site) == "corrupt-result":
                 result = result.cleanup()
                 result.set_po(0, lit_not(result.pos()[0]))
@@ -468,7 +468,7 @@ def sbm_flow(aig: Aig, config: Optional[FlowConfig] = None,
         chaos_seed=chaos.seed if chaos is not None else None)
     start = time.perf_counter()
     try:
-        best = _execute_flow(aig, config, stats, report)
+        best = _run_waterfall(aig, config, stats, report)
     finally:
         if chaos is not None:
             report.faults.extend(chaos.injected_since(chaos_mark))
@@ -478,8 +478,8 @@ def sbm_flow(aig: Aig, config: Optional[FlowConfig] = None,
     return best, stats
 
 
-def _execute_flow(aig: Aig, config: FlowConfig, stats: FlowStats,
-                  report: GuardReport) -> Aig:
+def _run_waterfall(aig: Aig, config: FlowConfig, stats: FlowStats,
+                   report: GuardReport) -> Aig:
     specs = _stage_specs(config)
     per_iter = len(specs)
     total = per_iter * config.iterations

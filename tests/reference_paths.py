@@ -16,8 +16,9 @@ formulation each of those replaced, copied verbatim, so that
 Inside this module the reference functions call each other (the frozen
 ``kernel_value`` divides with the frozen ``divide``; the frozen call sites
 simulate with the frozen ``simulate_words``; the frozen ``_isop_rec``
-masks with the frozen ``variable_table``), so the reference side of a
-comparison never runs the fast path under test.
+masks with the frozen ``variable_table``; the frozen ``simulate_complete``
+projects with the frozen ``_variable_pattern``), so the reference side of
+a comparison never runs the fast path under test.
 
 Do not edit the bodies to follow production: they are the specification
 the fast paths are held to.  Nothing under ``src/`` may import this module,
@@ -35,7 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aig.aig import Aig, lit, lit_is_compl, lit_node
 from repro.aig.simprogram import WORD_BITS
-from repro.aig.simulate import WORD_MASK, _variable_pattern, po_tables, po_words
+from repro.aig.simulate import WORD_MASK, po_tables, po_words
 from repro.aig.traversal import topological_order_all
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.errors import AigError, ReproError, SatError
@@ -50,6 +51,18 @@ from repro.tt.truthtable import table_mask
 
 
 # -- simulation (repro.aig.simulate) ------------------------------------------
+
+def _variable_pattern(index: int, nbits: int) -> int:
+    """Truth table of input variable *index* over *nbits* rows."""
+    period = 1 << (index + 1)
+    run = (1 << (1 << index)) - 1
+    pattern = 0
+    pos = 1 << index
+    while pos < nbits:
+        pattern |= run << pos
+        pos += period
+    return pattern
+
 
 def simulate_words(aig: Aig, pi_words: Sequence[int]) -> Dict[int, int]:
     """Reference implementation: interpreted per-call topological walk."""

@@ -1,7 +1,7 @@
 """Tests for repro.fuzz: generators, oracle rungs, minimizer, triage,
-and the acceptance criteria from the fuzzing issue (soundness on an
-injected bug, bounded minimization, one-command bundle replay, and a
-deterministic clean run)."""
+and the fuzzer's acceptance criteria (soundness on a planted bug,
+bounded minimization, one-command bundle replay, and a deterministic
+clean run)."""
 
 import json
 import os
@@ -14,7 +14,7 @@ from repro.aig.aig import Aig
 from repro.fuzz import (CaseRecipe, FuzzConfig, OracleConfig, build_case,
                         iter_recipes, load_bundle, load_fuzz_suite, minimize,
                         replay_bundle, run_case, run_fuzz, write_bundle)
-from repro.fuzz import faults
+from repro.fuzz import oracle
 from repro.fuzz.generators import (GENERATOR_NAMES, MUTATION_OPS,
                                    build_case as _build_case)
 from repro.fuzz.oracle import network_key
@@ -27,6 +27,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Fast oracle: CEC only, no jobs/chaos re-runs.
 CEC_ONLY = OracleConfig(checks=("cec",))
+
+#: The planted bug: PO 0 of the first stage's (aig_script's) result
+#: complemented, as ``FaultPlan`` keyword arguments.
+FLIP_AIG_SCRIPT = {"seed": 0, "rate": 0.0,
+                   "forced": {"stage:0:aig_script": "corrupt-result"}}
+
+#: CEC-only oracle over the deliberately broken flow.
+PLANTED = OracleConfig(checks=("cec",), faults=FLIP_AIG_SCRIPT)
 
 #: Fast generator mix: skip the (slower) EPFL mutants.
 FAST_GENS = ("random-aig", "random-sop")
@@ -48,6 +56,30 @@ def _tiny_network(num_ands=6):
     aig.add_po(literals[-1])
     aig.add_po(literals[-2] ^ 1)
     return aig.cleanup()
+
+
+def _flip_po_after_flow(monkeypatch, when=lambda config: True):
+    """Complement PO 0 of every oracle flow result whose config satisfies
+    *when*: a corruption outside every stage."""
+    real_flow = oracle.sbm_flow
+
+    def flipped(aig, config):
+        result, stats = real_flow(aig, config)
+        if when(config):
+            result = result.cleanup()
+            result.set_po(0, result.pos()[0] ^ 1)
+        return result, stats
+
+    monkeypatch.setattr(oracle, "sbm_flow", flipped)
+
+
+@pytest.fixture(scope="module")
+def planted_report(tmp_path_factory):
+    """The soundness drive: the first planted-bug failure, bundled."""
+    bundle_dir = str(tmp_path_factory.mktemp("planted") / "bundles")
+    return run_fuzz(_fast_config(budget=500, seed=99, oracle=PLANTED,
+                                 bundle_dir=bundle_dir,
+                                 stop_after_failures=1))
 
 
 class TestGenerators:
@@ -96,7 +128,7 @@ class TestGenerators:
 
 
 class TestOracleRungs:
-    """Each injected fault kind trips exactly its own oracle rung."""
+    """Each planted fault trips exactly its own oracle rung."""
 
     def test_clean_network_passes(self):
         verdict = run_case(_tiny_network(), CEC_ONLY)
@@ -105,20 +137,31 @@ class TestOracleRungs:
         assert verdict.signature
 
     def test_flip_po_trips_cec(self):
-        with faults.injected("flip-po:1"):
-            verdict = run_case(_tiny_network(), CEC_ONLY)
+        config = OracleConfig(checks=("cec", "jobs"), jobs=2,
+                              faults=FLIP_AIG_SCRIPT)
+        verdict = run_case(_tiny_network(), config)
+        assert [f.check for f in verdict.failures] == ["cec"]
         primary = verdict.primary
-        assert primary is not None and primary.check == "cec"
         assert primary.kind == "EquivalenceError"
-        assert primary.stage == "final"
+        # The guarded re-run rolls the corrupted stage back: blamed on it.
+        assert primary.stage == "aig_script"
         assert primary.cex is not None
 
-    def test_crash_trips_crash_rung(self):
-        with faults.injected("crash:1"):
-            verdict = run_case(_tiny_network(), CEC_ONLY)
+    def test_corruption_outside_every_stage_is_blamed_on_final(
+            self, monkeypatch):
+        _flip_po_after_flow(monkeypatch)
+        verdict = run_case(_tiny_network(), CEC_ONLY)
         primary = verdict.primary
-        assert primary is not None and primary.check == "crash"
-        assert primary.kind == "RuntimeError"
+        assert primary is not None and primary.check == "cec"
+        assert primary.stage == "final"
+
+    def test_crash_trips_crash_rung(self):
+        config = OracleConfig(checks=("cec", "jobs"), jobs=2,
+                              faults={"seed": 0, "rate": 0.0,
+                                      "interrupt_after": 0})
+        verdict = run_case(_tiny_network(), config)
+        assert [f.check for f in verdict.failures] == ["crash"]
+        assert verdict.primary.kind == "ChaosInterrupt"
 
     @pytest.mark.parametrize("name", ["cecc", "hotpath"])
     def test_unknown_check_names_rejected(self, name):
@@ -129,18 +172,32 @@ class TestOracleRungs:
         with pytest.raises(ValueError, match=repr(name)):
             OracleConfig.from_dict({"checks": ["cec", name]})
 
-    def test_jobs_flip_trips_only_jobs(self):
+    def test_jobs_flip_trips_only_jobs(self, monkeypatch):
+        # A FaultPlan cannot depend on jobs (window faults are drawn in
+        # the parent), so this fault is a patch on the oracle's flow.
+        _flip_po_after_flow(monkeypatch, when=lambda config: config.jobs > 1)
         config = OracleConfig(checks=("cec", "jobs"), jobs=2)
-        with faults.injected("jobs-flip:1"):
-            verdict = run_case(_tiny_network(), config)
+        verdict = run_case(_tiny_network(), config)
         checks = [f.check for f in verdict.failures]
         assert checks == ["jobs"]
         assert verdict.failures[0].kind == "JobsDivergence"
 
-    def test_threshold_gates_the_fault(self):
-        with faults.injected("flip-po:9999"):
-            verdict = run_case(_tiny_network(), CEC_ONLY)
-        assert verdict.ok
+    @pytest.mark.parametrize("faults", [
+        {"seed": 0, "frobnicate": 1},                  # unknown key
+        {"seed": 0, "forced": {"x": "frobnicate"}},    # unknown kind
+        "flip-po:1",                                   # not a mapping
+    ])
+    def test_bad_fault_plan_rejected(self, faults):
+        with pytest.raises(ValueError, match="fault"):
+            OracleConfig(faults=faults)
+        with pytest.raises(ValueError, match="fault"):
+            OracleConfig.from_dict({"checks": ["cec"], "faults": faults})
+
+    def test_faults_round_trip_through_dict(self):
+        data = json.loads(json.dumps(PLANTED.to_dict()))
+        assert OracleConfig.from_dict(data) == PLANTED
+        assert data["faults"] == FLIP_AIG_SCRIPT
+        assert OracleConfig.from_dict({"checks": ["cec"]}).faults is None
 
     def test_old_bundle_exhaustive_limit_is_ignored(self):
         # Bundles once carried a CEC exhaustive-simulation cutoff; above 24
@@ -151,31 +208,14 @@ class TestOracleRungs:
         assert verdict.ok and verdict.primary is None
         assert "exhaustive_limit" not in config.to_dict()
 
-
-class TestFaultSpecs:
-    def test_parse_round_trip(self):
-        for kind in faults.FAULT_KINDS:
-            fault = faults.InjectedFault.parse(f"{kind}:3")
-            assert fault.kind == kind and fault.threshold == 3
-            assert fault.spec == f"{kind}:3"
-
-    def test_parse_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            faults.InjectedFault.parse("frobnicate:1")
-
-    def test_env_var_installs_fault(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_VAR, "crash:5")
-        active = faults.active()
-        assert active is not None and active.spec == "crash:5"
-        # A programmatic fault wins over the environment.
-        with faults.injected("flip-po:1") as fault:
-            assert faults.active() is fault
-        assert faults.active().spec == "crash:5"
-
-    def test_injected_none_is_noop(self):
-        with faults.injected(None) as fault:
-            assert fault is None
-            assert faults.active() is None
+    def test_old_bundle_chaos_rates_are_ignored(self):
+        # The chaos rung's rates were once config fields; they are fixed.
+        config = OracleConfig.from_dict({"checks": ["chaos"],
+                                         "chaos_seeds": [7],
+                                         "chaos_rate": 0.5,
+                                         "stage_corrupt_rate": 0.5})
+        assert config == OracleConfig(checks=("chaos",))
+        assert "chaos_rate" not in config.to_dict()
 
 
 class TestMinimizer:
@@ -183,8 +223,7 @@ class TestMinimizer:
         aig = make_random_aig(5, 40, seed=11)
 
         def predicate(candidate):
-            with faults.injected("flip-po:2"):
-                verdict = run_case(candidate, CEC_ONLY)
+            verdict = run_case(candidate, PLANTED)
             primary = verdict.primary
             return primary is not None and primary.check == "cec"
 
@@ -210,15 +249,11 @@ class TestMinimizer:
 
 
 class TestSoundnessLoop:
-    """Acceptance: an injected bug is found within a fixed-seed budget,
+    """Acceptance: a planted bug is found within a fixed-seed budget,
     minimized, bundled, and reproduced — from the bundle alone."""
 
-    def test_injected_bug_found_minimized_and_replayed(self, tmp_path):
-        bundle_dir = str(tmp_path / "bundles")
-        with faults.injected("flip-po:2"):
-            report = run_fuzz(_fast_config(budget=500, seed=99,
-                                           bundle_dir=bundle_dir,
-                                           stop_after_failures=1))
+    def test_injected_bug_found_minimized_and_replayed(self, planted_report):
+        report = planted_report
         assert report.failures == 1
         assert len(report.bundles) == 1
         row = next(r for r in report.cases if not r.verdict.ok)
@@ -226,28 +261,48 @@ class TestSoundnessLoop:
         assert row.minimized_nodes <= max(2, row.verdict.nodes_before // 4)
 
         bundle = load_bundle(report.bundles[0])
-        assert bundle.injected == "flip-po:2"
+        assert bundle.oracle["faults"] == FLIP_AIG_SCRIPT
         assert bundle.fingerprint == row.fingerprint
         replay = replay_bundle(bundle)
         assert replay.reproduced
         assert replay.verdict.primary.check == "cec"
+        assert replay.verdict.primary.stage == "aig_script"
 
-    def test_cli_repro_from_bundle_alone(self, tmp_path):
-        bundle_dir = str(tmp_path / "bundles")
-        with faults.injected("flip-po:2"):
-            report = run_fuzz(_fast_config(budget=500, seed=99,
-                                           bundle_dir=bundle_dir,
-                                           stop_after_failures=1))
-        assert report.bundles
-        env = dict(os.environ,
-                   PYTHONPATH=os.path.join(REPO, "src"))
-        env.pop(faults.ENV_VAR, None)  # the bundle alone must suffice
+    def test_cli_repro_from_bundle_alone(self, planted_report):
+        assert planted_report.bundles
+        # The bundle alone must suffice: no other environment at all.
+        env = {"PYTHONPATH": os.path.join(REPO, "src")}
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "fuzz", "repro",
-             report.bundles[0]],
+             planted_report.bundles[0]],
             cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "REPRODUCED" in proc.stdout
+        assert "verdict  : REPRODUCED" in proc.stdout
+        assert '"stage:0:aig_script": "corrupt-result"' in proc.stdout
+
+    def test_cli_repro_original_network(self, planted_report, capsys):
+        from repro.__main__ import main as cli_main
+        status = cli_main(["fuzz", "repro", "--original",
+                           planted_report.bundles[0]])
+        assert status == 0
+        assert "verdict  : REPRODUCED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("faults", [
+        {"seed": 0, "frobnicate": 1},
+        {"seed": 0, "forced": {"stage:0:aig_script": "frobnicate"}},
+    ])
+    def test_cli_repro_rejects_bad_fault_plan(self, planted_report, tmp_path,
+                                              capsys, faults):
+        from repro.__main__ import main as cli_main
+        with open(planted_report.bundles[0], "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["oracle"]["faults"] = faults
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["fuzz", "repro", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("unreadable bundle")
+        assert len(out.splitlines()) == 1
 
 
 class TestCleanRunDeterminism:
@@ -268,9 +323,8 @@ class TestTriage:
     def _bundle(self):
         recipe = next(iter(iter_recipes(5, 1, generators=FAST_GENS)))
         network = build_case(recipe)
-        with faults.injected("flip-po:1"):
-            verdict = run_case(network, CEC_ONLY)
-            return build_bundle(recipe, CEC_ONLY, network, verdict, None)
+        verdict = run_case(network, PLANTED)
+        return build_bundle(recipe, PLANTED, network, verdict, None)
 
     def test_write_bundle_deduplicates(self, tmp_path):
         bundle = self._bundle()
@@ -288,9 +342,11 @@ class TestTriage:
         assert loaded.fingerprint == bundle.fingerprint
         assert CaseRecipe.from_dict(loaded.recipe).canonical() == \
             CaseRecipe.from_dict(bundle.recipe).canonical()
-        assert loaded.injected == bundle.injected == "flip-po:1"
+        assert loaded.oracle == bundle.oracle == PLANTED.to_dict()
         with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["schema"] == "repro.fuzz/bundle-v1"
+            data = json.load(handle)
+        assert data["schema"] == "repro.fuzz/bundle-v1"
+        assert "injected" not in data
 
     def test_corpus_keeps_only_novel_signatures(self, tmp_path):
         corpus_dir = str(tmp_path / "corpus")
@@ -326,6 +382,11 @@ class TestSuiteLoading:
         assert nightly.oracle.checks == ("cec", "jobs", "chaos")
         # The file's default tier resolves without naming one.
         assert load_fuzz_suite(path).name == "fuzz:smoke"
+        assert smoke.oracle.faults is None and nightly.oracle.faults is None
+        soundness = load_fuzz_suite(path, "soundness")
+        assert soundness.oracle.checks == ("cec",)
+        assert soundness.oracle.faults == FLIP_AIG_SCRIPT
+        assert soundness.budget <= smoke.budget
 
     def test_unknown_tier_rejected(self):
         path = os.path.join(REPO, "suites", "fuzz.toml")

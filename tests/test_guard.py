@@ -34,7 +34,6 @@ from repro.campaign.cache import (
 from repro.errors import EquivalenceError
 from repro.guard.budget import FULL, REDUCED, SKIP, DeadlineManager, StagePlan
 from repro.guard.chaos import (
-    FAULT_KINDS,
     ChaosInterrupt,
     FaultPlan,
     corrupt_window_result,
@@ -471,6 +470,17 @@ class TestFaultPlan:
         plan = FaultPlan(seed=3, stage_corrupt_rate=0.0)
         assert plan.draw_stage("stage:0:kernel") is None
 
+    def test_stage_corruption_skips_networks_without_outputs(self):
+        # There is no PO to complement: no stage fault is drawn.
+        aig = Aig("no_pos")
+        a, b = aig.add_pis(2)
+        aig.add_and(a, b)
+        plan = FaultPlan(seed=3, rate=0.0, stage_corrupt_rate=1.0)
+        out, stats = sbm_flow(aig, FlowConfig(iterations=1, chaos=plan,
+                                              verify_each_step=True))
+        assert (out.num_pis, out.num_pos) == (2, 0)
+        assert plan.injected == [] and stats.guard.faults == []
+
     def test_corrupt_window_result_flips_function(self):
         aig = make_random_aig(5, 40, seed=51)
         from repro.parallel import extract_task, whole_network_window
@@ -593,3 +603,11 @@ class TestSatellites:
             cli_main(["optimize", "cavlc", "--chaos", "tuesday"])
         with pytest.raises(SystemExit):
             cli_main(["optimize", "cavlc", "--timeout", "-5"])
+        # Counts: a non-integer or a value below 1 exits with one line.
+        for argv in (["campaign", "router", "--iterations", "abc"],
+                     ["campaign", "router", "--iterations", "0"],
+                     ["table3", "x"], ["table3", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert isinstance(exc.value.code, str), argv
+            assert "\n" not in exc.value.code, argv
