@@ -1,9 +1,11 @@
 """Serial vs parallel wall time of the partitioned SBM passes.
 
-Runs the same partitioned pass with ``jobs=1`` (the exact serial path) and
-``jobs=cpu_count`` through :mod:`repro.parallel`, reports both wall times
-and the realized speedup, and asserts the contract that makes the knob safe
-to flip: the two runs produce node-for-node identical networks.
+Runs the same partitioned pass inline (the exact serial path) and on a
+``cpu_count``-wide :class:`~repro.parallel.shared_pool.SharedProcessPool`
+through :mod:`repro.parallel`, reports both wall times and the realized
+speedup, and asserts the contract that makes the knob safe to flip: the
+two runs produce node-for-node identical networks.  The pool is built
+before the timed pass, as a flow builds it once per run.
 
 On a single-core runner the parallel run only measures the process-pool
 overhead (speedup ≈ 1 or below); on multi-core machines the speedup
@@ -19,7 +21,8 @@ import pytest
 
 from benchmarks.conftest import full_run
 from tests.conftest import make_random_aig
-from repro.parallel import CompactAig, run_partitioned_pass
+from repro.parallel import CompactAig, PartitionScheduler
+from repro.parallel.shared_pool import SharedProcessPool
 from repro.partition.partitioner import PartitionConfig
 from repro.sbm.config import BooleanDifferenceConfig, KernelConfig, MspfConfig
 
@@ -44,11 +47,11 @@ def _signature(aig):
     return (c.num_pis, tuple(c.gates), tuple(c.outputs))
 
 
-def _timed_pass(engine, make_config, jobs):
+def _timed_pass(engine, make_config, pool=None):
     aig = _network()
     start = time.perf_counter()
-    report = run_partitioned_pass(aig, engine, make_config(),
-                                  partition_config=PARTS, jobs=jobs)
+    report = PartitionScheduler(pool=pool).run_pass(
+        aig, engine, make_config(), partition_config=PARTS)
     return aig, report, time.perf_counter() - start
 
 
@@ -59,10 +62,11 @@ def test_bench_serial_vs_parallel(engine, make_config, benchmark):
         pytest.skip("representative subset; REPRO_BENCH_FULL=1 for all")
     jobs = os.cpu_count() or 1
 
-    serial_aig, serial_report, serial_s = _timed_pass(engine, make_config, 1)
-    parallel_aig, parallel_report, parallel_s = benchmark.pedantic(
-        _timed_pass, args=(engine, make_config, jobs),
-        iterations=1, rounds=1)
+    serial_aig, serial_report, serial_s = _timed_pass(engine, make_config)
+    with SharedProcessPool(jobs) as pool:
+        parallel_aig, parallel_report, parallel_s = benchmark.pedantic(
+            _timed_pass, args=(engine, make_config, pool),
+            iterations=1, rounds=1)
 
     speedup = serial_s / parallel_s if parallel_s > 0 else 1.0
     print()

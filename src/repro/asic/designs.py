@@ -17,10 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import List
 
-from repro.aig.aig import Aig, lit_not
+from repro.aig.aig import Aig
 from repro.aig.compose import (
     less_than,
-    max_word,
     multiplier,
     mux_word,
     popcount,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.asic.techmap import Gate, Netlist
+from repro.asic.techmap import Netlist
 
 #: Wire capacitance per unit estimated length (normalized units).
 WIRE_CAP_PER_UNIT = 0.35

@@ -23,7 +23,6 @@ from repro.aig.compose import (
     divider,
     hypotenuse,
     isqrt,
-    less_than,
     multiplier,
     mux_word,
     ripple_adder,

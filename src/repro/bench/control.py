@@ -24,11 +24,9 @@ from typing import List
 from repro.aig.aig import CONST0, Aig, lit_not
 from repro.aig.compose import (
     constant_word,
-    decoder,
     equal,
     less_than,
     mux_word,
-    onehot_mux,
     popcount,
     ripple_adder,
 )
@@ -129,7 +127,7 @@ def router(num_entries: int = 8, prefix_bits: int = 6,
     order = sorted(range(num_entries), key=lambda e: -lengths[e])
     winners = _priority_chain(aig, [matches[e] for e in order])
     ports = []
-    for e in order:
+    for _ in order:
         ports.append(rng.randrange(1 << port_bits))
     for b in range(port_bits):
         aig.add_po(aig.add_or_multi(

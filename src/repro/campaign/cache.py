@@ -581,38 +581,40 @@ class StageMemo:
                     "entries": len(self._entries)}
 
 
-# -- the process-wide active cache ---------------------------------------------
+# -- the active cache ----------------------------------------------------------
 #
 # Deep call sites — the experiment tables, the ASIC flow inside Table III —
 # invoke ``sbm_flow`` several layers below anything that knows about
 # campaigns.  Instead of threading a cache argument through every layer,
-# ``cache_context`` installs one process-wide cache that
-# :func:`cached_sbm_flow` falls back to when no explicit cache is given.
+# ``cache_context`` installs a cache that :func:`cached_sbm_flow` falls back
+# to when no explicit cache is given.  The active cache is per thread, so
+# concurrent campaign jobs each see the cache of their own flow, and none
+# outlives the block that installed it.
 
-_ACTIVE: Optional[ResultCache] = None
+_ACTIVE = threading.local()
 
 
 def active_cache() -> Optional[ResultCache]:
-    """The cache installed by :func:`cache_context`, or ``None``."""
-    return _ACTIVE
+    """The cache installed on this thread by :func:`cache_context` or
+    :func:`cached_sbm_flow`, or ``None``."""
+    return getattr(_ACTIVE, "cache", None)
 
 
 @contextlib.contextmanager
 def cache_context(cache_dir: Optional[str]) -> Iterator[Optional[ResultCache]]:
-    """Install a process-wide result cache for the duration of the block.
+    """Install a result cache on this thread for the duration of the block.
 
     ``None`` is a no-op context, so callers can forward an optional
     ``--cache-dir`` flag unconditionally.  Contexts nest; the innermost
     wins.
     """
-    global _ACTIVE
-    previous = _ACTIVE
+    previous = active_cache()
     cache = ResultCache(cache_dir) if cache_dir is not None else previous
-    _ACTIVE = cache
+    _ACTIVE.cache = cache
     try:
         yield cache
     finally:
-        _ACTIVE = previous
+        _ACTIVE.cache = previous
 
 
 def cached_sbm_flow(aig: Aig, config: FlowConfig,
@@ -625,29 +627,28 @@ def cached_sbm_flow(aig: Aig, config: FlowConfig,
     contract) — and *stats* is the cold run's ``FlowStats.to_dict()`` dict
     rather than a live ``FlowStats`` object.  On a miss (or with no cache,
     or an uncacheable config) the flow runs and, when cacheable, the result
-    is committed before returning.  With no explicit *cache* the
-    process-wide one from :func:`cache_context` applies, if any.
+    is committed before returning.  With no explicit *cache* the one this
+    thread's :func:`cache_context` installed applies, if any.
     """
-    global _ACTIVE
     from repro.sbm.flow import sbm_flow
     if cache is None:
-        cache = _ACTIVE
+        cache = active_cache()
     key = flow_cache_key(aig, config) if cache is not None else None
     if key is not None and cache is not None:
         entry = cache.lookup(key)
         if entry is not None:
             return entry.network, entry.stats, True, key
     nodes_before = aig.num_ands
-    # Install this cache as the process-wide one for the duration of the
-    # flow: every stage memoizes its result through ``active_cache()``
-    # several layers below, and an explicitly passed
-    # campaign cache must be the one it finds.
-    previous = _ACTIVE
-    _ACTIVE = cache if cache is not None else previous
+    # Install this cache as the thread's active one for the duration of
+    # the flow: every stage memoizes its result through ``active_cache()``
+    # several layers below, and an explicitly passed campaign cache must
+    # be the one it finds.
+    previous = active_cache()
+    _ACTIVE.cache = cache
     try:
         result, stats = sbm_flow(aig, config)
     finally:
-        _ACTIVE = previous
+        _ACTIVE.cache = previous
     if key is not None and cache is not None:
         cache.store(key, result, stats.to_dict(), nodes_before)
     return result, stats, False, key

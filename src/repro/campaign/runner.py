@@ -3,11 +3,11 @@
 The runner turns a list of :class:`CampaignJob` into one
 :class:`CampaignReport`:
 
-* **one shared worker pool** — every flow gets the campaign's
-  :class:`~repro.parallel.shared_pool.SharedProcessPool` injected via
-  ``FlowConfig.pool``, so partition windows of *all* benchmarks compete
-  for the same worker slots (work stealing) instead of each flow paying
-  for a private pool;
+* **one shared worker pool** — with ``workers != 1`` the campaign owns
+  one :class:`~repro.parallel.shared_pool.SharedProcessPool` and injects
+  it into every flow via ``FlowConfig.pool``, so partition windows of
+  *all* benchmarks compete for the same worker slots (work stealing) and
+  no flow forks workers of its own;
 * **content-addressed caching** — jobs whose ``(network, config, code)``
   key is already on disk return the stored network without running
   (see :mod:`repro.campaign.cache`); jobs *within* one campaign that share
@@ -34,7 +34,12 @@ from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.aig.aig import Aig
-from repro.campaign.cache import ResultCache, cached_sbm_flow, flow_cache_key
+from repro.campaign.cache import (
+    ResultCache,
+    active_cache,
+    cached_sbm_flow,
+    flow_cache_key,
+)
 from repro.parallel.shared_pool import SharedProcessPool
 from repro.parallel.stats import aggregate_reports
 from repro.sbm.config import FlowConfig
@@ -237,7 +242,9 @@ def run_campaign(jobs: List[CampaignJob],
     jobs:
         The campaign's job list; ``name`` labels must be unique.
     cache_dir:
-        Root of the persistent result cache; ``None`` disables caching.
+        Root of the persistent result cache; ``None`` uses the cache of
+        the calling thread's :func:`~repro.campaign.cache.cache_context`,
+        if any, and disables caching otherwise.
     workers:
         Width of the shared process pool.  ``1`` (default) runs every flow
         on the inline serial path with no pool; ``None``/``0`` means
@@ -259,7 +266,9 @@ def run_campaign(jobs: List[CampaignJob],
     names = [job.name for job in jobs]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate campaign job names: {sorted(names)}")
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    # Job threads do not inherit this thread's active cache: capture it.
+    cache = ResultCache(cache_dir) if cache_dir is not None \
+        else active_cache()
     pool_width = workers if workers is not None else 0
     pool = SharedProcessPool(pool_width) if pool_width != 1 else None
     if threads is None or threads <= 0:

@@ -180,7 +180,7 @@ def plan_shards(jobs: Sequence[CampaignJob], count: int,
         key=lambda item: (-sum(estimates[p] for p in item[1]), item[0]))
     loads = [0.0] * count
     assignments = [0] * len(jobs)
-    for token, positions in ordered:
+    for _token, positions in ordered:
         target = min(range(count), key=lambda shard: (loads[shard], shard))
         for position in positions:
             assignments[position] = target

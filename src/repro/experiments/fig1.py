@@ -52,10 +52,9 @@ def build_fig1_network() -> Aig:
                    aig.add_and(x3, aig.add_or(x4, x5)))
     d = aig.add_and(x1, x5)
     # f = g·!d + !g·d, expanded over the primary inputs without sharing.
-    t1 = aig.add_and(x1, aig.add_and(x2, lit_not(aig.add_and(x1, x5))))
-    t2 = aig.add_and(x3, aig.add_and(aig.add_or(x4, x5),
-                                     lit_not(aig.add_and(x1, x5))))
-    t3 = aig.add_and(aig.add_and(x1, x5), lit_not(g))
+    t1 = aig.add_and(x1, aig.add_and(x2, lit_not(d)))
+    t2 = aig.add_and(x3, aig.add_and(aig.add_or(x4, x5), lit_not(d)))
+    t3 = aig.add_and(d, lit_not(g))
     f = aig.add_or(aig.add_or(t1, t2), t3)
     aig.add_po(f, "f")
     aig.add_po(g, "g")

@@ -16,7 +16,6 @@ SBM to a mature C++ flow; the sign is what carries over.)
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 

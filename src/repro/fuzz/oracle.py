@@ -98,14 +98,20 @@ class OracleConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "OracleConfig":
-        return cls(iterations=int(data.get("iterations", 1)),
-                   checks=tuple(data.get("checks", ())),
-                   jobs=int(data.get("jobs", 2)),
+        """Read :meth:`to_dict` output: a missing key takes the field's
+        default, an unknown one (an old bundle's) is ignored."""
+        default = cls()
+        return cls(iterations=int(data.get("iterations", default.iterations)),
+                   checks=tuple(data.get("checks", default.checks)),
+                   jobs=int(data.get("jobs", default.jobs)),
                    chaos_seeds=tuple(int(s) for s in
-                                     data.get("chaos_seeds", ())),
-                   enable_simresub=bool(data.get("enable_simresub", True)),
-                   case_timeout_s=data.get("case_timeout_s"),
-                   faults=data.get("faults"))
+                                     data.get("chaos_seeds",
+                                              default.chaos_seeds)),
+                   enable_simresub=bool(data.get("enable_simresub",
+                                                 default.enable_simresub)),
+                   case_timeout_s=data.get("case_timeout_s",
+                                           default.case_timeout_s),
+                   faults=data.get("faults", default.faults))
 
     def flow_config(self, jobs: int = 1, chaos: Optional[FaultPlan] = None,
                     verify_each_step: bool = False,

@@ -134,14 +134,12 @@ def load_fuzz_suite(path: str, tier: Optional[str] = None) -> FuzzConfig:
                          f"(available: {sorted(tiers)})")
     entry: Dict[str, Any] = dict(data.get("defaults", {}))
     entry.update(tiers[tier])
-    oracle = OracleConfig(
-        iterations=int(entry.get("iterations", 1)),
-        checks=tuple(entry.get("checks", ("cec", "jobs", "chaos"))),
-        jobs=int(entry.get("oracle_jobs", 2)),
-        chaos_seeds=tuple(int(s) for s in entry.get("chaos_seeds", (7,))),
-        enable_simresub=bool(entry.get("enable_simresub", True)),
-        case_timeout_s=entry.get("case_timeout_s"),
-        faults=entry.get("faults"))
+    # The suite spells the jobs rung's width ``oracle_jobs``; every other
+    # oracle key is spelled as in a bundle, and ``from_dict`` ignores the
+    # suite's own keys (``budget``, ``seed``, ...).
+    oracle = OracleConfig.from_dict(
+        {("jobs" if key == "oracle_jobs" else key): value
+         for key, value in entry.items() if key != "jobs"})
     return FuzzConfig(
         budget=int(entry.get("budget", 100)),
         seed=int(entry.get("seed", 0xF022)),

@@ -91,7 +91,8 @@ def map_luts(aig: Aig, k: int = 6, cut_limit: int = 8,
             area_flow[p] = 0.0
             depth[p] = 0
         for node in order:
-            select(node, lambda leaf: cover_refs.get(leaf, refs.get(leaf, 1)))
+            select(node, lambda leaf, cover_refs=cover_refs:
+                   cover_refs.get(leaf, refs.get(leaf, 1)))
         cover = _extract_cover(aig, best_cut)
 
     mapped_depth = _cover_depth(aig, cover)

@@ -107,7 +107,6 @@ def rewrite(aig: Aig, min_gain: int = 1, cut_size: int = 4,
             continue
         if node_filter is not None and node not in node_filter:
             continue
-        best: Optional[Tuple[TruthTable, List[int]]] = None
         for cut in cuts.get(node, []):
             if len(cut.leaves) < 2 or cut.table is None:
                 continue

@@ -10,8 +10,9 @@
 2. every candidate is evaluated from the same starting network —
    candidates are **pure functions** of (input network, sequence,
    config), so they may run concurrently in threads (engine partition
-   windows still go through the shared process pool) without changing
-   any result;
+   windows still go through the flow's one process pool, ``config.pool``,
+   which :func:`~repro.sbm.flow.sbm_flow` owns for a ``-j N`` run) without
+   changing any result;
 3. each stage of a candidate runs through :func:`repro.sbm.flow
    .run_stage`, the same executor as the waterfall, which first consults
    the :class:`~repro.campaign.cache.StageMemo`: a hit returns the cached
@@ -45,7 +46,6 @@ from repro.aig.aig import Aig
 from repro.campaign.cache import StageMemo, active_cache
 from repro.guard.stage_guard import GuardReport, StageGuard
 from repro.orchestrate.bandit import TransitionBandit
-from repro.parallel.shared_pool import SharedProcessPool
 from repro.parallel.window_io import CompactAig
 from repro.sbm.config import FlowConfig, OrchestrateConfig
 from repro.sbm.flow import FlowStats, _stage_specs, memoizable, run_stage
@@ -135,7 +135,9 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
     """Run the pass-ordering search; returns ``(best network, FlowStats)``.
 
     Drop-in for :func:`repro.sbm.flow.sbm_flow` when
-    ``config.orchestrate`` is set (``sbm_flow`` dispatches here itself).
+    ``config.orchestrate`` is set (``sbm_flow`` dispatches here itself,
+    after setting up the run's pool).  The search creates no pool: windows
+    run on ``config.pool``, or inline without one.
     ``config.iterations`` is superseded by ``OrchestrateConfig.rounds``:
     the search rounds *are* the flow's iteration structure.
     """
@@ -157,12 +159,7 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
     # facts: result-changing chaos faults and window timeouts break that.
     memo = StageMemo(cache=active_cache()) if memoizable(config) else None
 
-    own_pool: Optional[SharedProcessPool] = None
-    eval_config = config
-    if config.jobs not in (0, 1) and config.pool is None:
-        own_pool = SharedProcessPool(workers=config.jobs)
-        eval_config = dataclasses.replace(config, pool=own_pool)
-    pool = eval_config.pool
+    pool = config.pool
     threads = ocfg.threads if ocfg.threads else (
         min(ocfg.k, pool.workers) if pool is not None else 1)
     threads = max(1, threads)
@@ -200,7 +197,7 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
                               incumbent=">".join(incumbent + pinned),
                               nodes_before=current.num_ands) as round_span:
                     outcomes = _evaluate_round(
-                        base, sequences, specs_by_name, eval_config, memo,
+                        base, sequences, specs_by_name, config, memo,
                         depth_limit, objective, round_index, threads)
                     winner = min(outcomes,
                                  key=lambda o: (o.score, o.index))
@@ -252,8 +249,6 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
             }
             flow_span.set("nodes_after", best.num_ands)
     finally:
-        if own_pool is not None:
-            own_pool.shutdown()
         if chaos is not None:
             report.faults.extend(chaos.injected_since(chaos_mark))
         obs.record_guard_report(report)

@@ -3,16 +3,16 @@
 The paper bounds every Boolean method inside independent partitions
 (Section III-B); this package schedules those partitions over worker
 processes.  See :mod:`repro.parallel.scheduler` for the execution model
-(snapshot → execute → deterministic merge), :mod:`repro.parallel.window_io`
-for the picklable window transport, and :mod:`repro.parallel.stats` for the
-per-window telemetry.
+(snapshot → execute → deterministic merge),
+:mod:`repro.parallel.shared_pool` for the one process pool windows run on,
+:mod:`repro.parallel.window_io` for the picklable window transport, and
+:mod:`repro.parallel.stats` for the per-window telemetry.
 """
 
 from repro.parallel.scheduler import (
     ENGINES,
     PartitionScheduler,
     register_engine,
-    run_partitioned_pass,
     run_window_task,
 )
 from repro.parallel.stats import ParallelReport, WindowRecord
@@ -34,7 +34,6 @@ __all__ = [
     "WindowTask",
     "extract_task",
     "register_engine",
-    "run_partitioned_pass",
     "run_window_task",
     "whole_network_window",
 ]

@@ -9,20 +9,26 @@ partitioned pass into a three-phase pipeline:
    :class:`~repro.parallel.window_io.WindowTask` *before any edit*, so all
    tasks are pure functions of the same network state.
 2. **Execute** — tasks run through a registered engine worker, either
-   inline (``jobs=1``, the exact serial path: same code, same order, no
-   process machinery) or fanned out over a ``ProcessPoolExecutor``.
+   inline (no pool: the exact serial path — same code, same order, no
+   process machinery) or on the
+   :class:`~repro.parallel.shared_pool.SharedProcessPool` the scheduler
+   was given.  The pool belongs to the run that created it (a campaign, a
+   fuzz run or a ``-j N`` flow); the flow builds one scheduler per stage.
 3. **Merge** — results are spliced back strictly in partition order with a
    structural-hash dedup (:func:`~repro.partition.partitioner.splice_window`).
    Because workers are deterministic pure functions and the merge order is
-   fixed, the final network is byte-identical regardless of ``jobs`` or of
-   worker completion order.
+   fixed, the final network is byte-identical with or without a pool, for
+   every pool width and every worker completion order.
 
 Fault isolation: a worker that raises returns a fallback result from inside
-the worker; a worker that *dies* (segfault, OOM kill) breaks the pool, in
-which case the window being waited on falls back and the remaining tasks are
-retried in a fresh pool (bounded by ``max_pool_restarts``).  A window that
-exceeds ``window_timeout_s`` falls back as well.  A fallback window simply
-keeps its original logic — the network is never left in a corrupt state.
+the worker; a worker that *dies* (segfault, OOM kill) breaks the pool's
+executor, in which case the window being waited on falls back, the
+scheduler asks the pool to rebuild the executor generation it submitted to,
+and the remaining tasks are retried on the fresh one (bounded by
+``max_pool_restarts``).  A window that exceeds ``window_timeout_s`` falls
+back as well; its worker stays busy until the stale task finishes.  A
+fallback window simply keeps its original logic — the network is never
+left in a corrupt state.
 
 Fault injection: a seeded :class:`repro.guard.chaos.FaultPlan` can be
 threaded through the scheduler (``chaos=`` / ``chaos_scope=``) to inject
@@ -31,8 +37,8 @@ forced BDD bailouts at deterministic window sites.  The plan is evaluated
 in the *parent* before submission, so every injected fault is known and
 reported (window payload key ``"chaos"``) even when the worker it hit
 never answers; injected crashes are attributed to the window the plan
-picked, which keeps chaos runs deterministic for a fixed seed and jobs
-count.  Window-level faults are one-shot: a window retried after an
+picked, which keeps chaos runs deterministic for a fixed seed and pool
+width.  Window-level faults are one-shot: a window retried after an
 injected pool crash runs clean.
 """
 
@@ -40,7 +46,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -50,7 +55,7 @@ from repro.aig.aig import Aig
 from repro.errors import BddLimitError
 from repro.guard.chaos import corrupt_window_result, in_worker_process
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.parallel.shared_pool import SharedProcessPool, default_mp_context
+from repro.parallel.shared_pool import SharedProcessPool
 from repro.parallel.stats import ParallelReport, WindowRecord
 from repro.parallel.window_io import (
     CompactAig,
@@ -108,9 +113,9 @@ def run_window_task(engine_name: str, task: WindowTask, config: Any,
                     timeout_hint: Optional[float] = None) -> WindowResult:
     """Worker entry point: decode, optimize, re-encode one window.
 
-    Runs in a worker process (or inline when ``jobs=1``).  Any exception is
-    converted into a fallback result so a failing window can never poison
-    the merge phase.
+    Runs in a pool worker process (or inline without a pool).  Any
+    exception is converted into a fallback result so a failing window can
+    never poison the merge phase.
 
     The engine runs in a fresh obs scope with no tracer — never the
     parent's, whose sinks and span stack must not be touched from a forked
@@ -168,51 +173,48 @@ def run_window_task(engine_name: str, task: WindowTask, config: Any,
 
 
 class PartitionScheduler:
-    """Fan partition windows out over worker processes; merge deterministically.
+    """Run partition windows inline or on a shared pool; merge deterministically.
 
     Parameters
     ----------
-    jobs:
-        Worker process count.  ``1`` executes every task inline in partition
-        order (the exact serial path); ``None`` or ``0`` means
-        ``os.cpu_count()``.
+    pool:
+        Optional :class:`~repro.parallel.shared_pool.SharedProcessPool`.
+        ``None`` (the default) executes every task inline in partition
+        order — the exact serial path.  With a pool of two or more workers,
+        a pass of two or more windows is submitted into its executor.
+        :attr:`jobs` (reported as ``ParallelReport.jobs``) is the pool
+        width, or 1 without a pool.  The pool outlives the pass: a broken
+        executor is rebuilt through the pool's generation protocol, and a
+        timed-out window keeps its worker busy until the stale task
+        finishes.
     window_timeout_s:
-        Per-window wall-clock budget when ``jobs > 1``; an overrunning
-        window falls back to its original logic.  ``None`` disables the
-        timeout (the default — timeouts trade determinism for latency,
-        since a machine-dependent timeout can drop a window).
+        Per-window wall-clock budget on a pool; an overrunning window falls
+        back to its original logic.  ``None`` disables the timeout (the
+        default — timeouts trade determinism for latency, since a
+        machine-dependent timeout can drop a window).  Inline windows
+        cannot be preempted, so it has no effect without a pool.
     max_pool_restarts:
-        How many times a hard-crashed process pool is rebuilt before the
-        remaining windows are abandoned to their fallbacks.
+        How many times a pass retries its unfinished windows on a rebuilt
+        executor before they are abandoned to their fallbacks.
     chaos:
         Optional :class:`repro.guard.chaos.FaultPlan`; when set, each
         window site is asked for an injected fault before execution.
     chaos_scope:
         Site-name prefix (the flow passes ``it<effort>:<stage>``) so the
         same engine run in different stages draws independent faults.
-    pool:
-        Optional :class:`~repro.parallel.shared_pool.SharedProcessPool`.
-        When set, tasks are submitted into the shared executor instead of
-        a private per-pass pool (``jobs`` defaults to the pool width), a
-        broken executor is rebuilt through the pool's generation protocol,
-        and a timed-out window's worker slot is simply abandoned until the
-        stale task finishes (a shared pool cannot be torn down mid-pass).
     """
 
-    def __init__(self, jobs: Optional[int] = 1,
+    def __init__(self, pool: Optional[SharedProcessPool] = None,
                  window_timeout_s: Optional[float] = None,
                  max_pool_restarts: int = 2,
                  chaos: Optional[Any] = None,
-                 chaos_scope: str = "",
-                 pool: Optional[SharedProcessPool] = None) -> None:
-        if pool is not None and (jobs is None or jobs <= 1):
-            jobs = pool.workers
-        self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+                 chaos_scope: str = "") -> None:
+        self.pool = pool
+        self.jobs = pool.workers if pool is not None else 1
         self.window_timeout_s = window_timeout_s
         self.max_pool_restarts = max_pool_restarts
         self.chaos = chaos
         self.chaos_scope = chaos_scope
-        self.pool = pool
 
     # -- public API ----------------------------------------------------------
 
@@ -345,7 +347,7 @@ class PartitionScheduler:
                 if restarts >= self.max_pool_restarts:
                     # Restart budget exhausted: every remaining window keeps
                     # its original logic.  ``pool_restarts`` reports exactly
-                    # the number of pools rebuilt, i.e. the cap.
+                    # the number of retry rounds, i.e. the cap.
                     for task in pending:
                         results[task.index] = _fallback_result(
                             task, "pool-restart-limit")
@@ -358,38 +360,27 @@ class PartitionScheduler:
                     collect: bool = False,
                     injections: Optional[Dict[int, str]] = None
                     ) -> List[WindowTask]:
-        """Run one process pool; return the tasks that must be retried.
+        """Run one round on the pool; return the tasks that must be retried.
 
         A worker *exception* is handled inside :func:`run_window_task` and
         arrives as an ordinary fallback result.  This method only deals with
         the hard failures: per-window timeouts and pool-breaking crashes.
-
-        With a :class:`SharedProcessPool` the executor belongs to the
-        campaign, not to this pass: submission goes through
-        :meth:`SharedProcessPool.submit` (which labels and steal-counts
-        it), and instead of tearing a broken executor down this method
-        asks the pool to rebuild the generation it observed.
+        Submission goes through :meth:`SharedProcessPool.submit` (which
+        labels and steal-counts it); a broken executor is not torn down
+        here — the round asks the pool to rebuild the generation it
+        submitted to, so the pool's later passes and its other users run
+        on the fresh one.
         """
         retry: List[WindowTask] = []
-        tainted = False  # a timed-out worker still occupies its slot
         broken = False
         injections = injections if injections is not None else {}
-        shared = self.pool
-        private: Optional[ProcessPoolExecutor] = None
-        if shared is not None:
-            generation = shared.generation
-            submit = shared.submit
-        else:
-            generation = 0
-            private = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(tasks)),
-                mp_context=default_mp_context())
-            submit = private.submit
+        pool = self.pool
+        generation = pool.generation
         try:
-            futures = [(task, submit(run_window_task, engine, task,
-                                     config, collect,
-                                     injections.get(task.index),
-                                     self.window_timeout_s))
+            futures = [(task, pool.submit(run_window_task, engine, task,
+                                          config, collect,
+                                          injections.get(task.index),
+                                          self.window_timeout_s))
                        for task in tasks]
             for task, future in futures:
                 if broken:
@@ -413,7 +404,6 @@ class PartitionScheduler:
                     results[task.index] = _fallback_result(
                         task, "timeout", wall_s=self.window_timeout_s or 0.0)
                     future.cancel()
-                    tainted = True
                 except BrokenProcessPool:
                     broken = True
                     crashed = [t for t in tasks
@@ -422,9 +412,10 @@ class PartitionScheduler:
                     if crashed:
                         # The fault plan knows which worker it killed:
                         # attribute the crash to the injected window(s) and
-                        # retry everything else (this one included) in a
-                        # fresh pool.  Injections are one-shot, so retried
-                        # windows run clean — chaos runs stay deterministic.
+                        # retry everything else (this one included) on the
+                        # rebuilt executor.  Injections are one-shot, so
+                        # retried windows run clean — chaos runs stay
+                        # deterministic.
                         for t in crashed:
                             results[t.index] = _fallback_result(
                                 t, "worker-crashed")
@@ -433,8 +424,8 @@ class PartitionScheduler:
                             retry.append(task)
                     else:
                         # Cannot tell which worker died: this window falls
-                        # back, every unfinished one is retried in a fresh
-                        # pool.
+                        # back, every unfinished one is retried on the
+                        # rebuilt executor.
                         results[task.index] = _fallback_result(
                             task, "worker-crashed")
                 except Exception as exc:
@@ -447,11 +438,8 @@ class PartitionScheduler:
                 if task.index not in results and task not in retry:
                     retry.append(task)
         finally:
-            if private is not None:
-                private.shutdown(wait=not (tainted or broken),
-                                 cancel_futures=True)
-            elif broken and shared is not None:
-                shared.rebuild(generation)
+            if broken:
+                pool.rebuild(generation)
         return retry
 
     # -- merge ---------------------------------------------------------------
@@ -501,18 +489,3 @@ class PartitionScheduler:
         record.gain = -delta
         return record
 
-
-def run_partitioned_pass(aig: Aig, engine: str, config: Any,
-                         partition_config: Optional[PartitionConfig] = None,
-                         jobs: Optional[int] = 1,
-                         window_timeout_s: Optional[float] = None,
-                         chaos: Optional[Any] = None,
-                         chaos_scope: str = "",
-                         pool: Optional[SharedProcessPool] = None
-                         ) -> ParallelReport:
-    """Convenience wrapper: one scheduler, one pass, one report."""
-    scheduler = PartitionScheduler(jobs=jobs,
-                                   window_timeout_s=window_timeout_s,
-                                   chaos=chaos, chaos_scope=chaos_scope,
-                                   pool=pool)
-    return scheduler.run_pass(aig, engine, config, partition_config)

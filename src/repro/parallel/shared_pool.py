@@ -1,16 +1,16 @@
-"""One process pool shared by many flows: the campaign execution substrate.
+"""The one process pool partition windows run on.
 
-Historically every :class:`~repro.parallel.scheduler.PartitionScheduler`
-pass built (and tore down) its own ``ProcessPoolExecutor`` — fine for one
-flow, wasteful for a campaign that runs dozens of flows back to back: each
-pass re-pays worker startup, and a pass with fewer windows than workers
-leaves the spare slots idle while *other* flows have windows queued.
+A :class:`SharedProcessPool` is the only executor of
+:class:`~repro.parallel.scheduler.PartitionScheduler` windows.  Each run
+has one owner that creates it, passes it down as ``FlowConfig.pool`` and
+shuts it down: a campaign (every job of the batch), a fuzz run (the
+``jobs`` oracle rung of every case) or a ``jobs != 1`` flow given no pool
+(:func:`repro.sbm.flow.sbm_flow`: its waterfall and its pass-ordering
+search alike).  The flow builds one scheduler per stage on the pool, so
+worker processes are forked once per run:
 
-A :class:`SharedProcessPool` is that executor lifted to campaign scope:
-
-* **one pool, many schedulers** — every flow's partition passes submit
-  into the same executor, so worker processes are started once per
-  campaign instead of once per pass;
+* **one pool, many schedulers** — every pass of every flow submits into
+  the same executor;
 * **work stealing across benchmarks** — submissions carry the submitting
   job's label (bound per thread via :meth:`bind`); whenever a window is
   submitted while another job also has windows in flight, the pool slots
@@ -21,14 +21,15 @@ A :class:`SharedProcessPool` is that executor lifted to campaign scope:
   for every scheduler using it.  Each scheduler notes the pool
   *generation* before submitting and asks for a rebuild of exactly that
   generation on failure; the first request wins, later ones see the fresh
-  executor already in place.  Per-scheduler retry budgets
-  (``max_pool_restarts``) are unchanged.
+  executor already in place.  Each pass keeps its own retry budget
+  (``max_pool_restarts``).  A window that overruns its timeout keeps its
+  worker busy until it finishes; the pool is never torn down mid-run.
 
 Determinism: the pool changes only *where* a window executes, never what
 it computes or the order results are merged (the scheduler still merges
 in partition order), so flows keep producing bit-identical networks with
-or without a shared pool — the property the campaign result cache relies
-on (see :mod:`repro.campaign.cache`).
+or without a pool — the property the campaign result cache relies on
+(see :mod:`repro.campaign.cache`).
 """
 
 from __future__ import annotations
@@ -104,9 +105,8 @@ class SharedProcessPool:
         """Submit one task under the thread's bound job label.
 
         Raises whatever the underlying executor raises (notably
-        ``BrokenProcessPool`` after a worker crash) — callers handle that
-        exactly as they would with a private pool, then call
-        :meth:`rebuild`.
+        ``BrokenProcessPool`` after a worker crash) — callers handle that,
+        then call :meth:`rebuild`.
         """
         label = self._current_label()
         with self._lock:

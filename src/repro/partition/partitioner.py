@@ -205,7 +205,7 @@ def splice_window(aig: Aig, window: Window, optimized: Aig) -> int:
         b = lit_notcond(mapping[lit_node(f1)], lit_is_compl(f1))
         mapping[n] = aig.add_and(a, b)
     new_literals = []
-    for root, po in zip(window.roots, optimized.pos()):
+    for _root, po in zip(window.roots, optimized.pos()):
         new_lit = lit_notcond(mapping[lit_node(po)], lit_is_compl(po))
         new_literals.append(new_lit)
         # Protect pending logic so an earlier root replacement cannot

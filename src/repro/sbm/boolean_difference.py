@@ -35,7 +35,7 @@ from repro.bdd.manager import BddManager
 from repro.bdd.to_aig import aig_window_to_bdds, bdd_to_aig
 from repro.errors import BddLimitError
 from repro.opt.shared import try_replace
-from repro.parallel.scheduler import register_engine
+from repro.parallel.scheduler import PartitionScheduler, register_engine
 from repro.partition.partitioner import Window
 from repro.sbm.config import BooleanDifferenceConfig
 
@@ -81,24 +81,19 @@ def publish_metrics(stats: BooleanDifferenceStats) -> None:
 
 def boolean_difference_pass(aig: Aig,
                             config: Optional[BooleanDifferenceConfig] = None,
-                            jobs: int = 1,
-                            window_timeout_s: Optional[float] = None,
-                            chaos=None, chaos_scope: str = "",
-                            pool=None) -> BooleanDifferenceStats:
+                            scheduler: Optional[PartitionScheduler] = None
+                            ) -> BooleanDifferenceStats:
     """Run Alg. 2 over every partition of the network; edits in place.
 
-    Partitions are snapshot up front and optimized independently — inline
-    and in partition order when ``jobs=1`` (the serial path), over a process
-    pool when ``jobs>1`` — then spliced back in deterministic partition
-    order, so the result is identical for every ``jobs`` value.
+    Partitions are snapshot up front and optimized independently by
+    *scheduler* — inline and in partition order without one (the serial
+    path), or on its pool, with its window timeout and fault plan — then
+    spliced back in deterministic partition order, so the result is the
+    same for every scheduler.
     """
     config = config or BooleanDifferenceConfig()
-    from repro.parallel.scheduler import run_partitioned_pass
-    report = run_partitioned_pass(aig, "bdiff", config, config.partition,
-                                  jobs=jobs,
-                                  window_timeout_s=window_timeout_s,
-                                  chaos=chaos, chaos_scope=chaos_scope,
-                                  pool=pool)
+    report = (scheduler or PartitionScheduler()).run_pass(
+        aig, "bdiff", config, config.partition)
     stats = BooleanDifferenceStats(partitions=report.num_windows)
     for record in report.records:
         payload = record.payload

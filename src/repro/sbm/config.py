@@ -141,19 +141,22 @@ class FlowConfig:
 
     iterations: int = 2
     #: Worker processes for the partition-based engines (hetero-kernel,
-    #: MSPF, Boolean difference).  ``1`` (default) executes every partition
-    #: inline in partition order — the exact serial path, no process
-    #: machinery; ``0``/``None`` means ``os.cpu_count()``.  The result is
+    #: MSPF, simresub, Boolean difference).  ``1`` (default) executes every
+    #: partition inline in partition order — the exact serial path, no
+    #: process machinery; any other value makes :func:`~repro.sbm.flow
+    #: .sbm_flow` own a :attr:`pool` of that width for the run unless one
+    #: is given (``0``/``None`` means ``os.cpu_count()``).  The result is
     #: identical for every value: partitions are snapshot up front, workers
     #: are pure functions, and results merge in deterministic partition
     #: order (see :mod:`repro.parallel`).
     jobs: int = 1
-    #: Per-window wall-clock budget (seconds) when ``jobs > 1``; an
-    #: overrunning window falls back to its original logic.  ``None``
-    #: disables the timeout, which keeps parallel runs deterministic.
-    #: **Silently ignored when** ``jobs <= 1``: the inline path executes
+    #: Per-window wall-clock budget (seconds) for windows that run on a
+    #: pool; an overrunning window falls back to its original logic and
+    #: keeps its worker busy until it finishes.  ``None`` disables the
+    #: timeout, which keeps parallel runs deterministic.  **Ignored without
+    #: a pool** (``jobs=1`` and no :attr:`pool`): the inline path executes
     #: windows in the flow's own process and cannot preempt them, so the
-    #: flow emits a one-time warning when this is set without ``jobs > 1``.
+    #: flow emits a one-time warning when this is set without a pool.
     #: Serial runs are bounded by the guard layer's *stage* budget instead
     #: (:attr:`flow_timeout_s` and the ``repro.guard`` degradation ladder).
     window_timeout_s: Optional[float] = None
@@ -169,11 +172,13 @@ class FlowConfig:
     #: stage runner.  Corrupt-result faults need
     #: :attr:`verify_each_step` to keep the final network correct.
     chaos: Optional["FaultPlan"] = None
-    #: Optional :class:`repro.parallel.shared_pool.SharedProcessPool`: the
-    #: campaign orchestrator's worker pool, shared by every flow of a batch
-    #: instead of one pool per pass.  Execution-side only — it changes
-    #: where windows run, never what they compute, so it is excluded from
-    #: the campaign cache key (like :attr:`jobs`).
+    #: Optional :class:`repro.parallel.shared_pool.SharedProcessPool` every
+    #: stage's windows run on, set by the run's one pool owner: a campaign
+    #: or fuzz run passes its pool to each of its flows, and
+    #: :func:`~repro.sbm.flow.sbm_flow` creates one for a ``jobs != 1``
+    #: flow given none.  Execution-side only — it changes where windows
+    #: run, never what they compute, so it is excluded from the campaign
+    #: cache key (like :attr:`jobs`).
     pool: Optional["SharedProcessPool"] = None
     #: Optional level discipline (Section V-A: "we enforced a tight control
     #: on the number of levels ... as this is known to correlate with delay

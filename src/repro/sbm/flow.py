@@ -43,6 +43,10 @@ and every stage of every flow — this waterfall and each candidate of the
   knobs, effort, depth limit) key is in the
   :class:`~repro.campaign.cache.StageMemo` replays the stored network;
   a fresh result is committed unless it was rolled back;
+* **the window scheduler** — a stage that is not replayed gets one
+  :class:`~repro.parallel.scheduler.PartitionScheduler` for its partition
+  windows, on the run's one pool (``FlowConfig.pool``; :func:`sbm_flow`
+  owns it for a ``jobs != 1`` run that was given none) or inline;
 * **the depth guard** — ``max_depth_growth`` rebalances a stage result
   and rolls it back if it still exceeds the level budget;
 * **chaos** — a :class:`repro.guard.chaos.FaultPlan` may corrupt the
@@ -86,6 +90,8 @@ from repro.sat.equivalence import Counterexample
 from repro.opt.balance import balance
 from repro.opt.refactor import refactor
 from repro.opt.scripts import compress2rs_step
+from repro.parallel.scheduler import PartitionScheduler
+from repro.parallel.shared_pool import SharedProcessPool
 from repro.partition.partitioner import PartitionConfig
 from repro.sat.redundancy import remove_redundancies
 from repro.sat.sweep import sat_sweep
@@ -162,7 +168,9 @@ class _StageCtx:
     effort: int          #: 1-based iteration number (the paper's effort)
     level: int           #: degradation rung: FULL or REDUCED
     span: Any            #: the stage's open observability span
-    chaos_scope: str     #: fault-plan site prefix, ``it<effort>:<stage>``
+    #: runs the stage's partition windows (pool, window timeout, fault
+    #: plan under the site prefix ``it<effort>:<stage>``)
+    scheduler: PartitionScheduler
 
 
 def _reduced_partition(p: PartitionConfig) -> PartitionConfig:
@@ -204,10 +212,7 @@ def _run_kernel(aig: Aig, ctx: _StageCtx) -> Aig:
             cfg, eliminate_thresholds=thresholds,
             kernel_rounds=max(1, cfg.kernel_rounds // 2),
             partition=_reduced_partition(cfg.partition))
-    hetero_kernel_pass(aig, cfg, jobs=ctx.config.jobs,
-                       window_timeout_s=ctx.config.window_timeout_s,
-                       chaos=ctx.config.chaos, chaos_scope=ctx.chaos_scope,
-                       pool=ctx.config.pool)
+    hetero_kernel_pass(aig, cfg, ctx.scheduler)
     return aig.cleanup()
 
 
@@ -217,10 +222,7 @@ def _run_mspf(aig: Aig, ctx: _StageCtx) -> Aig:
         cfg = dataclasses.replace(
             cfg, bdd_node_limit=max(10_000, cfg.bdd_node_limit // 4),
             partition=_reduced_partition(cfg.partition))
-    mspf_pass(aig, cfg, jobs=ctx.config.jobs,
-              window_timeout_s=ctx.config.window_timeout_s,
-              chaos=ctx.config.chaos, chaos_scope=ctx.chaos_scope,
-              pool=ctx.config.pool)
+    mspf_pass(aig, cfg, ctx.scheduler)
     return aig.cleanup()
 
 
@@ -233,10 +235,7 @@ def _run_simresub(aig: Aig, ctx: _StageCtx) -> Aig:
             max_pair_checks=max(50, cfg.max_pair_checks // 4),
             sat_conflict_budget=max(200, cfg.sat_conflict_budget // 4),
             partition=_reduced_partition(cfg.partition))
-    simresub_pass(aig, cfg, jobs=ctx.config.jobs,
-                  window_timeout_s=ctx.config.window_timeout_s,
-                  chaos=ctx.config.chaos, chaos_scope=ctx.chaos_scope,
-                  pool=ctx.config.pool)
+    simresub_pass(aig, cfg, ctx.scheduler)
     return aig.cleanup()
 
 
@@ -256,11 +255,7 @@ def _run_boolean_diff(aig: Aig, ctx: _StageCtx) -> Aig:
                 100, cfg.max_pairs_per_partition // 4),
             bdd_node_limit=max(10_000, cfg.bdd_node_limit // 4),
             partition=_reduced_partition(cfg.partition))
-    boolean_difference_pass(aig, cfg, jobs=ctx.config.jobs,
-                            window_timeout_s=ctx.config.window_timeout_s,
-                            chaos=ctx.config.chaos,
-                            chaos_scope=ctx.chaos_scope,
-                            pool=ctx.config.pool)
+    boolean_difference_pass(aig, cfg, ctx.scheduler)
     return aig.cleanup()
 
 
@@ -353,10 +348,14 @@ def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
 
     *site* names the stage's chaos site, *chaos_scope* the prefix of its
     window sites, and *index* of *total* its place in the caller's stage
-    sequence (a stage span attribute).  *aig* may be edited in place.  A
-    reduced-effort stage bypasses *memo*; a replayed result still passes
-    *guard*; a rolled-back result is never stored.  A skipped stage still
-    opens its span, with ``level=skipped``.
+    sequence (a stage span attribute).  A fresh (not replayed) stage runs
+    its partition windows through one
+    :class:`~repro.parallel.scheduler.PartitionScheduler` built from
+    *config*: its pool, window timeout and fault plan, under
+    *chaos_scope*.  *aig* may be edited in place.  A reduced-effort
+    stage bypasses *memo*; a replayed result still passes *guard*; a
+    rolled-back result is never stored.  A skipped stage still opens its
+    span, with ``level=skipped``.
     """
     plan = deadline.plan(spec.name) if deadline is not None else None
     level = FULL if spec.vital or plan is None else plan.level
@@ -387,8 +386,11 @@ def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
             result.copy_labels(aig)
             outcome.cached = True
         else:
+            scheduler = PartitionScheduler(
+                pool=config.pool, window_timeout_s=config.window_timeout_s,
+                chaos=config.chaos, chaos_scope=chaos_scope)
             result = spec.run(aig, _StageCtx(config, effort, level, span,
-                                             chaos_scope))
+                                             scheduler))
             if spec.depth_guard and before is not None \
                     and depth_limit is not None:
                 if result.depth > depth_limit:
@@ -427,9 +429,9 @@ _warned_inline_timeout = False
 
 
 def _warn_inline_timeout(config: FlowConfig) -> None:
-    """One-time warning: ``window_timeout_s`` needs ``jobs > 1``."""
+    """One-time warning: ``window_timeout_s`` needs a pool."""
     global _warned_inline_timeout
-    if config.window_timeout_s is None or config.jobs != 1:
+    if config.window_timeout_s is None or config.pool is not None:
         return
     if _warned_inline_timeout:
         return
@@ -438,7 +440,7 @@ def _warn_inline_timeout(config: FlowConfig) -> None:
         "FlowConfig.window_timeout_s is ignored when jobs <= 1: the inline "
         "path cannot preempt a window.  Use flow_timeout_s (the repro.guard "
         "stage budget) to bound serial runs.",
-        RuntimeWarning, stacklevel=3)
+        RuntimeWarning, stacklevel=4)
 
 
 def sbm_flow(aig: Aig, config: Optional[FlowConfig] = None,
@@ -451,8 +453,20 @@ def sbm_flow(aig: Aig, config: Optional[FlowConfig] = None,
     directory replays its committed stages and finishes with the network
     an uninterrupted run produces.  :attr:`FlowStats.guard` reports
     everything the hardened execution layer did.
+
+    With ``config.jobs != 1`` and no ``config.pool``, the flow owns one
+    :class:`~repro.parallel.shared_pool.SharedProcessPool` of that width
+    for the run: its workers fork once, every stage's windows (and every
+    search candidate's) run on it, and it is shut down on return.
     """
     config = config or FlowConfig()
+    if config.jobs == 1 or config.pool is not None:
+        return _run_flow(aig, config)
+    with SharedProcessPool(config.jobs) as pool:
+        return _run_flow(aig, dataclasses.replace(config, pool=pool))
+
+
+def _run_flow(aig: Aig, config: FlowConfig) -> Tuple[Aig, FlowStats]:
     if config.orchestrate is not None:
         # The pass-ordering search replaces the fixed waterfall entirely;
         # with ``orchestrate=None`` nothing below this line changes, so

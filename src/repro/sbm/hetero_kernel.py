@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 from repro import obs
 from repro.aig.aig import Aig
 from repro.opt.balance import balance
-from repro.parallel.scheduler import register_engine
+from repro.parallel.scheduler import PartitionScheduler, register_engine
 from repro.partition.partitioner import (
     Window,
     extract_window_aig,
@@ -64,26 +64,19 @@ def publish_metrics(stats: KernelStats) -> None:
 
 
 def hetero_kernel_pass(aig: Aig, config: Optional[KernelConfig] = None,
-                       jobs: int = 1,
-                       window_timeout_s: Optional[float] = None,
-                       chaos=None, chaos_scope: str = "",
-                       pool=None) -> KernelStats:
+                       scheduler: Optional[PartitionScheduler] = None
+                       ) -> KernelStats:
     """Run heterogeneous eliminate+kernel over every partition; edits in place.
 
-    Partitions are snapshot up front and optimized independently — inline
-    and in partition order when ``jobs=1`` (the serial path), over a process
-    pool when ``jobs>1`` — then spliced back in deterministic partition
-    order, so the result is identical for every ``jobs`` value.  *chaos* /
-    *chaos_scope* thread a :class:`repro.guard.chaos.FaultPlan` into the
-    scheduler.
+    Partitions are snapshot up front and optimized independently by
+    *scheduler* — inline and in partition order without one (the serial
+    path), or on its pool, with its window timeout and fault plan — then
+    spliced back in deterministic partition order, so the result is the
+    same for every scheduler.
     """
     config = config or KernelConfig()
-    from repro.parallel.scheduler import run_partitioned_pass
-    report = run_partitioned_pass(aig, "kernel", config, config.partition,
-                                  jobs=jobs,
-                                  window_timeout_s=window_timeout_s,
-                                  chaos=chaos, chaos_scope=chaos_scope,
-                                  pool=pool)
+    report = (scheduler or PartitionScheduler()).run_pass(
+        aig, "kernel", config, config.partition)
     stats = KernelStats(partitions=report.num_windows)
     for record in report.records:
         if not record.applied:
@@ -173,8 +166,8 @@ def _best_threshold_result(sub: Aig, config: KernelConfig
 
 
 def homogeneous_kernel_pass(aig: Aig, threshold: int,
-                            config: Optional[KernelConfig] = None,
-                            jobs: int = 1) -> KernelStats:
+                            config: Optional[KernelConfig] = None
+                            ) -> KernelStats:
     """Ablation baseline: one fixed eliminate threshold network-wide.
 
     Used by the ablation benchmark to quantify the benefit of heterogeneous
@@ -185,7 +178,7 @@ def homogeneous_kernel_pass(aig: Aig, threshold: int,
                           max_cubes=config.max_cubes,
                           kernel_rounds=config.kernel_rounds,
                           partition=config.partition)
-    return hetero_kernel_pass(aig, single, jobs=jobs)
+    return hetero_kernel_pass(aig, single)
 
 
 register_engine("kernel", optimize_subaig)

@@ -30,7 +30,7 @@ from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.bdd.to_aig import aig_window_to_bdds
 from repro.errors import BddLimitError
 from repro.opt.shared import try_replace
-from repro.parallel.scheduler import register_engine
+from repro.parallel.scheduler import PartitionScheduler, register_engine
 from repro.partition.partitioner import Window
 from repro.sbm.config import MspfConfig
 
@@ -71,26 +71,22 @@ def publish_metrics(stats: MspfStats) -> None:
             registry.inc(f"mspf.{name}", value)
 
 
-def mspf_pass(aig: Aig, config: Optional[MspfConfig] = None, jobs: int = 1,
-              window_timeout_s: Optional[float] = None,
-              chaos=None, chaos_scope: str = "", pool=None) -> MspfStats:
+def mspf_pass(aig: Aig, config: Optional[MspfConfig] = None,
+              scheduler: Optional[PartitionScheduler] = None) -> MspfStats:
     """Run BDD-based MSPF optimization over every partition; edits in place.
 
-    Partitions are snapshot up front and optimized independently — inline
-    and in partition order when ``jobs=1`` (the serial path), over a process
-    pool when ``jobs>1`` — then spliced back in deterministic partition
-    order, so the result is identical for every ``jobs`` value.  MSPF
-    validity is unaffected by the snapshot: each window's observability
-    boundary (its roots) becomes the PO set of the extracted sub-network,
-    exactly the boundary the permissible functions are computed against.
+    Partitions are snapshot up front and optimized independently by
+    *scheduler* — inline and in partition order without one (the serial
+    path), or on its pool, with its window timeout and fault plan — then
+    spliced back in deterministic partition order, so the result is the
+    same for every scheduler.  MSPF validity is unaffected by the
+    snapshot: each window's observability boundary (its roots) becomes the
+    PO set of the extracted sub-network, exactly the boundary the
+    permissible functions are computed against.
     """
     config = config or MspfConfig()
-    from repro.parallel.scheduler import run_partitioned_pass
-    report = run_partitioned_pass(aig, "mspf", config, config.partition,
-                                  jobs=jobs,
-                                  window_timeout_s=window_timeout_s,
-                                  chaos=chaos, chaos_scope=chaos_scope,
-                                  pool=pool)
+    report = (scheduler or PartitionScheduler()).run_pass(
+        aig, "mspf", config, config.partition)
     stats = MspfStats(partitions=report.num_windows)
     for record in report.records:
         payload = record.payload
@@ -141,7 +137,6 @@ def optimize_partition(aig: Aig, window: Window, config: MspfConfig,
     if refreshed is None or not refreshed.leaves:
         return
     window = refreshed
-    leaves = window.leaves
     root_set = set(window.roots)
     nodes = [n for n in window.nodes if n not in root_set]
     if not nodes:

@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.aig.aig import Aig, lit, lit_notcond
 from repro.opt.shared import try_replace
-from repro.parallel.scheduler import register_engine
+from repro.parallel.scheduler import PartitionScheduler, register_engine
 from repro.sat.cnf import AigCnf, sat_equal
 from repro.sbm.config import SimresubConfig
 from repro.sbm.simpatterns import PatternStore
@@ -91,27 +91,23 @@ def publish_metrics(stats: SimresubStats) -> None:
 
 
 def simresub_pass(aig: Aig, config: Optional[SimresubConfig] = None,
-                  jobs: int = 1, window_timeout_s: Optional[float] = None,
-                  chaos: Any = None, chaos_scope: str = "",
-                  pool: Any = None) -> SimresubStats:
+                  scheduler: Optional[PartitionScheduler] = None
+                  ) -> SimresubStats:
     """Run simulation-guided resubstitution over every partition; edits in
     place.
 
-    Partitions are snapshot up front and optimized independently — inline
-    and in partition order when ``jobs=1``, over a process pool when
-    ``jobs>1`` — then spliced back in deterministic partition order, so
-    the result is identical for every ``jobs`` value.  Unlike MSPF, no
-    observability boundary is involved: every accepted rewrite preserves
-    the replaced node's function exactly (SAT-proven over the window
-    inputs), so window extraction never changes what is provable.
+    Partitions are snapshot up front and optimized independently by
+    *scheduler* — inline and in partition order without one, or on its
+    pool, with its window timeout and fault plan — then spliced back in
+    deterministic partition order, so the result is the same for every
+    scheduler.  Unlike MSPF, no observability boundary is involved: every
+    accepted rewrite preserves the replaced node's function exactly
+    (SAT-proven over the window inputs), so window extraction never
+    changes what is provable.
     """
     config = config or SimresubConfig()
-    from repro.parallel.scheduler import run_partitioned_pass
-    report = run_partitioned_pass(aig, "simresub", config, config.partition,
-                                  jobs=jobs,
-                                  window_timeout_s=window_timeout_s,
-                                  chaos=chaos, chaos_scope=chaos_scope,
-                                  pool=pool)
+    report = (scheduler or PartitionScheduler()).run_pass(
+        aig, "simresub", config, config.partition)
     stats = SimresubStats(partitions=report.num_windows)
     for record in report.records:
         payload = record.payload

@@ -231,7 +231,7 @@ class TruthTable:
             raise ReproError("cannot shrink a truth table with expand()")
         bits = self.bits
         width = 1 << self.num_vars
-        for extra in range(self.num_vars, num_vars):
+        for _ in range(self.num_vars, num_vars):
             bits |= bits << width
             width <<= 1
         return TruthTable(bits, num_vars)

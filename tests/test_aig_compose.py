@@ -14,7 +14,6 @@ from repro.aig.compose import (
     full_adder,
     hypotenuse,
     isqrt,
-    less_than,
     max_word,
     multiplier,
     mux_word,

@@ -150,7 +150,6 @@ def test_replace_preserves_function_when_equivalent(random_aig_factory):
     """Replacing nodes with SAT-proven equivalents keeps the global
     function (the contract every optimization engine relies on)."""
     from repro.sat.cnf import AigCnf, prove_equivalent
-    rng = random.Random(5)
     aig = random_aig_factory(6, 80, seed=7)
     reference = po_tables(aig)
     cnf = AigCnf(aig)

@@ -1,7 +1,5 @@
 """Tests for bit-parallel AIG simulation."""
 
-import random
-
 import pytest
 
 from repro.aig.aig import Aig, lit_not
@@ -46,7 +44,6 @@ def test_complemented_po_word():
 
 
 def test_simulate_complete_matches_word_simulation():
-    rng = random.Random(3)
     from tests.conftest import make_random_aig
     aig = make_random_aig(5, 40, seed=9)
     tables = po_tables(aig)

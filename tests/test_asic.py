@@ -7,7 +7,7 @@ import pytest
 from repro.aig.aig import Aig, lit_not
 from repro.aig.simulate import po_words, simulate_words
 from repro.asic.celllib import CellLibrary, default_cells
-from repro.asic.place import Placement, place, wire_capacitance
+from repro.asic.place import place, wire_capacitance
 from repro.asic.power import analyze_power, simulate_netlist, switching_activities
 from repro.asic.sta import analyze_timing
 from repro.asic.techmap import tech_map
@@ -30,7 +30,6 @@ class TestCellLibrary:
 
     def test_match_semantics(self, library):
         """A match must actually compute the requested function."""
-        rng = random.Random(0)
         checked = 0
         for bits in range(256):
             match = library.match(bits, 3)

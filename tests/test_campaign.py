@@ -23,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.bench.registry import get_benchmark
 from repro.campaign import (
     CampaignJob,
     ResultCache,
+    active_cache,
     cache_context,
     cache_inventory,
     cached_sbm_flow,
@@ -348,6 +350,58 @@ class TestCampaign:
         for name in names:
             assert (structure(serial.result(name).network)
                     == structure(pooled.result(name).network)), name
+
+    def test_overlapping_jobs_leave_no_cache_installed(self, tmp_path,
+                                                      monkeypatch):
+        """Two job threads overlap and the first to start finishes first:
+        neither may leave the campaign cache installed afterwards."""
+        import repro.sbm.flow as flow_mod
+        real_flow = flow_mod.sbm_flow
+        real_store = ResultCache.store
+        both_running = threading.Barrier(2, timeout=60)
+        first_stored = threading.Event()
+        first_thread = []
+
+        def overlapping_flow(aig, config=None):
+            both_running.wait()
+            if aig.name == "first":
+                first_thread.append(threading.current_thread())
+            else:
+                # cached_sbm_flow stores after it restores the thread's
+                # previous cache: the first job has finished by now.
+                first_stored.wait(60)
+            return real_flow(aig, config)
+
+        def store(cache, *args, **kwargs):
+            result = real_store(cache, *args, **kwargs)
+            if threading.current_thread() in first_thread:
+                first_stored.set()
+            return result
+
+        monkeypatch.setattr(flow_mod, "sbm_flow", overlapping_flow)
+        monkeypatch.setattr(ResultCache, "store", store)
+        jobs = []
+        for seed, name in enumerate(("first", "second")):
+            network = make_random_aig(6, 40, seed=seed)
+            network.name = name
+            jobs.append(CampaignJob(name, name, FlowConfig(iterations=1),
+                                    network=network))
+        report = run_campaign(jobs, cache_dir=str(tmp_path / "c"),
+                              workers=1, threads=2)
+        assert [row.outcome for row in report.results] == ["miss", "miss"]
+        assert first_stored.is_set()
+        assert active_cache() is None
+
+    def test_job_threads_use_the_callers_cache_context(self, tmp_path):
+        jobs = [CampaignJob(f"j{seed}", f"j{seed}", FlowConfig(iterations=1),
+                            network=make_random_aig(6, 40, seed=seed))
+                for seed in range(2)]
+        with cache_context(str(tmp_path / "c")):
+            cold = run_campaign(jobs, workers=1, threads=2)
+            warm = run_campaign(jobs, workers=1, threads=2)
+        assert [row.outcome for row in cold.results] == ["miss", "miss"]
+        assert [row.outcome for row in warm.results] == ["hit", "hit"]
+        assert active_cache() is None
 
 
 # -- telemetry aggregation ----------------------------------------------------

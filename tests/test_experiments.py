@@ -12,7 +12,6 @@ from repro.experiments.table2 import format_results as fmt_t2
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import (
     PAPER_DELTAS,
-    Table3Summary,
     format_summary,
     run_table3,
 )

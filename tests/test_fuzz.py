@@ -208,6 +208,13 @@ class TestOracleRungs:
         assert verdict.ok and verdict.primary is None
         assert "exhaustive_limit" not in config.to_dict()
 
+    def test_missing_keys_take_the_constructor_defaults(self, tmp_path):
+        assert OracleConfig.from_dict({}) == OracleConfig()
+        suite = tmp_path / "fuzz.toml"
+        suite.write_text("[tiers.bare]\nbudget = 1\n")
+        assert load_fuzz_suite(str(suite), tier="bare").oracle \
+            == OracleConfig()
+
     def test_old_bundle_chaos_rates_are_ignored(self):
         # The chaos rung's rates were once config fields; they are fixed.
         config = OracleConfig.from_dict({"checks": ["chaos"],

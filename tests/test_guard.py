@@ -577,6 +577,25 @@ class TestSatellites:
         finally:
             flow_mod._warned_inline_timeout = False
 
+    def test_window_timeout_on_a_pool_does_not_warn(self):
+        # A campaign job runs jobs=1 on the campaign's pool, which
+        # enforces the timeout: nothing is ignored, so nothing to warn of.
+        import repro.sbm.flow as flow_mod
+        from repro.campaign import CampaignJob, run_campaign
+        job = CampaignJob("timed", "timed", FlowConfig(
+            iterations=1, window_timeout_s=5.0),
+            network=make_random_aig(6, 60, seed=81))
+        flow_mod._warned_inline_timeout = False
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = run_campaign([job], workers=2)
+            assert report.result("timed").outcome == "uncached"
+            assert not [w for w in caught
+                        if "window_timeout_s" in str(w.message)]
+        finally:
+            flow_mod._warned_inline_timeout = False
+
     def test_cli_chaos_and_checkpoint_flags(self, tmp_path, capsys):
         from repro.__main__ import main as cli_main
         memo = str(tmp_path / "memo")

@@ -7,7 +7,7 @@ from repro.mapping.lut import map_luts
 def test_cover_is_closed(random_aig_factory):
     aig = random_aig_factory(8, 150, seed=0)
     mapping = map_luts(aig, k=6)
-    for root, leaves in mapping.luts.items():
+    for leaves in mapping.luts.values():
         for leaf in leaves:
             assert aig.is_pi(leaf) or leaf in mapping.luts or leaf == 0
 

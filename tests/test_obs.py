@@ -38,6 +38,8 @@ from repro.obs.tracer import (
     Tracer,
     load_jsonl,
 )
+from repro.parallel.scheduler import PartitionScheduler
+from repro.parallel.shared_pool import SharedProcessPool
 from repro.parallel.stats import ParallelReport, WindowRecord
 from repro.partition.partitioner import PartitionConfig
 from repro.sbm.config import FlowConfig, MspfConfig, OrchestrateConfig
@@ -244,18 +246,20 @@ class TestMetrics:
 # -- worker-metric determinism ------------------------------------------------
 
 class TestWorkerMetricsDeterminism:
-    def _run_with_jobs(self, jobs: int):
+    def _run_on(self, pool):
         aig = make_random_aig(12, 500, seed=42)
         session = obs.enable()
         try:
-            mspf_pass(aig, MspfConfig(partition=SMALL_PARTS), jobs=jobs)
+            mspf_pass(aig, MspfConfig(partition=SMALL_PARTS),
+                      PartitionScheduler(pool=pool))
             return session.metrics.snapshot()
         finally:
             obs.disable()
 
     def test_jobs4_metrics_equal_jobs1(self):
-        serial = self._run_with_jobs(1)
-        parallel = self._run_with_jobs(4)
+        serial = self._run_on(None)
+        with SharedProcessPool(4) as pool:
+            parallel = self._run_on(pool)
         assert parallel == serial
         assert serial["counters"]["parallel.windows{engine=mspf}"] > 0
         assert "mspf.bdd_bailouts" in serial["counters"]

@@ -5,12 +5,16 @@ Covers the three pillars of ``repro.parallel``:
 * **Transport** — :class:`CompactAig` round-trips a window through the
   plain-data encoding and everything that crosses the process boundary
   pickles cheaply.
-* **Determinism** — ``jobs=4`` produces a node-for-node identical graph to
-  ``jobs=1`` for every partition engine and for the full flow, on random
-  networks and on EPFL-style benchmarks.
+* **Determinism** — windows run on a four-worker pool produce a
+  node-for-node identical graph to the inline path for every partition
+  engine, and a ``jobs=2`` flow matches ``jobs=1``, on random networks and
+  on EPFL-style benchmarks.
+* **One pool per run** — a ``jobs=2`` flow forks its workers once, not
+  once per multi-window pass.
 * **Fault isolation** — a worker that raises, hangs, or dies outright
   leaves the network functionally unchanged (SAT-verified) and is reported
-  as a fallback rather than an error.
+  as a fallback rather than an error; a crashed pool is rebuilt and keeps
+  serving later passes.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -28,10 +33,10 @@ from repro.parallel import (
     PartitionScheduler,
     extract_task,
     register_engine,
-    run_partitioned_pass,
     run_window_task,
     whole_network_window,
 )
+from repro.parallel.shared_pool import SharedProcessPool
 from repro.partition.partitioner import PartitionConfig, partition_network
 from repro.sat.equivalence import assert_equivalent
 from repro.sbm.boolean_difference import boolean_difference_pass
@@ -49,6 +54,13 @@ from tests.conftest import make_random_aig
 
 #: Small windows so even the test-sized networks produce several tasks.
 SMALL_PARTS = PartitionConfig(max_levels=4, max_size=40, max_leaves=16)
+
+
+@pytest.fixture
+def pool():
+    """A two-worker pool, owned by the test."""
+    with SharedProcessPool(2) as shared:
+        yield shared
 
 
 def signature(aig: Aig):
@@ -165,21 +177,23 @@ class TestDeterminism:
         reference = make_random_aig(12, 500, seed=42)
         serial = reference.cleanup()
         parallel = reference.cleanup()
-        pass_fn(serial, make_config(), jobs=1)
-        pass_fn(parallel, make_config(), jobs=4)
+        pass_fn(serial, make_config())
+        with SharedProcessPool(4) as pool:
+            pass_fn(parallel, make_config(), PartitionScheduler(pool=pool))
         assert signature(parallel) == signature(serial)
         assert_equivalent(reference, parallel.cleanup())
 
     @pytest.mark.parametrize("bench", ["router", "cavlc"])
     def test_epfl_benchmarks_jobs4_equals_jobs1(self, bench):
         reference = get_benchmark(bench, scaled=True)
-        for name, pass_fn, make_config in ENGINE_CASES:
-            serial = reference.cleanup()
-            parallel = reference.cleanup()
-            pass_fn(serial, make_config(), jobs=1)
-            pass_fn(parallel, make_config(), jobs=4)
-            assert signature(parallel) == signature(serial), \
-                f"{name} diverged on {bench}"
+        with SharedProcessPool(4) as pool:
+            for name, pass_fn, make_config in ENGINE_CASES:
+                serial = reference.cleanup()
+                parallel = reference.cleanup()
+                pass_fn(serial, make_config())
+                pass_fn(parallel, make_config(), PartitionScheduler(pool=pool))
+                assert signature(parallel) == signature(serial), \
+                    f"{name} diverged on {bench}"
         assert_equivalent(reference, parallel.cleanup())
 
     def test_flow_jobs2_equals_jobs1(self):
@@ -189,17 +203,21 @@ class TestDeterminism:
         assert signature(parallel) == signature(serial)
         assert_equivalent(reference, parallel)
 
-    def test_jobs_zero_means_cpu_count(self):
-        scheduler = PartitionScheduler(jobs=0)
-        assert scheduler.jobs == (os.cpu_count() or 1)
-        scheduler = PartitionScheduler(jobs=None)
-        assert scheduler.jobs == (os.cpu_count() or 1)
+    def test_jobs_zero_means_cpu_count(self, monkeypatch):
+        # A stand-in CPU count keeps these pools two workers wide on any
+        # machine.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for workers in (0, None):
+            with SharedProcessPool(workers) as pool:
+                assert pool.workers == 2
+                assert PartitionScheduler(pool=pool).jobs == 2
+        assert PartitionScheduler().jobs == 1
 
-    def test_report_telemetry(self):
+    def test_report_telemetry(self, pool):
         aig = make_random_aig(12, 500, seed=42)
         reference = aig.cleanup()
-        report = run_partitioned_pass(aig, "shrink", None,
-                                      partition_config=SMALL_PARTS, jobs=2)
+        report = PartitionScheduler(pool=pool).run_pass(
+            aig, "shrink", None, partition_config=SMALL_PARTS)
         assert report.engine == "shrink"
         assert report.jobs == 2
         assert report.num_windows == len(report.records)
@@ -211,15 +229,44 @@ class TestDeterminism:
         assert_equivalent(reference, aig.cleanup())
 
 
+# -- one pool per run ----------------------------------------------------------
+
+class TestPoolOwnership:
+    def test_jobs2_flow_builds_one_executor(self, monkeypatch):
+        """A jobs=2 flow forks its workers once per run: one iteration on
+        adder runs four multi-window passes, all on the flow's one pool.
+        A flow given a pool submits into it and builds none."""
+        built = []
+        real_init = ProcessPoolExecutor.__init__
+
+        def counting_init(executor, *args, **kwargs):
+            built.append(executor)
+            real_init(executor, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        reference = get_benchmark("adder", scaled=True)
+        serial, _ = sbm_flow(reference, FlowConfig(iterations=1))
+        assert built == []
+        parallel, _ = sbm_flow(reference, FlowConfig(iterations=1, jobs=2))
+        assert len(built) == 1
+        assert signature(parallel) == signature(serial)
+        with SharedProcessPool(2) as pool:
+            given, _ = sbm_flow(reference, FlowConfig(iterations=1, jobs=2,
+                                                      pool=pool))
+        assert len(built) == 2  # the test's own pool
+        assert sum(pool.submitted.values()) > 0
+        assert signature(given) == signature(serial)
+
+
 # -- fault isolation ---------------------------------------------------------
 
 class TestFaultIsolation:
-    def test_worker_exception_falls_back(self):
+    def test_worker_exception_falls_back(self, pool):
         aig = make_random_aig(10, 400, seed=17)
         reference = aig.cleanup()
         before = signature(aig)
-        report = run_partitioned_pass(aig, "boom", None,
-                                      partition_config=SMALL_PARTS, jobs=2)
+        report = PartitionScheduler(pool=pool).run_pass(
+            aig, "boom", None, partition_config=SMALL_PARTS)
         assert report.num_windows > 1
         assert report.num_applied == 0
         assert report.num_fallbacks == report.num_windows
@@ -229,11 +276,11 @@ class TestFaultIsolation:
         assert signature(aig) == before
         assert_equivalent(reference, aig.cleanup())
 
-    def test_worker_timeout_falls_back(self):
+    def test_worker_timeout_falls_back(self, pool):
         aig = make_random_aig(10, 250, seed=23)
         reference = aig.cleanup()
         before = signature(aig)
-        scheduler = PartitionScheduler(jobs=2, window_timeout_s=0.25)
+        scheduler = PartitionScheduler(pool=pool, window_timeout_s=0.25)
         report = scheduler.run_pass(aig, "sleepy", None,
                                     partition_config=SMALL_PARTS)
         assert report.num_windows > 1
@@ -242,11 +289,11 @@ class TestFaultIsolation:
         assert signature(aig) == before
         assert_equivalent(reference, aig.cleanup())
 
-    def test_worker_crash_restarts_pool(self):
+    def test_worker_crash_restarts_pool(self, pool):
         aig = make_random_aig(10, 250, seed=29)
         reference = aig.cleanup()
         before = signature(aig)
-        scheduler = PartitionScheduler(jobs=2, max_pool_restarts=1)
+        scheduler = PartitionScheduler(pool=pool, max_pool_restarts=1)
         report = scheduler.run_pass(aig, "killer", None,
                                     partition_config=SMALL_PARTS)
         assert report.num_windows > 1
@@ -257,8 +304,18 @@ class TestFaultIsolation:
         assert "worker-crashed" in reasons or "pool-restart-limit" in reasons
         assert signature(aig) == before
         assert_equivalent(reference, aig.cleanup())
+        # Every round broke the executor and rebuilt it, the last one too:
+        # the pool outlives the crash and serves the next pass.
+        assert pool.rebuilds == report.pool_restarts + 1
+        assert pool.generation == pool.rebuilds
+        healthy = PartitionScheduler(pool=pool).run_pass(
+            aig, "shrink", None, partition_config=SMALL_PARTS)
+        assert healthy.num_windows > 1
+        assert healthy.num_fallbacks == 0
+        assert pool.rebuilds == report.pool_restarts + 1
+        assert_equivalent(reference, aig.cleanup())
 
-    def test_pool_restart_exhaustion_reports_exact_cap(self):
+    def test_pool_restart_exhaustion_reports_exact_cap(self, pool):
         """At the restart cap every remaining window falls back, and
         ``pool_restarts`` equals the cap — not cap+1, not "at least"."""
         aig = make_random_aig(12, 600, seed=37)
@@ -266,9 +323,12 @@ class TestFaultIsolation:
         for cap in (1, 2):
             work = aig.cleanup()
             before = signature(work)
-            scheduler = PartitionScheduler(jobs=2, max_pool_restarts=cap)
+            rebuilds = pool.rebuilds
+            scheduler = PartitionScheduler(pool=pool, max_pool_restarts=cap)
             report = scheduler.run_pass(work, "killer", None,
                                         partition_config=SMALL_PARTS)
+            # cap + 1 rounds, each broke the executor and rebuilt it
+            assert pool.rebuilds - rebuilds == cap + 1
             assert report.num_windows > 1
             assert report.num_applied == 0
             # Every window is accounted for: crashed or abandoned.
@@ -281,8 +341,8 @@ class TestFaultIsolation:
     def test_unknown_engine_falls_back(self):
         aig = make_random_aig(8, 150, seed=31)
         before = signature(aig)
-        report = run_partitioned_pass(aig, "no-such-engine", None,
-                                      partition_config=SMALL_PARTS, jobs=1)
+        report = PartitionScheduler().run_pass(
+            aig, "no-such-engine", None, partition_config=SMALL_PARTS)
         assert report.num_applied == 0
         assert all(r.fallback.startswith("worker-error:KeyError")
                    for r in report.records)

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) for the AIG and its optimizers."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

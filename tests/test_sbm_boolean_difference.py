@@ -1,14 +1,9 @@
 """Tests for the Boolean-difference resubstitution engine (Section III)."""
 
-import random
-
 from repro.aig.aig import Aig, lit_not
 from repro.partition.partitioner import PartitionConfig
 from repro.sat.equivalence import assert_equivalent, check_equivalence
-from repro.sbm.boolean_difference import (
-    BooleanDifferenceStats,
-    boolean_difference_pass,
-)
+from repro.sbm.boolean_difference import boolean_difference_pass
 from repro.sbm.config import BooleanDifferenceConfig
 
 
@@ -81,7 +76,7 @@ def test_memory_limit_bails_out_not_crashes(random_aig_factory):
     aig = random_aig_factory(12, 250, seed=5)
     reference = aig.cleanup()
     config = BooleanDifferenceConfig(bdd_node_limit=60)
-    stats = boolean_difference_pass(aig, config)
+    boolean_difference_pass(aig, config)
     aig.check()
     assert_equivalent(reference, aig.cleanup())
 

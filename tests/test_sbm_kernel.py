@@ -3,11 +3,7 @@
 from repro.partition.partitioner import PartitionConfig
 from repro.sat.equivalence import assert_equivalent, check_equivalence
 from repro.sbm.config import KernelConfig
-from repro.sbm.hetero_kernel import (
-    KernelStats,
-    hetero_kernel_pass,
-    homogeneous_kernel_pass,
-)
+from repro.sbm.hetero_kernel import hetero_kernel_pass, homogeneous_kernel_pass
 
 
 def test_function_preserved_on_random(random_aig_factory):

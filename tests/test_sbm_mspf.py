@@ -24,7 +24,7 @@ def test_mux_redundant_branch():
     aig = Aig()
     s, a, b = aig.add_pis(3)
     f = aig.add_and(a, b)
-    g = aig.add_and(b, a)  # strashes to f — build a different structure
+    # add_and(b, a) would strash to f — build a different structure
     g2 = aig.add_or(aig.add_and(a, b), aig.add_and(a, aig.add_and(a, b)))
     out = aig.add_mux(s, f, g2)
     aig.add_po(out)
@@ -57,7 +57,7 @@ def test_finds_gains_on_redundant_logic(random_aig_factory):
 def test_memory_limit_bailout(random_aig_factory):
     aig = random_aig_factory(12, 250, seed=9)
     reference = aig.cleanup()
-    stats = mspf_pass(aig, MspfConfig(bdd_node_limit=80))
+    mspf_pass(aig, MspfConfig(bdd_node_limit=80))
     aig.check()
     assert_equivalent(reference, aig.cleanup())
 

@@ -27,6 +27,8 @@ from repro.aig.simulate import simulate_words
 from repro.bench.registry import get_benchmark
 from repro.errors import AigError
 from repro.guard.chaos import FaultPlan
+from repro.parallel.scheduler import PartitionScheduler
+from repro.parallel.shared_pool import SharedProcessPool
 from repro.parallel.window_io import CompactAig
 from repro.sat.equivalence import assert_equivalent, check_equivalence
 from repro.sbm.config import FlowConfig, SimresubConfig
@@ -257,8 +259,10 @@ class TestSimresubPass:
     def test_jobs4_bit_identical_and_cec_on_epfl(self, bench):
         serial = get_benchmark(bench)
         parallel = get_benchmark(bench)
-        stats_1 = simresub_pass(serial, jobs=1)
-        stats_4 = simresub_pass(parallel, jobs=4)
+        stats_1 = simresub_pass(serial)
+        with SharedProcessPool(4) as pool:
+            stats_4 = simresub_pass(
+                parallel, scheduler=PartitionScheduler(pool=pool))
         assert structure(serial.cleanup()) == structure(parallel.cleanup())
         assert (stats_1.rewrites, stats_1.gain) == \
             (stats_4.rewrites, stats_4.gain)

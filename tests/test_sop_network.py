@@ -37,7 +37,7 @@ def test_constant_po():
 def test_eliminate_threshold_minus_one_reduces_literals(small_mult):
     net = SopNetwork.from_aig(small_mult)
     before = net.total_literals()
-    eliminated = net.eliminate(-1)
+    net.eliminate(-1)
     # threshold -1 only accepts literal-reducing collapses
     assert net.total_literals() <= before
     assert_equivalent(small_mult, net.to_aig())

@@ -6,7 +6,6 @@ import re
 from repro.asic.celllib import CellLibrary
 from repro.asic.techmap import tech_map
 from repro.asic.verilog import (
-    _form_to_verilog,
     _verilog_expression,
     write_verilog,
     write_verilog_string,
