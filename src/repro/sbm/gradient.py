@@ -17,16 +17,25 @@ types compete locally on each partition).  The mechanics follow the paper:
   automatically extended while the **gain gradient** over the last ``k``
   iterations exceeds the threshold (defaults: k = 20, 3%), and the run
   terminates early when the gradient reaches 0 over the last ``k``.
+
+A move that failed on a window is not run there again while the live
+network is unchanged: each run keeps the ``(move, window nodes)`` pairs
+that failed, valid for one *live key* (the PO literals and the fanins of
+every live AND).  Such a move is still charged its cost and counted as
+tried, so the budget, the history and the early termination see exactly
+what they would if it ran; it is counted in ``moves_skipped``.  This
+relies on every move being a deterministic function of the network and
+the window (see :class:`repro.sbm.moves.Move`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, lit_node
 from repro.partition.partitioner import PartitionConfig, Window, partition_network
 from repro.sbm.config import GradientConfig
 from repro.sbm.moves import DEFAULT_MOVES, Move
@@ -38,6 +47,9 @@ class GradientStats:
 
     moves_tried: int = 0
     moves_succeeded: int = 0
+    #: Tried moves not run, because they failed before on the same window
+    #: of the same live network; they are counted in ``moves_tried`` too.
+    moves_skipped: int = 0
     cost_spent: int = 0
     budget_extensions: int = 0
     total_gain: int = 0
@@ -70,6 +82,7 @@ def gradient_optimize(aig: Aig, config: Optional[GradientConfig] = None,
     budget = config.cost_budget
     max_unlocked_cost = 1  # start with unit-cost moves
     size_at_start = max(1, aig.num_ands)
+    failed = _FailedMoves()
 
     with obs.span("gradient_engine", kind="engine", selection=selection,
                   nodes_before=aig.num_ands) as engine_span:
@@ -90,7 +103,8 @@ def gradient_optimize(aig: Aig, config: Optional[GradientConfig] = None,
                     admissible.sort(
                         key=lambda m: (m.cost, -stats.success_rate(m.name)))
                     if selection == "waterfall":
-                        gain = _waterfall(aig, window, admissible, stats)
+                        gain = _waterfall(aig, window, admissible, stats,
+                                          failed)
                     else:
                         gain = _parallel(aig, window, admissible, stats)
                     sweep_gain += gain
@@ -102,11 +116,7 @@ def gradient_optimize(aig: Aig, config: Optional[GradientConfig] = None,
                         gradient = recent / size_at_start
                         if gradient == 0:
                             stats.terminated_early = True
-                            sweep_span.set("gain", sweep_gain)
-                            _publish_gradient(engine_span, stats, aig,
-                                              size_at_start, budget)
-                            obs.metrics().inc("gradient.early_terminations")
-                            return stats
+                            break
                         if (gradient > config.min_gain_gradient
                                 and stats.cost_spent > budget - 10):
                             budget += config.budget_extension
@@ -114,6 +124,8 @@ def gradient_optimize(aig: Aig, config: Optional[GradientConfig] = None,
                             obs.metrics().inc("gradient.budget_extensions")
                 sweep_span.set("gain", sweep_gain)
                 sweep_span.set("cost_spent", stats.cost_spent)
+            if stats.terminated_early:
+                break
             if sweep_gain == 0:
                 if max_unlocked_cost >= max(m.cost for m in moves):
                     break  # full local minimum
@@ -122,9 +134,10 @@ def gradient_optimize(aig: Aig, config: Optional[GradientConfig] = None,
                 max_unlocked_cost = min(m.cost for m in moves
                                         if m.cost > max_unlocked_cost)
                 obs.metrics().inc("gradient.cost_unlocks")
-            stats.total_gain = size_at_start - aig.num_ands
         stats.total_gain = size_at_start - aig.num_ands
         _publish_gradient(engine_span, stats, aig, size_at_start, budget)
+        if stats.terminated_early:
+            obs.metrics().inc("gradient.early_terminations")
     return stats
 
 
@@ -134,15 +147,64 @@ def _publish_gradient(engine_span, stats: GradientStats, aig: Aig,
     engine_span.set("nodes_after", aig.num_ands)
     engine_span.set("cost_spent", stats.cost_spent)
     engine_span.set("total_gain", size_at_start - aig.num_ands)
+    engine_span.set("moves_skipped", stats.moves_skipped)
     registry = obs.metrics()
     registry.inc("gradient.cost_spent", stats.cost_spent)
     registry.set_gauge("gradient.final_budget", budget)
 
 
+def _live_key(aig: Aig) -> tuple:
+    """The PO literals and ``(node, fanin0, fanin1)`` of every live AND.
+
+    A failed move builds tentative nodes and collects them again: that
+    advances ``aig.generation`` but leaves this key as it was.
+    """
+    return (tuple(aig.pos()),
+            tuple([(n, *aig.fanins(n)) for n in aig.ands()]))
+
+
+class _FailedMoves:
+    """The ``(move name, window nodes)`` pairs that failed on one live
+    network; local to one engine run."""
+
+    def __init__(self) -> None:
+        self._generation: Optional[int] = None  # when _key was last read
+        self._key: Optional[tuple] = None
+        self._pairs: Set[Tuple[str, Tuple[int, ...]]] = set()
+
+    def _sync(self, aig: Aig) -> bool:
+        """Forget every pair if the live network changed; True if not."""
+        if aig.generation == self._generation:
+            return True  # no edit at all since the key was read
+        self._generation = aig.generation
+        key = _live_key(aig)
+        if key == self._key:
+            return True
+        self._key = key
+        self._pairs = set()
+        return False
+
+    def known(self, aig: Aig, pair: Tuple[str, Tuple[int, ...]]) -> bool:
+        """Whether *pair* already failed on the network as it is now."""
+        self._sync(aig)
+        return pair in self._pairs
+
+    def record(self, aig: Aig, pair: Tuple[str, Tuple[int, ...]]) -> None:
+        """Note that *pair* just failed, unless the move changed the live
+        network anyway (a zero-gain restructure)."""
+        if self._sync(aig):
+            self._pairs.add(pair)
+
+
 def _waterfall(aig: Aig, window: Window, admissible: List[Move],
-               stats: GradientStats) -> int:
-    """Try moves in order; keep the first that improves the partition."""
+               stats: GradientStats, failed: _FailedMoves) -> int:
+    """Try moves in order; keep the first that improves the partition.
+
+    A move already known to fail on this window of this live network is
+    charged as if it ran, but not run.
+    """
     registry = obs.metrics()
+    nodes = tuple(window.nodes)
     # Not kind "window": the progress bus publishes those, one event each,
     # and this engine opens one per window it tries moves on.
     with obs.span("window", kind="gradient_window",
@@ -155,13 +217,17 @@ def _waterfall(aig: Aig, window: Window, admissible: List[Move],
             stats.move_attempts[move.name] = (
                 stats.move_attempts.get(move.name, 0) + 1)
             registry.inc("gradient.moves_tried", move=move.name)
+            pair = (move.name, nodes)
+            if failed.known(aig, pair):
+                stats.moves_skipped += 1
+                registry.inc("gradient.moves_skipped", move=move.name)
+                continue
             t0 = time.perf_counter()
             gain = move.apply(aig, window)
             if gain > 0:
                 stats.moves_succeeded += 1
                 stats.move_success[move.name] = (
                     stats.move_success.get(move.name, 0) + 1)
-                stats.total_gain += 0  # recomputed at sweep end
                 registry.inc("gradient.moves_succeeded", move=move.name)
                 registry.inc("gradient.gain", gain, move=move.name)
                 obs.tracer().record("move", kind="move",
@@ -171,6 +237,7 @@ def _waterfall(aig: Aig, window: Window, admissible: List[Move],
                 window_span.set("winner", move.name)
                 window_span.set("gain", gain)
                 return gain
+            failed.record(aig, pair)
     return 0
 
 
@@ -191,7 +258,6 @@ def _parallel(aig: Aig, window: Window, admissible: List[Move],
         registry.inc("gradient.moves_tried", move=move.name)
         stats.move_attempts[move.name] = stats.move_attempts.get(move.name, 0) + 1
         scratch, mapping = aig.cleanup_with_map()
-        from repro.aig.aig import lit_node
         remapped_nodes = [lit_node(mapping[n]) for n in window.nodes
                           if n in mapping and not aig.is_dead(n)]
         scratch_window = Window(nodes=remapped_nodes,

@@ -29,7 +29,14 @@ from repro.sbm.config import KernelConfig, MspfConfig
 
 @dataclass(frozen=True)
 class Move:
-    """A locally applicable transformation with an abstract runtime cost."""
+    """A locally applicable transformation with an abstract runtime cost.
+
+    ``apply`` must be a deterministic function of the network and the
+    window: no random numbers, no clock, no state kept between calls that
+    changes a result.  The gradient engine relies on this to charge, but
+    not re-run, a move that already failed on the same window of the same
+    live network.
+    """
 
     name: str
     cost: int

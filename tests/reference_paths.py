@@ -3,14 +3,17 @@
 Every primitive under ``src/`` has one implementation: compiled wide
 simulation, the inlined BDD apply with its operation cache, the bit-test
 SOP algebra, the memoized kernel search, the one-pass random screens of
-SAT sweeping, redundancy removal and CEC, the simresub pattern store, and
+SAT sweeping, redundancy removal and CEC, the simresub pattern store,
 the truth-table kernel (loop-free projection masks, ISOP on shrinking
-cofactors, mask-swap cut-table expansion).  This module keeps the plain
+cofactors, mask-swap cut-table expansion), and the gradient engine's
+move loop, which does not re-run a move that already failed on the same
+window of the same live network.  This module keeps the plain
 formulation each of those replaced, copied verbatim, so that
 
 * the identity tests (``tests/test_hotpath.py``, ``tests/test_simresub.py``,
-  ``tests/test_property_tt.py``) prove every fast path bit-identical to its reference — same values,
-  same node ids, same networks, same counterexamples — and
+  ``tests/test_property_tt.py``, ``tests/test_sbm_gradient.py``) prove
+  every fast path bit-identical to its reference — same values, same node
+  ids, same networks, same counterexamples — and
 * ``scripts/bench_hotpath.py`` times each engine against its reference.
 
 Inside this module the reference functions call each other (the frozen
@@ -31,18 +34,25 @@ and pytest does not collect it (``python_files`` is ``test_*`` /
 from __future__ import annotations
 
 import random
+import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.aig.aig import Aig, lit, lit_is_compl, lit_node
 from repro.aig.simprogram import WORD_BITS
 from repro.aig.simulate import WORD_MASK, po_tables, po_words
 from repro.aig.traversal import topological_order_all
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.errors import AigError, ReproError, SatError
+from repro.partition.partitioner import Window
 from repro.sat.cnf import AigCnf, prove_equivalent
 from repro.sat.equivalence import Counterexample, _sweep_miter, check_equivalence
 from repro.sat.redundancy import _replace_network
+from repro.sbm.config import GradientConfig
+from repro.sbm.gradient import (GradientStats, _parallel, _partitions,
+                                _publish_gradient)
+from repro.sbm.moves import DEFAULT_MOVES, Move
 from repro.sbm.simpatterns import PatternStore
 from repro.sop.cube import Cube, cube_contains, cube_divide, cube_is_contradiction
 from repro.sop.kernels import kernels
@@ -518,3 +528,114 @@ def _expand_table(table: int, from_leaves: Tuple[int, ...],
         if (table >> idx) & 1:
             out |= 1 << row
     return out
+
+
+# -- gradient engine (repro.sbm.gradient) ------------------------------------
+
+def gradient_optimize(aig: Aig, config: Optional[GradientConfig] = None,
+                      moves: Optional[List[Move]] = None,
+                      selection: str = "waterfall") -> GradientStats:
+    """Run the gradient-based engine in place; returns its statistics.
+
+    ``selection`` is ``"waterfall"`` (default; first successful move wins)
+    or ``"parallel"`` (every admissible move is evaluated on a scratch copy
+    and only the best is applied — better QoR, much slower; provided for the
+    ablation experiment).
+    """
+    config = config or GradientConfig()
+    moves = list(moves) if moves is not None else list(DEFAULT_MOVES)
+    stats = GradientStats()
+    budget = config.cost_budget
+    max_unlocked_cost = 1  # start with unit-cost moves
+    size_at_start = max(1, aig.num_ands)
+
+    with obs.span("gradient_engine", kind="engine", selection=selection,
+                  nodes_before=aig.num_ands) as engine_span:
+        while stats.cost_spent < budget:
+            partitions = _partitions(aig, config)
+            if not partitions:
+                break
+            sweep_gain = 0
+            with obs.span("sweep", kind="sweep", windows=len(partitions),
+                          unlocked_cost=max_unlocked_cost) as sweep_span:
+                for window in partitions:
+                    if stats.cost_spent >= budget:
+                        break
+                    admissible = [m for m in moves
+                                  if m.cost <= max_unlocked_cost]
+                    # Adaptive priority: cheap first, then observed success
+                    # rate.
+                    admissible.sort(
+                        key=lambda m: (m.cost, -stats.success_rate(m.name)))
+                    if selection == "waterfall":
+                        gain = _waterfall(aig, window, admissible, stats)
+                    else:
+                        gain = _parallel(aig, window, admissible, stats)
+                    sweep_gain += gain
+                    stats.gain_history.append(gain)
+                    # Gradient bookkeeping over the last k move applications.
+                    k = config.window_k
+                    if len(stats.gain_history) >= k:
+                        recent = sum(stats.gain_history[-k:])
+                        gradient = recent / size_at_start
+                        if gradient == 0:
+                            stats.terminated_early = True
+                            sweep_span.set("gain", sweep_gain)
+                            _publish_gradient(engine_span, stats, aig,
+                                              size_at_start, budget)
+                            obs.metrics().inc("gradient.early_terminations")
+                            return stats
+                        if (gradient > config.min_gain_gradient
+                                and stats.cost_spent > budget - 10):
+                            budget += config.budget_extension
+                            stats.budget_extensions += 1
+                            obs.metrics().inc("gradient.budget_extensions")
+                sweep_span.set("gain", sweep_gain)
+                sweep_span.set("cost_spent", stats.cost_spent)
+            if sweep_gain == 0:
+                if max_unlocked_cost >= max(m.cost for m in moves):
+                    break  # full local minimum
+                # Local minimum with the current move set: unlock costlier
+                # moves.
+                max_unlocked_cost = min(m.cost for m in moves
+                                        if m.cost > max_unlocked_cost)
+                obs.metrics().inc("gradient.cost_unlocks")
+            stats.total_gain = size_at_start - aig.num_ands
+        stats.total_gain = size_at_start - aig.num_ands
+        _publish_gradient(engine_span, stats, aig, size_at_start, budget)
+    return stats
+
+
+def _waterfall(aig: Aig, window: Window, admissible: List[Move],
+               stats: GradientStats) -> int:
+    """Try moves in order; keep the first that improves the partition."""
+    registry = obs.metrics()
+    # Not kind "window": the progress bus publishes those, one event each,
+    # and this engine opens one per window it tries moves on.
+    with obs.span("window", kind="gradient_window",
+                  size=len(window.nodes)) as window_span:
+        for move in admissible:
+            if all(aig.is_dead(n) for n in window.nodes):
+                return 0
+            stats.moves_tried += 1
+            stats.cost_spent += move.cost
+            stats.move_attempts[move.name] = (
+                stats.move_attempts.get(move.name, 0) + 1)
+            registry.inc("gradient.moves_tried", move=move.name)
+            t0 = time.perf_counter()
+            gain = move.apply(aig, window)
+            if gain > 0:
+                stats.moves_succeeded += 1
+                stats.move_success[move.name] = (
+                    stats.move_success.get(move.name, 0) + 1)
+                stats.total_gain += 0  # recomputed at sweep end
+                registry.inc("gradient.moves_succeeded", move=move.name)
+                registry.inc("gradient.gain", gain, move=move.name)
+                obs.tracer().record("move", kind="move",
+                                    wall_s=time.perf_counter() - t0,
+                                    move=move.name, cost=move.cost,
+                                    gain=gain)
+                window_span.set("winner", move.name)
+                window_span.set("gain", gain)
+                return gain
+    return 0

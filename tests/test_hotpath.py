@@ -19,8 +19,6 @@ same counterexamples, same allocation-order-sensitive BDD node tables:
 
 from __future__ import annotations
 
-import importlib.util
-import os
 import random
 
 import pytest
@@ -365,17 +363,6 @@ FLOW_CHECKSUMS = {
     "cavlc": "1c3c6ff57d186171",
     "priority": "029cb048667fa474",
 }
-
-
-@pytest.fixture(scope="module")
-def bench_hotpath():
-    """``scripts/bench_hotpath.py`` as a module, for its ``checksum()``."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "scripts", "bench_hotpath.py")
-    spec = importlib.util.spec_from_file_location("bench_hotpath", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name", sorted(FLOW_CHECKSUMS))

@@ -1,9 +1,18 @@
 """Tests for the gradient-based AIG engine (Section IV-A)."""
 
+import pytest
+
+from repro import obs
+from repro.bench.registry import get_benchmark
+from repro.opt.rewrite import rewrite
+from repro.opt.scripts import compress2rs_step
+from repro.partition.partitioner import PartitionConfig
 from repro.sat.equivalence import assert_equivalent, check_equivalence
 from repro.sbm.config import GradientConfig
 from repro.sbm.gradient import gradient_optimize
 from repro.sbm.moves import DEFAULT_MOVES, Move
+from tests import reference_paths as ref
+from tests.conftest import make_random_aig
 
 
 def test_default_moves_match_paper():
@@ -94,3 +103,89 @@ def test_custom_move_injection(random_aig_factory):
     gradient_optimize(aig, GradientConfig(cost_budget=6),
                       moves=[Move("noop", 1, noop)])
     assert calls  # the engine exercised the injected move
+
+
+def _shallow_rewrite(aig, window):
+    """Rewrite only windows that start at level 0 or 1 (a deterministic
+    function of the network and the window, as every move must be)."""
+    if window.level_span[0] <= 1:
+        return rewrite(aig, node_filter=set(window.nodes))
+    return 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 4, 5])
+def test_total_gain_counts_a_run_that_stops_early(seed):
+    """The early-termination exit reports the nodes the run removed."""
+    aig = make_random_aig(10, 300, seed)
+    before = aig.num_ands
+    config = GradientConfig(window_k=2, partition=PartitionConfig(
+        max_levels=3, max_size=30, max_leaves=12))
+    stats = gradient_optimize(aig, config,
+                              moves=[Move("shallow", 1, _shallow_rewrite)])
+    assert stats.terminated_early
+    assert aig.num_ands < before
+    assert stats.total_gain == before - aig.num_ands
+
+
+def _engine_input(name):
+    """A random network, or a registry design after one compress2rs step
+    (what the flow hands the engine)."""
+    if name.startswith("rand"):
+        return make_random_aig(10, 300, int(name[4:]))
+    return compress2rs_step(get_benchmark(name))
+
+
+def _live_key(aig):
+    """PO literals and ``(node, fanin0, fanin1)`` of every live AND."""
+    return (tuple(aig.pos()),
+            tuple((n, aig.fanin0(n), aig.fanin1(n)) for n in aig.ands()))
+
+
+_SAME_STATS = ("moves_tried", "moves_succeeded", "cost_spent",
+               "budget_extensions", "gain_history", "move_attempts",
+               "move_success", "terminated_early")
+
+
+@pytest.mark.parametrize("name", ["rand0", "rand1", "rand3", "rand5",
+                                  "router", "priority"])
+def test_engine_matches_the_frozen_loop(bench_hotpath, name):
+    """Skipping known failures changes neither the network nor the run's
+    accounting: the same moves are charged, won and recorded as in the
+    loop that ran every move."""
+    start = _engine_input(name)
+    aig, reference = start.clone(), start.clone()
+    stats = gradient_optimize(aig)
+    ref_stats = ref.gradient_optimize(reference)
+    assert stats.moves_skipped > 0            # the memo was exercised
+    assert bench_hotpath.checksum(aig) == bench_hotpath.checksum(reference)
+    for field in _SAME_STATS:
+        assert getattr(stats, field) == getattr(ref_stats, field), field
+    assert stats.total_gain == start.num_ands - aig.num_ands
+    if not ref_stats.terminated_early:    # the frozen early exit is stale
+        assert stats.total_gain == ref_stats.total_gain
+
+
+def test_a_failed_move_is_not_run_again_on_an_unchanged_window():
+    """Work count: every move that runs sees a (move, window, live network)
+    it has not seen before; the rest are charged and counted as skipped."""
+    runs = []
+
+    def counted(move):
+        def apply(aig, window):
+            runs.append((move.name, tuple(window.nodes), _live_key(aig)))
+            return move.apply(aig, window)
+        return Move(move.name, move.cost, apply)
+
+    aig = _engine_input("router")
+    session = obs.enable()
+    try:
+        stats = gradient_optimize(aig,
+                                  moves=[counted(m) for m in DEFAULT_MOVES])
+    finally:
+        obs.disable()
+    assert len(set(runs)) == len(runs)
+    assert stats.moves_skipped == stats.moves_tried - len(runs) > 0
+    skipped = session.metrics.counters_with_prefix("gradient.moves_skipped")
+    assert sum(skipped.values()) == stats.moves_skipped
+    (engine,) = session.tracer.roots
+    assert engine.attrs["moves_skipped"] == stats.moves_skipped
