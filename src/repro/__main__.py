@@ -298,9 +298,7 @@ def main(argv=None) -> int:
 
 def _guard_summary(stats) -> str:
     """One-line ``repro.guard`` summary for a finished flow, or ''."""
-    guard = getattr(stats, "guard", None)
-    if guard is None:
-        return ""
+    guard = stats.guard
     parts = []
     if guard.degradations:
         parts.append(f"degraded={guard.degradations}")

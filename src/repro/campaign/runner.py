@@ -209,8 +209,7 @@ def _run_one(job: CampaignJob, cache: Optional[ResultCache],
                 result.outcome = "miss" if key is not None else "uncached"
                 result.stats = stats.to_dict()
                 result.flow_runtime_s = stats.runtime_s
-                if stats.guard is not None:
-                    result.faults = len(stats.guard.faults)
+                result.faults = len(stats.guard.faults)
         except Exception as exc:  # a failed job must not sink the campaign
             result.error = f"{type(exc).__name__}: {exc}"
         span.set("outcome", result.outcome)

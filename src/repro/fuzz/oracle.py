@@ -233,11 +233,9 @@ def _blame_stage(source: Aig, config: OracleConfig) -> Optional[str]:
                                   config.flow_config(verify_each_step=True))
     except Exception:
         return None
-    guard = getattr(stats, "guard", None)
-    if guard is not None:
-        for event in guard.events:
-            if event.kind == "rolled_back":
-                return event.stage
+    for event in stats.guard.events:
+        if event.kind == "rolled_back":
+            return event.stage
     return "final"
 
 

@@ -25,9 +25,10 @@ the stage memo (:class:`repro.campaign.cache.StageMemo`).  The memo is
 also how a ``kill -9``'d run resumes: rerun it against the same cache
 directory and every committed stage replays instead of recomputing.
 ``FlowConfig`` drives the guard (``flow_timeout_s``, ``verify_each_step``,
-``chaos``); what happened lands in
-:class:`~repro.guard.stage_guard.GuardReport`, embedded in the
-``repro.obs`` run report (schema v2, ``guard`` key).
+``chaos``); what happened lands in ``FlowStats.guard``, a
+:class:`~repro.guard.stage_guard.GuardReport` whose stage events come
+from one recorder, :meth:`repro.sbm.flow.FlowStats.record_stage`, and
+which the ``repro.obs`` run report embeds (schema v2, ``guard`` key).
 """
 
 from repro.guard.budget import (

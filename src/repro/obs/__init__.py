@@ -13,9 +13,10 @@ Spans are the only producer of telemetry; the rest are sinks and views:
 
 Instrumented code talks to its thread's current :class:`Scope` — a
 tracer, a metrics registry and report lists — through :func:`span`,
-:func:`metrics` and :func:`tracer`, and hands it every finished
-``FlowStats``, ``ParallelReport``, ``GuardReport`` and ``CampaignReport``
-through the ``record_*`` functions.  The root scope is the
+:func:`metrics` and :func:`tracer`, and hands it every ``FlowStats``
+(the flow record, its ``GuardReport`` inside, handed over even when the
+flow fails), ``ParallelReport`` and ``CampaignReport`` through the
+``record_*`` functions.  The root scope is the
 :class:`ObsSession` that :func:`enable` opens (``--trace``,
 ``--report-json``); with no session and no bus it is :data:`NULL_SCOPE`,
 whose no-op tracer and registry make instrumentation nearly free:
@@ -58,8 +59,7 @@ from repro.obs.tracer import (
 )
 
 #: The report lists a scope keeps, in run-report order.
-_SECTIONS = ("flow_stats", "parallel_reports", "guard_reports",
-             "campaign_reports")
+_SECTIONS = ("flow_stats", "parallel_reports", "campaign_reports")
 
 _local = threading.local()
 
@@ -75,7 +75,6 @@ class Scope:
         self.keep_reports = keep_reports
         self.flow_stats: List[Any] = []
         self.parallel_reports: List[Any] = []
-        self.guard_reports: List[Any] = []
         self.campaign_reports: List[Any] = []
         self._outer: List[Optional[Scope]] = []
 
@@ -249,11 +248,6 @@ def record_parallel_report(report: Any) -> None:
     current()._record("parallel_reports", report)
 
 
-def record_guard_report(report: Any) -> None:
-    """Hand a flow's GuardReport to the current scope."""
-    current()._record("guard_reports", report)
-
-
 def record_campaign_report(report: Any) -> None:
     """Hand a finished campaign report to the current scope."""
     current()._record("campaign_reports", report)
@@ -285,7 +279,6 @@ __all__ = [
     "metrics",
     "record_campaign_report",
     "record_flow_stats",
-    "record_guard_report",
     "record_parallel_report",
     "session",
     "span",

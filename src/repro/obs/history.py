@@ -57,6 +57,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.report import ReportSchemaError, validate_report
+from repro.obs.trace import _pop_value
 
 #: Outcomes whose timings were actually measured in that run (a ``hit``
 #: or ``dedup`` row replays the cold run's stats — valid for node counts,
@@ -417,21 +418,6 @@ _USAGE = """usage: python -m repro.obs.history <command> DB ...
   regress DB [--window N] [--time-ratio R] [--node-ratio R] [--min-secs S]
 
 regress exits 1 when a regression is confirmed, 0 when quiet."""
-
-
-def _pop_value(args: List[str], flag: str,
-               default: Optional[str] = None) -> Optional[str]:
-    for i, arg in enumerate(args):
-        if arg == flag:
-            if i + 1 >= len(args):
-                raise SystemExit(f"{flag} requires a value")
-            value = args[i + 1]
-            del args[i:i + 2]
-            return value
-        if arg.startswith(flag + "="):
-            del args[i]
-            return arg.split("=", 1)[1]
-    return default
 
 
 def _load_docs(paths: Iterable[str]):

@@ -2,8 +2,9 @@
 
 One enabled run produces one report from its session (the root
 :class:`repro.obs.Scope`): the span tree, the metrics registry, and every
-``FlowStats``, ``ParallelReport``, ``GuardReport`` and ``CampaignReport``
-handed to it — the telemetry becomes views over this single store.  The JSON
+``FlowStats``, ``ParallelReport`` and ``CampaignReport`` handed to it —
+the telemetry becomes views over this single store (``guard[i]`` is
+``flows[i]``'s ``FlowStats.guard``).  The JSON
 layout is a **stable schema** (``schema``/``version`` keys, validated by
 :func:`validate_report`); consumers can rely on it across releases, and CI
 runs the validator on a real flow report so schema drift fails the build.
@@ -49,7 +50,7 @@ def build_report(session, command: Optional[str] = None) -> Dict[str, Any]:
         "flows": [stats.to_dict() for stats in session.flow_stats],
         "parallel_passes": [report.to_dict()
                             for report in session.parallel_reports],
-        "guard": [report.to_dict() for report in session.guard_reports],
+        "guard": [stats.guard.to_dict() for stats in session.flow_stats],
         "campaign": [report.to_dict()
                      for report in session.campaign_reports],
     }

@@ -241,7 +241,10 @@ the written documents and fails on broken invariants.
 Exit codes: 0 ok, 1 validation failed, 2 usage, 3 unreadable/empty input."""
 
 
-def _pop_value(args: List[str], flag: str) -> Optional[str]:
+def _pop_value(args: List[str], flag: str,
+               default: Optional[str] = None) -> Optional[str]:
+    """Remove ``flag value`` or ``flag=value`` from *args*; return the
+    value, or *default* when the flag is absent (the obs CLIs' parser)."""
     for i, arg in enumerate(args):
         if arg == flag:
             if i + 1 >= len(args):
@@ -252,7 +255,7 @@ def _pop_value(args: List[str], flag: str) -> Optional[str]:
         if arg.startswith(flag + "="):
             del args[i]
             return arg.split("=", 1)[1]
-    return None
+    return default
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -18,10 +18,12 @@ DAG-aware Synthesis Orchestration (arXiv:2310.07846) and BoolGebra
   (input-network fingerprint, stage name, semantic stage config) in a
   :class:`~repro.campaign.cache.StageMemo` backed by the ``stage`` slot of
   the campaign ``ResultCache`` — no explored branch is ever recomputed
-  across rounds, orderings, campaigns, or waterfall runs.
+  across rounds, orderings, campaigns, or waterfall runs; the search is
+  a driver in the waterfall's flow shell, and records its round winners'
+  stages with the waterfall's recorder.
 
 Entry points: ``FlowConfig.orchestrate = OrchestrateConfig(...)`` (then
-``sbm_flow`` dispatches here), the ``python -m repro orchestrate`` CLI,
+``sbm_flow`` runs the search), the ``python -m repro orchestrate`` CLI,
 and ``--orchestrate K`` on ``optimize``/``campaign``/run_experiments.
 """
 

@@ -1,7 +1,7 @@
 """The pass-ordering search: rounds of K candidate stage sequences.
 
-``orchestrated_flow`` replaces the fixed stage waterfall of
-:func:`repro.sbm.flow.sbm_flow` with a deterministic search:
+``orchestrated_flow``, a driver of :func:`repro.sbm.flow.sbm_flow`'s flow
+shell, replaces the fixed stage waterfall with a deterministic search:
 
 1. each **round** asks the :class:`~repro.orchestrate.bandit
    .TransitionBandit` for K candidate sequences over the movable (non-
@@ -23,10 +23,17 @@
    for the future cost-generic work) seeds the next round, and every
    candidate's per-stage node gains train the bandit.
 
+Like the metrics and pass reports, the flow record takes only winners:
+the waterfall's recorder writes each winner stage as a ``<stage>[rN]``
+row plus its guard events; every candidate's rollbacks stay in
+``FlowStats.orchestrate``.
+
 Determinism contract: with a fixed ``OrchestrateConfig.seed`` the chosen
-orderings, the winner network, and the final ``FlowStats`` are identical
-for every ``jobs``/``threads`` value and for cold vs memo-warm runs —
-the same warm == cold property the flow-level campaign cache relies on.
+orderings, the winner network and the ``FlowStats`` rows (names and
+sizes) are identical for every ``jobs``/``threads`` value and for cold vs
+memo-warm runs — the same warm == cold property the flow-level campaign
+cache relies on.  Guard events record what was replayed (with
+``threads > 1``, which winner stage replayed a shared one can vary).
 
 ``flow_timeout_s`` is rejected with ``ValueError``: a wall-clock budget
 would make the winner depend on machine speed.  A result-changing fault
@@ -37,18 +44,18 @@ or timing-dependent stage results must never be committed.
 from __future__ import annotations
 
 import dataclasses
-import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.aig.aig import Aig
 from repro.campaign.cache import StageMemo, active_cache
-from repro.guard.stage_guard import GuardReport, StageGuard
+from repro.guard.stage_guard import StageGuard
 from repro.orchestrate.bandit import TransitionBandit
 from repro.parallel.window_io import CompactAig
 from repro.sbm.config import FlowConfig, OrchestrateConfig
-from repro.sbm.flow import FlowStats, _stage_specs, memoizable, run_stage
+from repro.sbm.flow import (FlowStats, StageOutcome, _stage_specs,
+                            memoizable, run_stage)
 
 #: Pluggable candidate objective: lower is better.  The default is AIG
 #: node count — the paper's metric; the cost-generic ROADMAP item plugs
@@ -68,24 +75,24 @@ class CandidateOutcome:
     sequence: List[str]
     network: CompactAig
     score: float
-    #: per-stage rows: name, nodes_before/after, elapsed_s, cached flag
-    rows: List[Dict[str, Any]]
+    #: what each stage did, in sequence order
+    stages: List[StageOutcome]
     #: the obs scope the candidate recorded into, adopted at round close
     scope: obs.Scope
 
     @property
     def gains(self) -> List[int]:
         """Per-stage node gains, the bandit's training signal."""
-        return [row["nodes_before"] - row["nodes_after"]
-                for row in self.rows]
+        return [stage.nodes_before - stage.nodes_after
+                for stage in self.stages]
 
     @property
     def cached_stages(self) -> int:
-        return sum(1 for row in self.rows if row["cached"])
+        return sum(1 for stage in self.stages if stage.cached)
 
     @property
     def rollbacks(self) -> int:
-        return sum(1 for row in self.rows if row["rolled_back"])
+        return sum(1 for stage in self.stages if stage.rolled_back)
 
 
 def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
@@ -109,45 +116,33 @@ def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
                          nodes_before=base.num_ands) as span:
         net = base.to_aig()
         guard = StageGuard(net.cleanup()) if config.verify_each_step else None
-        rows: List[Dict[str, Any]] = []
+        stages: List[StageOutcome] = []
         for pos, name in enumerate(sequence):
             site = f"orch:r{round_index}:c{cand_index}:{pos}:{name}"
-            outcome = run_stage(net, specs_by_name[name], config, effort=1,
-                                site=site, chaos_scope=site, index=pos,
-                                total=len(sequence), guard=guard,
-                                depth_limit=depth_limit, memo=memo)
-            net = outcome.network
-            rows.append({"name": name,
-                         "nodes_before": outcome.nodes_before,
-                         "nodes_after": net.num_ands,
-                         "elapsed_s": outcome.elapsed_s,
-                         "cached": outcome.cached,
-                         "rolled_back": outcome.rolled_back})
+            net, outcome = run_stage(net, specs_by_name[name], config,
+                                     effort=1, site=site, chaos_scope=site,
+                                     index=pos, total=len(sequence),
+                                     guard=guard, depth_limit=depth_limit,
+                                     memo=memo)
+            stages.append(outcome)
         span.set("nodes_after", net.num_ands)
         return CandidateOutcome(index=cand_index, sequence=list(sequence),
                                 network=CompactAig.from_aig(net),
-                                score=objective(net), rows=rows, scope=scope)
+                                score=objective(net), stages=stages,
+                                scope=scope)
 
 
-def orchestrated_flow(aig: Aig, config: FlowConfig,
-                      objective: Optional[Objective] = None,
-                      ) -> Tuple[Aig, Any]:
-    """Run the pass-ordering search; returns ``(best network, FlowStats)``.
+def orchestrated_flow(current: Aig, config: FlowConfig, stats: FlowStats,
+                      depth_limit: Optional[int],
+                      objective: Optional[Objective] = None) -> Aig:
+    """Run the pass-ordering search on *current*; returns the best network.
 
-    Drop-in for :func:`repro.sbm.flow.sbm_flow` when
-    ``config.orchestrate`` is set (``sbm_flow`` dispatches here itself,
-    after setting up the run's pool).  The search creates no pool: windows
-    run on ``config.pool``, or inline without one.
-    ``config.iterations`` is superseded by ``OrchestrateConfig.rounds``:
-    the search rounds *are* the flow's iteration structure.
+    The flow shell's driver when ``config.orchestrate`` is set: it records
+    each round winner's stages into *stats* and sets ``stats.orchestrate``.
+    The search creates no pool: windows run on ``config.pool``, or inline.
+    ``config.iterations`` is superseded by ``OrchestrateConfig.rounds``.
     """
     ocfg = config.orchestrate or OrchestrateConfig()
-    if config.flow_timeout_s is not None:
-        raise ValueError(
-            "orchestrate is incompatible with flow_timeout_s: a wall-clock "
-            "budget would make the chosen ordering machine-dependent")
-    if ocfg.k < 1 or ocfg.rounds < 1:
-        raise ValueError("OrchestrateConfig.k and .rounds must be >= 1")
     objective = objective or _node_count
 
     specs = _stage_specs(config)
@@ -164,96 +159,64 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
         min(ocfg.k, pool.workers) if pool is not None else 1)
     threads = max(1, threads)
 
-    chaos = config.chaos
-    chaos_mark = len(chaos.injected) if chaos is not None else 0
-    stats = FlowStats()
-    stats.guard = report = GuardReport(
-        chaos_seed=chaos.seed if chaos is not None else None)
     bandit = TransitionBandit(movable, seed=ocfg.seed,
                               explore=ocfg.explore,
                               min_stages=ocfg.min_stages)
-    start = time.perf_counter()
-    try:
-        current = aig.cleanup()
-        with obs.span("flow", kind="flow", design=aig.name,
-                      orchestrate=True, k=ocfg.k, rounds=ocfg.rounds,
-                      nodes_before=current.num_ands) as flow_span:
-            stats.record("initial", current.num_ands)
-            depth_limit = None
-            if config.max_depth_growth is not None:
-                depth_limit = max(
-                    1, int(current.depth * config.max_depth_growth))
-            best = current
-            best_score = objective(best)
-            incumbent = list(movable)
-            rounds_doc: List[Dict[str, Any]] = []
-            for round_index in range(ocfg.rounds):
-                sequences = [candidate + pinned for candidate in
-                             bandit.propose(ocfg.k, round_index, incumbent)]
-                base = CompactAig.from_aig(current)
-                with obs.span(f"ordering[{round_index + 1}]",
-                              kind="ordering", round=round_index,
-                              k=len(sequences),
-                              incumbent=">".join(incumbent + pinned),
-                              nodes_before=current.num_ands) as round_span:
-                    outcomes = _evaluate_round(
-                        base, sequences, specs_by_name, config, memo,
-                        depth_limit, objective, round_index, threads)
-                    winner = min(outcomes,
-                                 key=lambda o: (o.score, o.index))
-                    # Every candidate's spans, but only the winner's
-                    # metrics and pass reports: they shaped the network.
-                    scope = obs.current()
-                    for outcome in outcomes:
-                        scope.adopt(outcome.scope, reports=outcome is winner,
-                                    winner=outcome is winner)
-                    round_span.set("nodes_after", winner.network.num_ands)
-                    round_span.set("ordering", ">".join(winner.sequence))
-                    round_span.set("cached", winner.cached_stages)
-                for outcome in outcomes:
-                    bandit.update(outcome.sequence, outcome.gains)
-                    for row in outcome.rows:
-                        if row["rolled_back"]:
-                            report.add("rolled_back", row["name"],
-                                       round_index,
-                                       candidate=outcome.index)
-                current = winner.network.to_aig()
-                for row in winner.rows:
-                    stats.record(f"{row['name']}[r{round_index + 1}]",
-                                 row["nodes_after"], row["elapsed_s"])
-                if winner.score < best_score:
-                    best = current.cleanup()
-                    best_score = winner.score
-                incumbent = [name for name in winner.sequence
-                             if name not in pinned]
-                rounds_doc.append({
-                    "round": round_index,
-                    "winner": winner.index,
-                    "ordering": winner.sequence,
-                    "nodes": winner.network.num_ands,
-                    "candidates": [
-                        {"sequence": o.sequence,
-                         "nodes": o.network.num_ands,
-                         "score": o.score,
-                         "cached_stages": o.cached_stages,
-                         "rollbacks": o.rollbacks}
-                        for o in outcomes],
-                })
-            stats.runtime_s = time.perf_counter() - start
-            stats.record("final", best.num_ands)
-            stats.orchestrate = {
-                "k": ocfg.k,
-                "rounds": rounds_doc,
-                "chosen": rounds_doc[-1]["ordering"] if rounds_doc else [],
-                "stage_memo": memo.stats() if memo is not None else None,
-            }
-            flow_span.set("nodes_after", best.num_ands)
-    finally:
-        if chaos is not None:
-            report.faults.extend(chaos.injected_since(chaos_mark))
-        obs.record_guard_report(report)
-    obs.record_flow_stats(stats)
-    return best, stats
+    best = current
+    best_score = objective(best)
+    incumbent = list(movable)
+    rounds_doc: List[Dict[str, Any]] = []
+    for round_index in range(ocfg.rounds):
+        sequences = [candidate + pinned for candidate in
+                     bandit.propose(ocfg.k, round_index, incumbent)]
+        base = CompactAig.from_aig(current)
+        with obs.span(f"ordering[{round_index + 1}]", kind="ordering",
+                      round=round_index, k=len(sequences),
+                      incumbent=">".join(incumbent + pinned),
+                      nodes_before=current.num_ands) as round_span:
+            outcomes = _evaluate_round(
+                base, sequences, specs_by_name, config, memo, depth_limit,
+                objective, round_index, threads)
+            winner = min(outcomes, key=lambda o: (o.score, o.index))
+            # Every candidate's spans, but only the winner's metrics and
+            # pass reports: they shaped the network.
+            scope = obs.current()
+            for outcome in outcomes:
+                scope.adopt(outcome.scope, reports=outcome is winner,
+                            winner=outcome is winner)
+            round_span.set("nodes_after", winner.network.num_ands)
+            round_span.set("ordering", ">".join(winner.sequence))
+            round_span.set("cached", winner.cached_stages)
+        for outcome in outcomes:
+            bandit.update(outcome.sequence, outcome.gains)
+        # The flow record takes the winner's stages only, too.
+        for stage in winner.stages:
+            stats.record_stage(stage, f"r{round_index + 1}", round_index)
+        current = winner.network.to_aig()
+        if winner.score < best_score:
+            best = current.cleanup()
+            best_score = winner.score
+        incumbent = [name for name in winner.sequence if name not in pinned]
+        rounds_doc.append({
+            "round": round_index,
+            "winner": winner.index,
+            "ordering": winner.sequence,
+            "nodes": winner.network.num_ands,
+            "candidates": [
+                {"sequence": o.sequence,
+                 "nodes": o.network.num_ands,
+                 "score": o.score,
+                 "cached_stages": o.cached_stages,
+                 "rollbacks": o.rollbacks}
+                for o in outcomes],
+        })
+    stats.orchestrate = {
+        "k": ocfg.k,
+        "rounds": rounds_doc,
+        "chosen": rounds_doc[-1]["ordering"] if rounds_doc else [],
+        "stage_memo": memo.stats() if memo is not None else None,
+    }
+    return best
 
 
 def _evaluate_round(base: CompactAig, sequences: List[List[str]],

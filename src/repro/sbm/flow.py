@@ -30,10 +30,15 @@ engines bail out; disable with ``FlowConfig.enable_simresub = False``.
 
 Execution model
 ---------------
+One **flow shell** (:func:`_run_flow`) owns the flow record,
+:class:`FlowStats` with its guard report, and runs one driver: this
+waterfall or the ``repro.orchestrate`` search.  Both record a stage
+through one recorder, :meth:`FlowStats.record_stage` (the search for its
+round winners only).
+
 The iteration body is a **data-driven stage table** (:func:`_stage_specs`),
 and every stage of every flow — this waterfall and each candidate of the
-``repro.orchestrate`` search — runs through one executor,
-:func:`run_stage`.  It owns, in order:
+search — runs through one executor, :func:`run_stage`.  It owns, in order:
 
 * **budgets** — a :class:`repro.guard.budget.DeadlineManager` splits
   ``FlowConfig.flow_timeout_s`` across the remaining stages and may run a
@@ -114,14 +119,13 @@ class StageRecord:
 
 @dataclass
 class FlowStats:
-    """Size and timing after every stage of the flow."""
+    """The flow record: size and timing after every stage, guard events."""
 
     records: List[StageRecord] = field(default_factory=list)
     runtime_s: float = 0.0
     #: what the hardened execution layer did (degradations, rollbacks,
-    #: memo commits and replays, injected faults); never None after
-    #: :func:`sbm_flow`
-    guard: Optional[GuardReport] = None
+    #: memo commits and replays, injected faults)
+    guard: GuardReport = field(default_factory=GuardReport)
     #: pass-ordering search summary (``repro.orchestrate``): per-round
     #: candidates, the chosen ordering, and stage-memo counters; ``None``
     #: for the classic fixed waterfall
@@ -130,6 +134,36 @@ class FlowStats:
     def record(self, stage: str, size: int, elapsed_s: float = 0.0) -> None:
         """Append a stage record (resulting size, elapsed seconds)."""
         self.records.append(StageRecord(stage, size, elapsed_s))
+
+    def record_stage(self, outcome: StageOutcome, tag: str,
+                     iteration: int) -> None:
+        """One stage's rows (``<stage>[<tag>]`` and its ``:skipped``,
+        ``:rolled_back`` and ``:guard_rollback`` variants), guard events
+        and ``guard.stage_*`` metrics: the only code that writes them."""
+        name = outcome.stage
+        plan = outcome.plan
+        report = self.guard
+        if plan is not None and outcome.level == SKIP:
+            self.record(f"{name}:skipped[{tag}]", outcome.nodes_after)
+            report.add("skipped", name, iteration,
+                       remaining_s=plan.remaining_s)
+            obs.metrics().inc("guard.stage_skipped", stage=name)
+            return
+        if plan is not None and outcome.level == REDUCED:
+            report.add("degraded", name, iteration,
+                       remaining_s=plan.remaining_s, share_s=plan.share_s)
+            obs.metrics().inc("guard.stage_degraded", stage=name)
+        if outcome.cached:
+            report.add("replayed", name, iteration)
+        if outcome.depth_rollback is not None:
+            self.record(f"{name}:rolled_back[{tag}]", outcome.depth_rollback)
+        if outcome.counterexample is not None:
+            self.record(f"{name}:guard_rollback[{tag}]", outcome.nodes_after)
+            report.add("rolled_back", name, iteration,
+                       counterexample=outcome.counterexample.to_dict())
+        if outcome.stored:
+            report.add("checkpoint", name, iteration)
+        self.record(f"{name}[{tag}]", outcome.nodes_after, outcome.elapsed_s)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe representation for the run report."""
@@ -310,12 +344,14 @@ def _stage_specs(config: FlowConfig) -> List[_StageSpec]:
 
 @dataclass
 class StageOutcome:
-    """What :func:`run_stage` did; callers turn it into their telemetry."""
+    """What :func:`run_stage` did; :meth:`FlowStats.record_stage` turns it
+    into rows and guard events."""
 
-    network: Aig                 #: the network to continue with
+    stage: str
     level: int                   #: FULL, REDUCED, or SKIP
     plan: Optional[StagePlan]    #: the deadline manager's verdict, if any
     nodes_before: int
+    nodes_after: int             #: size of the network to continue with
     elapsed_s: float = 0.0
     cached: bool = False         #: replayed from the stage memo
     stored: bool = False         #: committed to the stage memo
@@ -343,11 +379,13 @@ def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
               total: int, guard: Optional[StageGuard] = None,
               depth_limit: Optional[int] = None,
               memo: Optional[StageMemo] = None,
-              deadline: Optional[DeadlineManager] = None) -> StageOutcome:
+              deadline: Optional[DeadlineManager] = None,
+              ) -> Tuple[Aig, StageOutcome]:
     """Run *spec* on *aig*: the only code that executes a flow stage.
 
-    *site* names the stage's chaos site, *chaos_scope* the prefix of its
-    window sites, and *index* of *total* its place in the caller's stage
+    Returns the network to continue with and what the stage did.  *site*
+    names the stage's chaos site, *chaos_scope* the prefix of its window
+    sites, and *index* of *total* its place in the caller's stage
     sequence (a stage span attribute).  A fresh (not replayed) stage runs
     its partition windows through one
     :class:`~repro.parallel.scheduler.PartitionScheduler` built from
@@ -359,7 +397,8 @@ def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
     """
     plan = deadline.plan(spec.name) if deadline is not None else None
     level = FULL if spec.vital or plan is None else plan.level
-    outcome = StageOutcome(aig, level, plan, nodes_before=aig.num_ands)
+    outcome = StageOutcome(spec.name, level, plan, nodes_before=aig.num_ands,
+                           nodes_after=aig.num_ands)
     with obs.span(spec.name, kind="stage", stage=spec.name, effort=effort,
                   index=index, total=total,
                   level=("full", "reduced", "skipped")[level]) as span:
@@ -367,7 +406,7 @@ def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
             span.set("nodes_before", aig.num_ands)
             span.set("nodes_after", aig.num_ands)
             deadline.finish(spec.name)
-            return outcome
+            return aig, outcome
         t0 = time.perf_counter()
         key: Optional[str] = None
         replay: Optional[Aig] = None
@@ -408,7 +447,7 @@ def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
             result, outcome.counterexample = guard.verify(result)
             if outcome.counterexample is not None:
                 obs.metrics().inc("guard.rollbacks", stage=spec.name)
-        outcome.network = result
+        outcome.nodes_after = result.num_ands
         outcome.elapsed_s = time.perf_counter() - t0
         if memo is not None and key is not None and not outcome.cached \
                 and not outcome.rolled_back:
@@ -420,7 +459,7 @@ def run_stage(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
         span.set("nodes_after", result.num_ands)
     if deadline is not None:
         deadline.finish(spec.name)
-    return outcome
+    return result, outcome
 
 
 # -- the flow ------------------------------------------------------------------
@@ -467,106 +506,89 @@ def sbm_flow(aig: Aig, config: Optional[FlowConfig] = None,
 
 
 def _run_flow(aig: Aig, config: FlowConfig) -> Tuple[Aig, FlowStats]:
-    if config.orchestrate is not None:
-        # The pass-ordering search replaces the fixed waterfall entirely;
-        # with ``orchestrate=None`` nothing below this line changes, so
-        # the classic flow stays bit-identical to previous releases.
+    """The flow shell: the record, chaos harvest, ``flow`` span and
+    ``initial``/``final`` rows around the driver.  The record reaches obs
+    even when the driver raises (an interrupted flow reports its rows)."""
+    ocfg = config.orchestrate
+    driver: Callable[..., Aig] = _run_waterfall
+    attrs: Dict[str, Any]
+    if ocfg is None:
+        attrs = {"iterations": config.iterations,
+                 "stages": len(_stage_specs(config)) * config.iterations}
+    else:
+        if config.flow_timeout_s is not None:
+            raise ValueError(
+                "orchestrate is incompatible with flow_timeout_s: a "
+                "wall-clock budget would make the chosen ordering "
+                "machine-dependent")
+        if ocfg.k < 1 or ocfg.rounds < 1:
+            raise ValueError("OrchestrateConfig.k and .rounds must be >= 1")
+        # Imported at call time: the classic flow never loads the search.
         from repro.orchestrate.search import orchestrated_flow
-        return orchestrated_flow(aig, config)
+        driver = orchestrated_flow
+        attrs = {"orchestrate": True, "k": ocfg.k, "rounds": ocfg.rounds}
     _warn_inline_timeout(config)
     chaos = config.chaos
     chaos_mark = len(chaos.injected) if chaos is not None else 0
-    stats = FlowStats()
-    stats.guard = report = GuardReport(
+    stats = FlowStats(guard=GuardReport(
         budget_s=config.flow_timeout_s,
-        chaos_seed=chaos.seed if chaos is not None else None)
+        chaos_seed=chaos.seed if chaos is not None else None))
     start = time.perf_counter()
     try:
-        best = _run_waterfall(aig, config, stats, report)
+        current = aig.cleanup()
+        with obs.span("flow", kind="flow", design=aig.name, **attrs,
+                      nodes_before=current.num_ands) as flow_span:
+            stats.record("initial", current.num_ands)
+            depth_limit = None
+            if config.max_depth_growth is not None:
+                depth_limit = max(
+                    1, int(current.depth * config.max_depth_growth))
+            best = driver(current, config, stats, depth_limit)
+            stats.record("final", best.num_ands)
+            flow_span.set("nodes_after", best.num_ands)
     finally:
+        stats.runtime_s = time.perf_counter() - start
         if chaos is not None:
-            report.faults.extend(chaos.injected_since(chaos_mark))
-        obs.record_guard_report(report)
-    stats.runtime_s = time.perf_counter() - start
-    obs.record_flow_stats(stats)
+            stats.guard.faults.extend(chaos.injected_since(chaos_mark))
+        obs.record_flow_stats(stats)
     return best, stats
 
 
-def _run_waterfall(aig: Aig, config: FlowConfig, stats: FlowStats,
-                   report: GuardReport) -> Aig:
+def _run_waterfall(current: Aig, config: FlowConfig, stats: FlowStats,
+                   depth_limit: Optional[int]) -> Aig:
+    """The Section V-A waterfall driver; returns the smallest network."""
     specs = _stage_specs(config)
     per_iter = len(specs)
     total = per_iter * config.iterations
     chaos = config.chaos
-    best = aig.cleanup()
-    with obs.span("flow", kind="flow", design=aig.name,
-                  iterations=config.iterations, stages=total,
-                  nodes_before=best.num_ands) as flow_span:
-        current = best
-        stats.record("initial", best.num_ands)
-        depth_limit = None
-        if config.max_depth_growth is not None:
-            depth_limit = max(1, int(best.depth * config.max_depth_growth))
-        deadline = DeadlineManager(config.flow_timeout_s, total)
-        # One pass never revisits a (network, stage, effort) key, so the
-        # memo only pays off against a cache a later run can replay.
-        cache = active_cache()
-        memo = StageMemo(cache) \
-            if cache is not None and memoizable(config) else None
-        guard = StageGuard(current.cleanup()) \
-            if config.verify_each_step else None
-        for iteration in range(config.iterations):
-            effort = iteration + 1
-            with obs.span(f"iteration[{effort}]", kind="iteration",
-                          effort=effort,
-                          nodes_before=current.num_ands) as it_span:
-                for pos, spec in enumerate(specs):
-                    index = iteration * per_iter + pos
-                    name = spec.name
-                    outcome = run_stage(
-                        current, spec, config, effort=effort,
-                        site=f"stage:{index}:{name}",
-                        chaos_scope=f"it{effort}:{name}", index=index,
-                        total=total, guard=guard, depth_limit=depth_limit,
-                        memo=memo, deadline=deadline)
-                    current = outcome.network
-                    _record_stage(outcome, name, iteration, stats, report)
-                    if chaos is not None and chaos.should_interrupt(index):
-                        report.add("interrupted", name, iteration,
-                                   stage_index=index)
-                        raise ChaosInterrupt(index)
-                it_span.set("nodes_after", current.num_ands)
-            if current.num_ands < best.num_ands:
-                best = current.cleanup()
-        stats.record("final", best.num_ands)
-        flow_span.set("nodes_after", best.num_ands)
+    best = current
+    deadline = DeadlineManager(config.flow_timeout_s, total)
+    # One pass never revisits a (network, stage, effort) key, so the
+    # memo only pays off against a cache a later run can replay.
+    cache = active_cache()
+    memo = StageMemo(cache) \
+        if cache is not None and memoizable(config) else None
+    guard = StageGuard(current.cleanup()) if config.verify_each_step else None
+    for iteration in range(config.iterations):
+        effort = iteration + 1
+        with obs.span(f"iteration[{effort}]", kind="iteration",
+                      effort=effort,
+                      nodes_before=current.num_ands) as it_span:
+            for pos, spec in enumerate(specs):
+                index = iteration * per_iter + pos
+                name = spec.name
+                current, outcome = run_stage(
+                    current, spec, config, effort=effort,
+                    site=f"stage:{index}:{name}",
+                    chaos_scope=f"it{effort}:{name}", index=index,
+                    total=total, guard=guard, depth_limit=depth_limit,
+                    memo=memo, deadline=deadline)
+                stats.record_stage(outcome, str(effort), iteration)
+                if chaos is not None and chaos.should_interrupt(index):
+                    stats.guard.add("interrupted", name, iteration,
+                                    stage_index=index)
+                    raise ChaosInterrupt(index)
+            it_span.set("nodes_after", current.num_ands)
+        if current.num_ands < best.num_ands:
+            best = current.cleanup()
     return best
-
-
-def _record_stage(outcome: StageOutcome, name: str, iteration: int,
-                  stats: FlowStats, report: GuardReport) -> None:
-    """The waterfall's records, guard events and metrics for one stage."""
-    effort = iteration + 1
-    plan = outcome.plan
-    if plan is not None and outcome.level == SKIP:
-        stats.record(f"{name}:skipped[{effort}]", outcome.network.num_ands)
-        report.add("skipped", name, iteration, remaining_s=plan.remaining_s)
-        obs.metrics().inc("guard.stage_skipped", stage=name)
-        return
-    if plan is not None and outcome.level == REDUCED:
-        report.add("degraded", name, iteration,
-                   remaining_s=plan.remaining_s, share_s=plan.share_s)
-        obs.metrics().inc("guard.stage_degraded", stage=name)
-    if outcome.cached:
-        report.add("replayed", name, iteration)
-    if outcome.depth_rollback is not None:
-        stats.record(f"{name}:rolled_back[{effort}]", outcome.depth_rollback)
-    if outcome.counterexample is not None:
-        stats.record(f"{name}:guard_rollback[{effort}]",
-                     outcome.network.num_ands)
-        report.add("rolled_back", name, iteration,
-                   counterexample=outcome.counterexample.to_dict())
-    if outcome.stored:
-        report.add("checkpoint", name, iteration)
-    stats.record(f"{name}[{effort}]", outcome.network.num_ands,
-                 outcome.elapsed_s)

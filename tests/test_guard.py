@@ -550,12 +550,33 @@ class TestGuardReporting:
                 sbm_flow(aig, FlowConfig(iterations=1))
         finally:
             obs.disable()
-        assert len(session.guard_reports) == 1
         report = build_report(session, command="test")
         validate_report(report)
+        assert len(report["guard"]) == 1
         assert report["version"] == 3
         assert report["guard"][0]["checkpoints"] == 9
         assert report["guard"][0]["replayed"] == 0
+
+    def test_interrupted_flow_report_holds_its_flow(self, tmp_path, capsys):
+        # The guard section describes a flow the report contains: the
+        # rows the flow wrote before the interrupt, and no final row.
+        import json
+        from repro.__main__ import main as cli_main
+        from repro.obs.report import validate_report
+        path = str(tmp_path / "report.json")
+        status = cli_main(["optimize", "router", "--chaos-interrupt", "3",
+                           "--report-json", path])
+        capsys.readouterr()
+        assert status == 3
+        with open(path, encoding="utf-8") as handle:
+            report = json.load(handle)
+        validate_report(report)
+        assert len(report["flows"]) == len(report["guard"]) == 1
+        names = [stage["name"] for stage in report["flows"][0]["stages"]]
+        assert names[0] == "initial" and names[-1] == "mspf[1]"
+        assert "final" not in names
+        assert [event["kind"] for event in report["guard"][0]["events"]] \
+            == ["interrupted"]
 
 
 # -- CLI / config satellites --------------------------------------------------

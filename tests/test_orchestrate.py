@@ -16,6 +16,9 @@ The contracts under test:
   rolled back by the per-candidate guard without sinking the search, a
   result-changing fault plan disables the memo entirely, and a guarded
   search re-checks every memo hit.
+* **One flow record** — a search reports its round winners' stages: the
+  guard section's rollbacks equal the rollback counters, each with its
+  counterexample.
 * **Key hygiene** — stage keys track semantic knobs only; execution
   knobs (threads) never enter flow or stage keys.
 """
@@ -88,9 +91,18 @@ class TestOrchestrateOff:
         assert flow_cache_key(aig, base) != flow_cache_key(aig, off)
 
     def test_incompatible_knobs_raise(self):
+        from repro import obs
         aig = make_random_aig(5, 30, seed=3)
-        with pytest.raises(ValueError, match="flow_timeout_s"):
-            sbm_flow(aig, small_search_config(flow_timeout_s=10.0))
+        session = obs.enable()
+        try:
+            with pytest.raises(ValueError, match="flow_timeout_s"):
+                sbm_flow(aig, small_search_config(flow_timeout_s=10.0))
+            with pytest.raises(ValueError, match="rounds must be >= 1"):
+                sbm_flow(aig, small_search_config(rounds=0))
+        finally:
+            obs.disable()
+        # Rejected before the flow opens a span or records anything.
+        assert session.tracer.roots == [] and session.flow_stats == []
 
 
 # -- the search itself --------------------------------------------------------
@@ -160,6 +172,12 @@ class TestStageMemo:
         assert structure(cold) == structure(warm)
         assert (cold_stats.orchestrate["chosen"]
                 == warm_stats.orchestrate["chosen"])
+        # The rows match; the guard events record what was replayed.
+        rows = [(r.name, r.size) for r in warm_stats.records]
+        assert rows == [(r.name, r.size) for r in cold_stats.records]
+        assert cold_stats.guard.checkpoints > 0
+        assert warm_stats.guard.checkpoints == 0
+        assert warm_stats.guard.replayed == len(rows) - 2
 
     def test_memo_works_without_cache_context(self):
         """In-memory memo alone still dedups repeated stage evaluations."""
@@ -235,6 +253,41 @@ class TestChaos:
         assert ok, "guard let a corrupted candidate through"
         # chaos makes stage results fault-dependent: memo must be off
         assert stats.orchestrate["stage_memo"] is None
+
+    def test_guarded_chaos_search_reports_what_its_metrics_count(self):
+        # Only round winners shape the network, so the guard section, the
+        # rollback counters and the winners' rollback counts agree, and
+        # every rollback carries its counterexample.  The losers' rollbacks
+        # stay in their own candidate rows.
+        from repro import obs
+        from repro.obs.report import build_report, validate_report
+        aig = make_random_aig(7, 120, seed=31)
+        config = small_search_config(
+            k=3, rounds=2,
+            chaos=FaultPlan(seed=7, stage_corrupt_rate=0.4),
+            verify_each_step=True)
+        session = obs.enable()
+        try:
+            _out, stats = sbm_flow(aig, config)
+        finally:
+            obs.disable()
+        report = build_report(session, command="test")
+        validate_report(report)
+        [guard] = report["guard"]
+        counted = sum(value for key, value
+                      in report["metrics"]["counters"].items()
+                      if key.startswith("guard.rollbacks{stage="))
+        rounds = stats.orchestrate["rounds"]
+        winners = sum(entry["candidates"][entry["winner"]]["rollbacks"]
+                      for entry in rounds)
+        assert guard["rollbacks"] == counted == winners > 0
+        every = sum(cand["rollbacks"] for entry in rounds
+                    for cand in entry["candidates"])
+        assert every > winners
+        rolled = [event for event in guard["events"]
+                  if event["kind"] == "rolled_back"]
+        assert len(rolled) == winners
+        assert all("counterexample" in event["detail"] for event in rolled)
 
     def test_interrupt_only_plan_keeps_memo_on(self):
         aig = make_random_aig(6, 60, seed=33)
