@@ -24,15 +24,18 @@ from tests.conftest import make_random_aig
 from repro.parallel import CompactAig, PartitionScheduler
 from repro.parallel.shared_pool import SharedProcessPool
 from repro.partition.partitioner import PartitionConfig
+from repro.sbm import boolean_difference, hetero_kernel, mspf
 from repro.sbm.config import BooleanDifferenceConfig, KernelConfig, MspfConfig
 
 #: Small windows -> many schedulable tasks even on a test-sized network.
 PARTS = PartitionConfig(max_levels=6, max_size=80, max_leaves=24)
 
 ENGINES = [
-    ("kernel", lambda: KernelConfig(partition=PARTS)),
-    ("mspf", lambda: MspfConfig(partition=PARTS)),
-    ("bdiff", lambda: BooleanDifferenceConfig(partition=PARTS)),
+    ("kernel", hetero_kernel.optimize_subaig,
+     lambda: KernelConfig(partition=PARTS)),
+    ("mspf", mspf.optimize_subaig, lambda: MspfConfig(partition=PARTS)),
+    ("bdiff", boolean_difference.optimize_subaig,
+     lambda: BooleanDifferenceConfig(partition=PARTS)),
 ]
 
 
@@ -47,25 +50,26 @@ def _signature(aig):
     return (c.num_pis, tuple(c.gates), tuple(c.outputs))
 
 
-def _timed_pass(engine, make_config, pool=None):
+def _timed_pass(engine, worker, make_config, pool=None):
     aig = _network()
     start = time.perf_counter()
     report = PartitionScheduler(pool=pool).run_pass(
-        aig, engine, make_config(), partition_config=PARTS)
+        aig, engine, worker, make_config(), partition_config=PARTS)
     return aig, report, time.perf_counter() - start
 
 
-@pytest.mark.parametrize("engine,make_config", ENGINES,
+@pytest.mark.parametrize("engine,worker,make_config", ENGINES,
                          ids=[e[0] for e in ENGINES])
-def test_bench_serial_vs_parallel(engine, make_config, benchmark):
+def test_bench_serial_vs_parallel(engine, worker, make_config, benchmark):
     if not full_run() and engine != "kernel":
         pytest.skip("representative subset; REPRO_BENCH_FULL=1 for all")
     jobs = os.cpu_count() or 1
 
-    serial_aig, serial_report, serial_s = _timed_pass(engine, make_config)
+    serial_aig, serial_report, serial_s = _timed_pass(engine, worker,
+                                                      make_config)
     with SharedProcessPool(jobs) as pool:
         parallel_aig, parallel_report, parallel_s = benchmark.pedantic(
-            _timed_pass, args=(engine, make_config, pool),
+            _timed_pass, args=(engine, worker, make_config, pool),
             iterations=1, rounds=1)
 
     speedup = serial_s / parallel_s if parallel_s > 0 else 1.0

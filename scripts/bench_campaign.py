@@ -27,7 +27,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -38,6 +37,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from repro.aig import checksum                                 # noqa: E402
 from repro.campaign import jobs_from_benchmarks, run_campaign  # noqa: E402
 from repro.sbm.config import FlowConfig                        # noqa: E402
 
@@ -46,25 +46,6 @@ REPORT_PATH = os.path.join(ROOT, "BENCH_campaign.json")
 QUICK_BENCHMARKS = ["router", "i2c"]
 FULL_BENCHMARKS = ["router", "i2c", "cavlc", "priority", "arbiter", "bar",
                    "adder", "max", "square"]
-
-
-def checksum(aig) -> str:
-    """Structural sha256 over the remapped topological order (16 hex)."""
-    h = hashlib.sha256()
-    h.update(f"{aig.num_pis}/{aig.num_pos}/".encode())
-    order = aig.topological_order()
-    remap = {0: 0}
-    for i, p in enumerate(aig.pis()):
-        remap[p] = i + 1
-    for n in order:
-        remap[n] = len(remap)
-    for n in order:
-        f0, f1 = aig.fanins(n)
-        h.update(f"{remap[f0 >> 1]}.{f0 & 1},"
-                 f"{remap[f1 >> 1]}.{f1 & 1};".encode())
-    for po in aig.pos():
-        h.update(f"o{remap[po >> 1]}.{po & 1};".encode())
-    return h.hexdigest()[:16]
 
 
 def run_once(benchmarks, cache_dir: str, workers: int, label: str) -> dict:

@@ -26,7 +26,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -38,6 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(1, ROOT)  # the frozen references live in tests/
 
+from repro.aig import checksum                                # noqa: E402
 from repro.aig.simprogram import pack_rounds, sim_program, wide_mask  # noqa: E402
 from repro.bdd.manager import BddManager                      # noqa: E402
 from repro.bench.registry import get_benchmark                # noqa: E402
@@ -52,25 +52,6 @@ REPORT_PATH = os.path.join(ROOT, "BENCH_hotpath.json")
 
 QUICK_FLOWS = ["router"]
 FULL_FLOWS = ["router", "i2c", "cavlc", "priority"]
-
-
-def checksum(aig) -> str:
-    """Structural sha256 over the remapped topological order (16 hex)."""
-    h = hashlib.sha256()
-    h.update(f"{aig.num_pis}/{aig.num_pos}/".encode())
-    order = aig.topological_order()
-    remap = {0: 0}
-    for i, p in enumerate(aig.pis()):
-        remap[p] = i + 1
-    for n in order:
-        remap[n] = len(remap)
-    for n in order:
-        f0, f1 = aig.fanins(n)
-        h.update(f"{remap[f0 >> 1]}.{f0 & 1},"
-                 f"{remap[f1 >> 1]}.{f1 & 1};".encode())
-    for po in aig.pos():
-        h.update(f"o{remap[po >> 1]}.{po & 1};".encode())
-    return h.hexdigest()[:16]
 
 
 # -- engine microbenchmarks ---------------------------------------------------

@@ -33,7 +33,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -44,6 +43,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from repro.aig import checksum                      # noqa: E402
 from repro.bench.registry import get_benchmark      # noqa: E402
 from repro.campaign import cache_context            # noqa: E402
 from repro.sbm.config import FlowConfig, OrchestrateConfig  # noqa: E402
@@ -53,25 +53,6 @@ REPORT_PATH = os.path.join(ROOT, "BENCH_orchestrate.json")
 
 QUICK_BENCHMARKS = ["router", "cavlc"]
 FULL_BENCHMARKS = ["router", "cavlc", "i2c", "priority", "bar"]
-
-
-def checksum(aig) -> str:
-    """Structural sha256 over the remapped topological order (16 hex)."""
-    h = hashlib.sha256()
-    h.update(f"{aig.num_pis}/{aig.num_pos}/".encode())
-    order = aig.topological_order()
-    remap = {0: 0}
-    for i, p in enumerate(aig.pis()):
-        remap[p] = i + 1
-    for n in order:
-        remap[n] = len(remap)
-    for n in order:
-        f0, f1 = aig.fanins(n)
-        h.update(f"{remap[f0 >> 1]}.{f0 & 1},"
-                 f"{remap[f1 >> 1]}.{f1 & 1};".encode())
-    for po in aig.pos():
-        h.update(f"o{remap[po >> 1]}.{po & 1};".encode())
-    return h.hexdigest()[:16]
 
 
 def run_search(benchmarks, config: FlowConfig, cache_dir: str,

@@ -95,7 +95,8 @@ Options
                          window timeouts, corrupt results, BDD limits)
                          drawn from SEED — the fault-injection harness
 ``--chaos-interrupt N``  kill the flow right after global stage N has
-                         committed its result (exit status 3), a
+                         committed its result (a searched flow: after its
+                         recorded winner stage N; exit status 3), a
                          deterministic stand-in for ``kill -9`` used by
                          the rerun-after-interrupt CI check; on its own it
                          injects no other fault and keeps the stage memo on

@@ -28,6 +28,7 @@ from repro.aig.simulate import (
 )
 from repro.aig.traversal import (
     all_supports,
+    checksum,
     cone_inclusion,
     node_level_map,
     structural_support,
@@ -47,5 +48,5 @@ __all__ = [
     "SimProgram", "sim_program", "simulate_wide", "pack_rounds", "wide_mask",
     "topological_order_all", "transitive_fanin", "transitive_fanout",
     "structural_support", "all_supports", "support_similarity",
-    "cone_inclusion", "node_level_map",
+    "cone_inclusion", "node_level_map", "checksum",
 ]

@@ -3,10 +3,13 @@
 These helpers back the partitioning engine (Section III-B sorts nodes "according
 to the similarity of their structural support") and the candidate filters of the
 Boolean-difference engine (shared support, inclusion of one cone in another).
+:func:`checksum` is the structural fingerprint behind the committed flow
+checksums of the benchmark scripts and tests.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, List, Set
 
 from repro.aig.aig import Aig, lit_node
@@ -127,3 +130,22 @@ def node_level_map(aig: Aig) -> Dict[int, int]:
         f0, f1 = aig.fanins(n)
         level[n] = 1 + max(level[lit_node(f0)], level[lit_node(f1)])
     return level
+
+
+def checksum(aig: Aig) -> str:
+    """Structural sha256 over the remapped topological order (16 hex)."""
+    h = hashlib.sha256()
+    h.update(f"{aig.num_pis}/{aig.num_pos}/".encode())
+    order = aig.topological_order()
+    remap = {0: 0}
+    for i, p in enumerate(aig.pis()):
+        remap[p] = i + 1
+    for n in order:
+        remap[n] = len(remap)
+    for n in order:
+        f0, f1 = aig.fanins(n)
+        h.update(f"{remap[f0 >> 1]}.{f0 & 1},"
+                 f"{remap[f1 >> 1]}.{f1 & 1};".encode())
+    for po in aig.pos():
+        h.update(f"o{remap[po >> 1]}.{po & 1};".encode())
+    return h.hexdigest()[:16]

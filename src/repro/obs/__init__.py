@@ -43,7 +43,7 @@ a fresh scope whose registry snapshot returns in the window payload (see
 from __future__ import annotations
 
 import threading
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.live import BusSink, EventBus
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
@@ -238,6 +238,21 @@ def span(name: str, /, kind: str = "span", **attrs: Any):
         name, kind=kind, **attrs)
 
 
+def publish_counters(prefix: str, counters: Dict[str, Any],
+                     always: Sequence[str] = ()) -> None:
+    """Add every counter to the current registry as ``<prefix>.<name>``.
+
+    Zeros are skipped unless *always* names them: for those, "none
+    happened" is itself the answer the report exists to give.
+    """
+    registry = metrics()
+    if not registry.enabled:
+        return
+    for name, value in counters.items():
+        if value or name in always:
+            registry.inc(f"{prefix}.{name}", value)
+
+
 def record_flow_stats(stats: Any) -> None:
     """Hand a finished FlowStats to the current scope."""
     current()._record("flow_stats", stats)
@@ -277,6 +292,7 @@ __all__ = [
     "iter_jsonl",
     "load_jsonl",
     "metrics",
+    "publish_counters",
     "record_campaign_report",
     "record_flow_stats",
     "record_parallel_report",

@@ -8,7 +8,7 @@ DAG-aware Synthesis Orchestration (arXiv:2310.07846) and BoolGebra
 * :mod:`repro.orchestrate.search` — each round proposes K candidate stage
   sequences (permutations/subsets of the non-vital stages; vital stages
   stay pinned at the tail), evaluates them concurrently, keeps the winner
-  by node count (pluggable objective), and seeds the next round with it;
+  by node count, and seeds the next round with it;
 * :mod:`repro.orchestrate.bandit` — a seeded deterministic bandit prior
   over (previous stage → next stage) gain history drives candidate
   generation, so the search is bit-for-bit reproducible: no wall-clock

@@ -19,14 +19,17 @@ shell, replaces the fixed stage waterfall with a deterministic search:
    output network instantly, a miss runs the stage and commits the
    result, so shared prefixes across candidates/rounds/campaigns are
    computed exactly once;
-4. the **winner** (lowest objective; node count by default, pluggable
-   for the future cost-generic work) seeds the next round, and every
-   candidate's per-stage node gains train the bandit.
+4. the **winner** (lowest node count, the paper's metric) seeds the next
+   round, and every candidate's per-stage node gains train the bandit.
 
 Like the metrics and pass reports, the flow record takes only winners:
 the waterfall's recorder writes each winner stage as a ``<stage>[rN]``
 row plus its guard events; every candidate's rollbacks stay in
-``FlowStats.orchestrate``.
+``FlowStats.orchestrate``.  After each recorded winner stage the search
+runs the waterfall's interrupt check, with the stage's position in the
+flow record as its index: ``--chaos-interrupt N`` stops a search right
+after recorded stage #N, and a rerun against the same cache replays the
+committed stages.
 
 Determinism contract: with a fixed ``OrchestrateConfig.seed`` the chosen
 orderings, the winner network and the ``FlowStats`` rows (names and
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.aig.aig import Aig
@@ -55,16 +58,7 @@ from repro.orchestrate.bandit import TransitionBandit
 from repro.parallel.window_io import CompactAig
 from repro.sbm.config import FlowConfig, OrchestrateConfig
 from repro.sbm.flow import (FlowStats, StageOutcome, _stage_specs,
-                            memoizable, run_stage)
-
-#: Pluggable candidate objective: lower is better.  The default is AIG
-#: node count — the paper's metric; the cost-generic ROADMAP item plugs
-#: depth/switching/mapped costs in here.
-Objective = Callable[[Aig], float]
-
-
-def _node_count(aig: Aig) -> float:
-    return float(aig.num_ands)
+                            check_interrupt, memoizable, run_stage)
 
 
 @dataclasses.dataclass
@@ -100,7 +94,6 @@ def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
                         config: FlowConfig,
                         memo: Optional[StageMemo],
                         depth_limit: Optional[int],
-                        objective: Objective,
                         round_index: int, cand_index: int,
                         scope: obs.Scope) -> CandidateOutcome:
     """Run one candidate ordering on a private copy of *base*.
@@ -128,13 +121,12 @@ def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
         span.set("nodes_after", net.num_ands)
         return CandidateOutcome(index=cand_index, sequence=list(sequence),
                                 network=CompactAig.from_aig(net),
-                                score=objective(net), stages=stages,
+                                score=float(net.num_ands), stages=stages,
                                 scope=scope)
 
 
 def orchestrated_flow(current: Aig, config: FlowConfig, stats: FlowStats,
-                      depth_limit: Optional[int],
-                      objective: Optional[Objective] = None) -> Aig:
+                      depth_limit: Optional[int]) -> Aig:
     """Run the pass-ordering search on *current*; returns the best network.
 
     The flow shell's driver when ``config.orchestrate`` is set: it records
@@ -143,7 +135,6 @@ def orchestrated_flow(current: Aig, config: FlowConfig, stats: FlowStats,
     ``config.iterations`` is superseded by ``OrchestrateConfig.rounds``.
     """
     ocfg = config.orchestrate or OrchestrateConfig()
-    objective = objective or _node_count
 
     specs = _stage_specs(config)
     specs_by_name = {spec.name: spec for spec in specs}
@@ -163,8 +154,9 @@ def orchestrated_flow(current: Aig, config: FlowConfig, stats: FlowStats,
                               explore=ocfg.explore,
                               min_stages=ocfg.min_stages)
     best = current
-    best_score = objective(best)
+    best_score = float(best.num_ands)
     incumbent = list(movable)
+    recorded = 0  # winner stages in the flow record so far
     rounds_doc: List[Dict[str, Any]] = []
     for round_index in range(ocfg.rounds):
         sequences = [candidate + pinned for candidate in
@@ -176,7 +168,7 @@ def orchestrated_flow(current: Aig, config: FlowConfig, stats: FlowStats,
                       nodes_before=current.num_ands) as round_span:
             outcomes = _evaluate_round(
                 base, sequences, specs_by_name, config, memo, depth_limit,
-                objective, round_index, threads)
+                round_index, threads)
             winner = min(outcomes, key=lambda o: (o.score, o.index))
             # Every candidate's spans, but only the winner's metrics and
             # pass reports: they shaped the network.
@@ -192,6 +184,9 @@ def orchestrated_flow(current: Aig, config: FlowConfig, stats: FlowStats,
         # The flow record takes the winner's stages only, too.
         for stage in winner.stages:
             stats.record_stage(stage, f"r{round_index + 1}", round_index)
+            check_interrupt(config, stats, recorded, stage.stage,
+                            round_index)
+            recorded += 1
         current = winner.network.to_aig()
         if winner.score < best_score:
             best = current.cleanup()
@@ -222,7 +217,7 @@ def orchestrated_flow(current: Aig, config: FlowConfig, stats: FlowStats,
 def _evaluate_round(base: CompactAig, sequences: List[List[str]],
                     specs_by_name: Dict[str, Any], config: FlowConfig,
                     memo: Optional[StageMemo],
-                    depth_limit: Optional[int], objective: Objective,
+                    depth_limit: Optional[int],
                     round_index: int, threads: int,
                     ) -> List[CandidateOutcome]:
     """Evaluate a round's candidates (serial or thread-parallel).
@@ -236,13 +231,12 @@ def _evaluate_round(base: CompactAig, sequences: List[List[str]],
             for i, seq in enumerate(sequences)]
     if threads <= 1 or len(sequences) <= 1:
         return [_evaluate_candidate(base, seq, specs_by_name, config, memo,
-                                    depth_limit, objective, round_index, i,
-                                    scope)
+                                    depth_limit, round_index, i, scope)
                 for seq, i, scope in work]
     with ThreadPoolExecutor(max_workers=min(threads, len(sequences)),
                             thread_name_prefix="orchestrate") as executor:
         futures = [executor.submit(_evaluate_candidate, base, seq,
                                    specs_by_name, config, memo, depth_limit,
-                                   objective, round_index, i, scope)
+                                   round_index, i, scope)
                    for seq, i, scope in work]
         return [future.result() for future in futures]

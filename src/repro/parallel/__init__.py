@@ -9,12 +9,7 @@ processes.  See :mod:`repro.parallel.scheduler` for the execution model
 :mod:`repro.parallel.stats` for the per-window telemetry.
 """
 
-from repro.parallel.scheduler import (
-    ENGINES,
-    PartitionScheduler,
-    register_engine,
-    run_window_task,
-)
+from repro.parallel.scheduler import PartitionScheduler, run_window_task
 from repro.parallel.stats import ParallelReport, WindowRecord
 from repro.parallel.window_io import (
     CompactAig,
@@ -25,7 +20,6 @@ from repro.parallel.window_io import (
 )
 
 __all__ = [
-    "ENGINES",
     "CompactAig",
     "ParallelReport",
     "PartitionScheduler",
@@ -33,7 +27,6 @@ __all__ = [
     "WindowResult",
     "WindowTask",
     "extract_task",
-    "register_engine",
     "run_window_task",
     "whole_network_window",
 ]

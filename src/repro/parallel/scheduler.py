@@ -8,9 +8,10 @@ partitioned pass into a three-phase pipeline:
 1. **Extract** — every window is snapshot into a picklable
    :class:`~repro.parallel.window_io.WindowTask` *before any edit*, so all
    tasks are pure functions of the same network state.
-2. **Execute** — tasks run through a registered engine worker, either
-   inline (no pool: the exact serial path — same code, same order, no
-   process machinery) or on the
+2. **Execute** — tasks run through the engine's worker, a module-level
+   function the pass hands over (see :data:`Worker`), either inline (no
+   pool: the exact serial path — same code, same order, no process
+   machinery) or on the
    :class:`~repro.parallel.shared_pool.SharedProcessPool` the scheduler
    was given.  The pool belongs to the run that created it (a campaign, a
    fuzz run or a ``-j N`` flow); the flow builds one scheduler per stage.
@@ -71,29 +72,11 @@ from repro.partition.partitioner import (
     splice_window,
 )
 
-#: Engine registry: name -> ``fn(sub_aig, config) -> (changed, optimized
-#: sub_aig or None, payload counters)``.  Workers resolve engines by *name*,
-#: so only the name, the task, and the config cross the process boundary.
-ENGINES: Dict[str, Callable[[Aig, Any], Tuple[bool, Optional[Aig], Dict[str, Any]]]] = {}
-
-
-def register_engine(name: str, fn: Callable) -> Callable:
-    """Register a window-optimization engine under *name* (idempotent)."""
-    ENGINES[name] = fn
-    return fn
-
-
-def _resolve_engine(name: str) -> Callable:
-    """Look up an engine, importing the built-in SBM engines on demand."""
-    if name not in ENGINES:
-        # Lazy import avoids a cycle (the sbm modules import this module to
-        # register themselves) and makes resolution work under any
-        # multiprocessing start method.
-        from repro.sbm import boolean_difference  # noqa: F401
-        from repro.sbm import hetero_kernel  # noqa: F401
-        from repro.sbm import mspf  # noqa: F401
-        from repro.sbm import simresub  # noqa: F401
-    return ENGINES[name]
+#: An engine's window worker: ``fn(sub_aig, config) -> (changed, optimized
+#: sub_aig or None, payload counters)``.  It must be a module-level
+#: function: it pickles by reference, so only plain data — the task and
+#: the config — crosses the process boundary.
+Worker = Callable[[Aig, Any], Tuple[bool, Optional[Aig], Dict[str, Any]]]
 
 
 def _fallback_result(task: WindowTask, reason: str,
@@ -107,17 +90,17 @@ def _fallback_result(task: WindowTask, reason: str,
 OBS_PAYLOAD_KEY = "_obs_metrics"
 
 
-def run_window_task(engine_name: str, task: WindowTask, config: Any,
+def run_window_task(worker: Worker, task: WindowTask, config: Any,
                     collect_metrics: Optional[bool] = None,
                     inject: Optional[str] = None,
                     timeout_hint: Optional[float] = None) -> WindowResult:
-    """Worker entry point: decode, optimize, re-encode one window.
+    """Task entry point: decode one window, run *worker*, re-encode.
 
     Runs in a pool worker process (or inline without a pool).  Any
     exception is converted into a fallback result so a failing window can
     never poison the merge phase.
 
-    The engine runs in a fresh obs scope with no tracer — never the
+    *worker* runs in a fresh obs scope with no tracer — never the
     parent's, whose sinks and span stack must not be touched from a forked
     worker.  When ``collect_metrics`` is true (``None`` means "iff
     observability is enabled in this process") the scope has a local
@@ -151,9 +134,8 @@ def run_window_task(engine_name: str, task: WindowTask, config: Any,
         try:
             if inject == "bdd-limit":
                 raise BddLimitError("chaos: forced BDD node limit")
-            engine = _resolve_engine(engine_name)
             sub = task.compact.to_aig()
-            changed, optimized, payload = engine(sub, config)
+            changed, optimized, payload = worker(sub, config)
             compact = None
             if changed and optimized is not None:
                 compact = CompactAig.from_aig(optimized)
@@ -218,12 +200,15 @@ class PartitionScheduler:
 
     # -- public API ----------------------------------------------------------
 
-    def run_pass(self, aig: Aig, engine: str, config: Any,
+    def run_pass(self, aig: Aig, engine: str, worker: Worker, config: Any,
                  partition_config: Optional[PartitionConfig] = None,
                  windows: Optional[List[Window]] = None) -> ParallelReport:
-        """Partition *aig*, optimize every window, splice results back.
+        """Partition *aig*, run *worker* on every window, splice results back.
 
-        Edits *aig* in place and returns the pass telemetry.
+        *engine* is the pass's label: its ``pass:<engine>`` span, the
+        report's and the metrics' engine, and its chaos sites
+        ``<scope>:<engine>:w<i>``.  Edits *aig* in place and returns the
+        pass telemetry.
         """
         start = time.perf_counter()
         with obs.span(f"pass:{engine}", kind="pass",
@@ -240,7 +225,7 @@ class PartitionScheduler:
                        if w is not None]
             tasks = [extract_task(aig, w, i) for i, w in enumerate(windows)]
             injections = self._draw_faults(engine, tasks)
-            results, restarts = self._execute(engine, tasks, config,
+            results, restarts = self._execute(worker, tasks, config,
                                               injections)
             report = ParallelReport(engine=engine, jobs=self.jobs,
                                     pool_restarts=restarts)
@@ -319,20 +304,21 @@ class PartitionScheduler:
                 injections[task.index] = kind
         return injections
 
-    def _execute(self, engine: str, tasks: List[WindowTask], config: Any,
+    def _execute(self, worker: Worker, tasks: List[WindowTask], config: Any,
                  injections: Optional[Dict[int, str]] = None
                  ) -> Tuple[Dict[int, WindowResult], int]:
         collect = obs.enabled()
         injections = injections or {}
         if self.jobs <= 1 or len(tasks) <= 1:
             return ({t.index: run_window_task(
-                        engine, t, config, collect_metrics=collect,
+                        worker, t, config, collect_metrics=collect,
                         inject=injections.get(t.index),
                         timeout_hint=self.window_timeout_s)
                      for t in tasks}, 0)
-        return self._execute_pool(engine, tasks, config, collect, injections)
+        return self._execute_pool(worker, tasks, config, collect, injections)
 
-    def _execute_pool(self, engine: str, tasks: List[WindowTask], config: Any,
+    def _execute_pool(self, worker: Worker, tasks: List[WindowTask],
+                      config: Any,
                       collect: bool = False,
                       injections: Optional[Dict[int, str]] = None
                       ) -> Tuple[Dict[int, WindowResult], int]:
@@ -341,7 +327,7 @@ class PartitionScheduler:
         injections = dict(injections or {})
         restarts = 0
         while pending:
-            pending = self._pool_round(engine, pending, config, results,
+            pending = self._pool_round(worker, pending, config, results,
                                        collect, injections)
             if pending:
                 if restarts >= self.max_pool_restarts:
@@ -355,7 +341,8 @@ class PartitionScheduler:
                 restarts += 1
         return results, restarts
 
-    def _pool_round(self, engine: str, tasks: List[WindowTask], config: Any,
+    def _pool_round(self, worker: Worker, tasks: List[WindowTask],
+                    config: Any,
                     results: Dict[int, WindowResult],
                     collect: bool = False,
                     injections: Optional[Dict[int, str]] = None
@@ -377,7 +364,7 @@ class PartitionScheduler:
         pool = self.pool
         generation = pool.generation
         try:
-            futures = [(task, pool.submit(run_window_task, engine, task,
+            futures = [(task, pool.submit(run_window_task, worker, task,
                                           config, collect,
                                           injections.get(task.index),
                                           self.window_timeout_s))

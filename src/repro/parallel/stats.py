@@ -6,13 +6,28 @@ it was not.  Records aggregate into a :class:`ParallelReport` that the flow
 can print after a pass: windows executed, improvement rate, fallback
 breakdown, and the serial-equivalent runtime (the sum of worker wall times)
 against the elapsed wall clock, whose ratio estimates the realized speedup.
+
+The counter-based engines (MSPF, simulation-guided resubstitution, Boolean
+difference) list their counters once, as the fields of a stats dataclass:
+:func:`window_counters` turns a worker's stats into its window payload and
+:meth:`ParallelReport.fold` folds the payloads back into the pass's stats.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, TypeVar
+
+S = TypeVar("S")
+
+
+def window_counters(stats: Any) -> Dict[str, Any]:
+    """A worker's window payload: every field of its engine's stats
+    dataclass but ``partitions``, which only the pass knows."""
+    return {f.name: getattr(stats, f.name)
+            for f in dataclasses.fields(stats) if f.name != "partitions"}
 
 
 @dataclass
@@ -108,6 +123,28 @@ class ParallelReport:
             if isinstance(value, (int, float)):
                 total += value
         return total
+
+    def fold(self, stats: S) -> S:
+        """Fill *stats*, an engine's counter dataclass, from this pass.
+
+        ``partitions`` is the window count, ``rewrites`` sums the applied
+        windows' payloads only, ``gain`` is their parent-level gain, and
+        every other field sums every window's payload (a window whose
+        worker failed has an empty payload and adds 0).  Returns *stats*.
+        """
+        for f in dataclasses.fields(stats):
+            name = f.name
+            if name == "partitions":
+                value = self.num_windows
+            elif name == "gain":
+                value = self.total_gain
+            elif name == "rewrites":
+                value = sum(r.payload.get(name, 0) for r in self.records
+                            if r.applied)
+            else:
+                value = self.counter(name)
+            setattr(stats, name, value)
+        return stats
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe representation for the run report (stable schema)."""

@@ -21,6 +21,12 @@ The flow follows the paper closely:
 * a new implementation of ``f`` is accepted when it reduces size or keeps it
   equal ("this second case could reshape the network ... and help escaping
   local minima", Section III-D).
+
+The pass runs :func:`optimize_subaig` on every partition window through
+the :class:`~repro.parallel.scheduler.PartitionScheduler`; the fields of
+:class:`BooleanDifferenceStats` are the engine's one list of counters,
+which the window payload, the pass's fold and the ``bdiff.*`` metrics all
+read.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from repro.bdd.manager import BddManager
 from repro.bdd.to_aig import aig_window_to_bdds, bdd_to_aig
 from repro.errors import BddLimitError
 from repro.opt.shared import try_replace
-from repro.parallel.scheduler import PartitionScheduler, register_engine
+from repro.parallel.scheduler import PartitionScheduler
+from repro.parallel.stats import window_counters
+from repro.parallel.window_io import whole_network_window
 from repro.partition.partitioner import Window
 from repro.sbm.config import BooleanDifferenceConfig
 
@@ -57,28 +65,6 @@ class BooleanDifferenceStats:
     bdd_nodes_allocated: int = 0
 
 
-def publish_metrics(stats: BooleanDifferenceStats) -> None:
-    """Push one Boolean-difference run's counters into the active registry."""
-    registry = obs.metrics()
-    if not registry.enabled:
-        return
-    # Bailouts and the size-limit filter are reported even at zero — the
-    # absence of bailouts is itself what the report exists to show.
-    registry.inc("bdiff.bdd_bailouts", stats.bdd_bailouts)
-    registry.inc("bdiff.pairs_filtered_bdd_size",
-                 stats.pairs_filtered_bdd_size)
-    for name, value in (
-            ("pairs_tried", stats.pairs_tried),
-            ("pairs_filtered_support", stats.pairs_filtered_support),
-            ("pairs_filtered_inclusion", stats.pairs_filtered_inclusion),
-            ("pairs_filtered_saving", stats.pairs_filtered_saving),
-            ("bdd_nodes_allocated", stats.bdd_nodes_allocated),
-            ("rewrites", stats.rewrites),
-            ("gain", stats.gain)):
-        if value:
-            registry.inc(f"bdiff.{name}", value)
-
-
 def boolean_difference_pass(aig: Aig,
                             config: Optional[BooleanDifferenceConfig] = None,
                             scheduler: Optional[PartitionScheduler] = None
@@ -92,25 +78,9 @@ def boolean_difference_pass(aig: Aig,
     same for every scheduler.
     """
     config = config or BooleanDifferenceConfig()
-    report = (scheduler or PartitionScheduler()).run_pass(
-        aig, "bdiff", config, config.partition)
-    stats = BooleanDifferenceStats(partitions=report.num_windows)
-    for record in report.records:
-        payload = record.payload
-        stats.pairs_tried += payload.get("pairs_tried", 0)
-        stats.pairs_filtered_support += payload.get(
-            "pairs_filtered_support", 0)
-        stats.pairs_filtered_inclusion += payload.get(
-            "pairs_filtered_inclusion", 0)
-        stats.pairs_filtered_bdd_size += payload.get(
-            "pairs_filtered_bdd_size", 0)
-        stats.pairs_filtered_saving += payload.get("pairs_filtered_saving", 0)
-        stats.bdd_bailouts += payload.get("bdd_bailouts", 0)
-        stats.bdd_nodes_allocated += payload.get("bdd_nodes_allocated", 0)
-        if record.applied:
-            stats.rewrites += payload.get("rewrites", 0)
-            stats.gain += record.gain
-    return stats
+    return (scheduler or PartitionScheduler()).run_pass(
+        aig, "bdiff", optimize_subaig, config,
+        config.partition).fold(BooleanDifferenceStats())
 
 
 def optimize_subaig(sub: Aig,
@@ -123,20 +93,12 @@ def optimize_subaig(sub: Aig,
     config = config or BooleanDifferenceConfig()
     stats = BooleanDifferenceStats()
     if sub.num_pis and sub.num_ands:
-        from repro.parallel.window_io import whole_network_window
         optimize_partition(sub, whole_network_window(sub), config, stats)
-    payload = {
-        "pairs_tried": stats.pairs_tried,
-        "pairs_filtered_support": stats.pairs_filtered_support,
-        "pairs_filtered_inclusion": stats.pairs_filtered_inclusion,
-        "pairs_filtered_bdd_size": stats.pairs_filtered_bdd_size,
-        "pairs_filtered_saving": stats.pairs_filtered_saving,
-        "bdd_bailouts": stats.bdd_bailouts,
-        "bdd_nodes_allocated": stats.bdd_nodes_allocated,
-        "rewrites": stats.rewrites,
-        "gain": stats.gain,
-    }
-    publish_metrics(stats)
+    payload = window_counters(stats)
+    # Bailouts and the size-limit filter are reported even at zero — the
+    # absence of bailouts is itself what the report exists to show.
+    obs.publish_counters("bdiff", payload, always=(
+        "bdd_bailouts", "pairs_filtered_bdd_size"))
     changed = stats.rewrites > 0
     return changed, (sub.cleanup() if changed else None), payload
 
@@ -324,6 +286,3 @@ def _sharing_credit(manager: BddManager, bdd_diff: int,
         stack.append(manager.low(node))
         stack.append(manager.high(node))
     return credit
-
-
-register_engine("bdiff", optimize_subaig)

@@ -554,13 +554,27 @@ def _run_flow(aig: Aig, config: FlowConfig) -> Tuple[Aig, FlowStats]:
     return best, stats
 
 
+def check_interrupt(config: FlowConfig, stats: FlowStats, index: int,
+                    stage: str, iteration: int) -> None:
+    """Both drivers' interrupt check, run after each recorded stage.
+
+    *index* is the stage's position in the flow record (for the waterfall,
+    its global stage index).  When the fault plan interrupts there, record
+    an ``interrupted`` guard event and raise :class:`ChaosInterrupt`; a
+    rerun against the same cache replays what the memo committed.
+    """
+    chaos = config.chaos
+    if chaos is not None and chaos.should_interrupt(index):
+        stats.guard.add("interrupted", stage, iteration, stage_index=index)
+        raise ChaosInterrupt(index)
+
+
 def _run_waterfall(current: Aig, config: FlowConfig, stats: FlowStats,
                    depth_limit: Optional[int]) -> Aig:
     """The Section V-A waterfall driver; returns the smallest network."""
     specs = _stage_specs(config)
     per_iter = len(specs)
     total = per_iter * config.iterations
-    chaos = config.chaos
     best = current
     deadline = DeadlineManager(config.flow_timeout_s, total)
     # One pass never revisits a (network, stage, effort) key, so the
@@ -584,10 +598,7 @@ def _run_waterfall(current: Aig, config: FlowConfig, stats: FlowStats,
                     total=total, guard=guard, depth_limit=depth_limit,
                     memo=memo, deadline=deadline)
                 stats.record_stage(outcome, str(effort), iteration)
-                if chaos is not None and chaos.should_interrupt(index):
-                    stats.guard.add("interrupted", name, iteration,
-                                    stage_index=index)
-                    raise ChaosInterrupt(index)
+                check_interrupt(config, stats, index, name, iteration)
             it_span.set("nodes_after", current.num_ands)
         if current.num_ands < best.num_ands:
             best = current.cleanup()

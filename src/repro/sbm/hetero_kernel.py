@@ -14,6 +14,11 @@ produces SOPs of similar *size* but not similar *characteristics*; instead,
 Per partition each threshold is tried on a private SOP copy; the winner is
 factored back to an AIG and spliced in only when it does not increase the
 node count (the move contract of the gradient engine).
+
+The pass runs :func:`optimize_subaig` on every partition window through
+the :class:`~repro.parallel.scheduler.PartitionScheduler`.  Unlike the
+counter-based engines, the kernel engine keeps its own fold: it counts
+applied windows only, and counts its wins per eliminate threshold.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Optional, Tuple
 from repro import obs
 from repro.aig.aig import Aig
 from repro.opt.balance import balance
-from repro.parallel.scheduler import PartitionScheduler, register_engine
+from repro.parallel.scheduler import PartitionScheduler
 from repro.partition.partitioner import (
     Window,
     extract_window_aig,
@@ -76,7 +81,7 @@ def hetero_kernel_pass(aig: Aig, config: Optional[KernelConfig] = None,
     """
     config = config or KernelConfig()
     report = (scheduler or PartitionScheduler()).run_pass(
-        aig, "kernel", config, config.partition)
+        aig, "kernel", optimize_subaig, config, config.partition)
     stats = KernelStats(partitions=report.num_windows)
     for record in report.records:
         if not record.applied:
@@ -179,6 +184,3 @@ def homogeneous_kernel_pass(aig: Aig, threshold: int,
                           kernel_rounds=config.kernel_rounds,
                           partition=config.partition)
     return hetero_kernel_pass(aig, single)
-
-
-register_engine("kernel", optimize_subaig)

@@ -16,6 +16,11 @@ partitions:
   BDD canonicity we search for *many* connectable fanins at once and try an
   irredundant subset, the key enhancement over the truth-table MSPF of [1],
 * BDD memory-limit bailouts set the node's BDD size to 0 and move on.
+
+The pass runs :func:`optimize_subaig` on every partition window through
+the :class:`~repro.parallel.scheduler.PartitionScheduler`; the fields of
+:class:`MspfStats` are the engine's one list of counters, which the
+window payload, the pass's fold and the ``mspf.*`` metrics all read.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.bdd.to_aig import aig_window_to_bdds
 from repro.errors import BddLimitError
 from repro.opt.shared import try_replace
-from repro.parallel.scheduler import PartitionScheduler, register_engine
+from repro.parallel.scheduler import PartitionScheduler
+from repro.parallel.stats import window_counters
+from repro.parallel.window_io import whole_network_window
 from repro.partition.partitioner import Window
 from repro.sbm.config import MspfConfig
 
@@ -55,20 +62,10 @@ def publish_metrics(stats: MspfStats) -> None:
     registry, shipped back in the window payload) and from the gradient
     moves that run MSPF inline (against the parent registry), so
     ``mspf.*`` counters aggregate every MSPF execution of the run.
+    Bailouts are reported even at zero.
     """
-    registry = obs.metrics()
-    if not registry.enabled:
-        return
-    # Bailouts are reported even at zero — "no bailout happened" is itself
-    # the answer the report exists to give.
-    registry.inc("mspf.bdd_bailouts", stats.bdd_bailouts)
-    for name, value in (("nodes_processed", stats.nodes_processed),
-                        ("mspf_nonzero", stats.mspf_nonzero),
-                        ("connectable_found", stats.connectable_found),
-                        ("rewrites", stats.rewrites),
-                        ("gain", stats.gain)):
-        if value:
-            registry.inc(f"mspf.{name}", value)
+    obs.publish_counters("mspf", window_counters(stats),
+                         always=("bdd_bailouts",))
 
 
 def mspf_pass(aig: Aig, config: Optional[MspfConfig] = None,
@@ -85,19 +82,9 @@ def mspf_pass(aig: Aig, config: Optional[MspfConfig] = None,
     permissible functions are computed against.
     """
     config = config or MspfConfig()
-    report = (scheduler or PartitionScheduler()).run_pass(
-        aig, "mspf", config, config.partition)
-    stats = MspfStats(partitions=report.num_windows)
-    for record in report.records:
-        payload = record.payload
-        stats.nodes_processed += payload.get("nodes_processed", 0)
-        stats.mspf_nonzero += payload.get("mspf_nonzero", 0)
-        stats.bdd_bailouts += payload.get("bdd_bailouts", 0)
-        stats.connectable_found += payload.get("connectable_found", 0)
-        if record.applied:
-            stats.rewrites += payload.get("rewrites", 0)
-            stats.gain += record.gain
-    return stats
+    return (scheduler or PartitionScheduler()).run_pass(
+        aig, "mspf", optimize_subaig, config,
+        config.partition).fold(MspfStats())
 
 
 def optimize_subaig(sub: Aig, config: Optional[MspfConfig] = None):
@@ -110,16 +97,8 @@ def optimize_subaig(sub: Aig, config: Optional[MspfConfig] = None):
     config = config or MspfConfig()
     stats = MspfStats()
     if sub.num_pis and sub.num_ands:
-        from repro.parallel.window_io import whole_network_window
         optimize_partition(sub, whole_network_window(sub), config, stats)
-    payload = {
-        "nodes_processed": stats.nodes_processed,
-        "mspf_nonzero": stats.mspf_nonzero,
-        "bdd_bailouts": stats.bdd_bailouts,
-        "connectable_found": stats.connectable_found,
-        "rewrites": stats.rewrites,
-        "gain": stats.gain,
-    }
+    payload = window_counters(stats)
     publish_metrics(stats)
     changed = stats.rewrites > 0
     return changed, (sub.cleanup() if changed else None), payload
@@ -324,6 +303,3 @@ def _resub_under_mspf(aig: Aig, window: Window, manager: BddManager,
         if gain:
             return gain
     return 0
-
-
-register_engine("mspf", optimize_subaig)

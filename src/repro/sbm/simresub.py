@@ -21,10 +21,13 @@ arXiv:2007.02579) is the scalable alternative this engine implements:
 
 The engine runs under the :class:`repro.parallel.scheduler
 .PartitionScheduler` like its four siblings: partitions are snapshot into
-picklable sub-networks, each window worker is a pure function of
-``(sub-network, config)`` (the pattern seed travels in the config), and
-results merge in deterministic partition order — ``jobs=N`` is
-bit-identical to ``jobs=1``.  Signatures come from one pass of the
+picklable sub-networks, the pass hands the scheduler its window worker
+:func:`optimize_subaig`, a pure function of ``(sub-network, config)``
+(the pattern seed travels in the config), and results merge in
+deterministic partition order — ``jobs=N`` is bit-identical to
+``jobs=1``.  The fields of :class:`SimresubStats` are the engine's one
+list of counters, which the window payload, the pass's fold and the
+``simresub.*`` metrics all read.  Signatures come from one pass of the
 compiled simulation program.
 """
 
@@ -36,7 +39,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.aig.aig import Aig, lit, lit_notcond
 from repro.opt.shared import try_replace
-from repro.parallel.scheduler import PartitionScheduler, register_engine
+from repro.parallel.scheduler import PartitionScheduler
+from repro.parallel.stats import window_counters
 from repro.sat.cnf import AigCnf, sat_equal
 from repro.sbm.config import SimresubConfig
 from repro.sbm.simpatterns import PatternStore
@@ -65,31 +69,6 @@ class SimresubStats:
     gain: int = 0
 
 
-def publish_metrics(stats: SimresubStats) -> None:
-    """Push one pass's counters into the active metrics registry.
-
-    Called from the worker entry point against the worker's local
-    registry (shipped back in the window payload), so ``simresub.*``
-    counters aggregate every execution of the run.
-    """
-    registry = obs.metrics()
-    if not registry.enabled:
-        return
-    # The CEGAR loop's health indicators are reported even at zero —
-    # "no candidate was refuted / no pattern was learned" is itself the
-    # answer the report exists to give.
-    registry.inc("simresub.candidates_proposed", stats.candidates_proposed)
-    registry.inc("simresub.candidates_validated", stats.candidates_validated)
-    registry.inc("simresub.candidates_refuted", stats.candidates_refuted)
-    registry.inc("simresub.cex_patterns", stats.cex_patterns)
-    for name, value in (("nodes_processed", stats.nodes_processed),
-                        ("sat_unknown", stats.sat_unknown),
-                        ("rewrites", stats.rewrites),
-                        ("gain", stats.gain)):
-        if value:
-            registry.inc(f"simresub.{name}", value)
-
-
 def simresub_pass(aig: Aig, config: Optional[SimresubConfig] = None,
                   scheduler: Optional[PartitionScheduler] = None
                   ) -> SimresubStats:
@@ -106,21 +85,9 @@ def simresub_pass(aig: Aig, config: Optional[SimresubConfig] = None,
     changes what is provable.
     """
     config = config or SimresubConfig()
-    report = (scheduler or PartitionScheduler()).run_pass(
-        aig, "simresub", config, config.partition)
-    stats = SimresubStats(partitions=report.num_windows)
-    for record in report.records:
-        payload = record.payload
-        stats.nodes_processed += payload.get("nodes_processed", 0)
-        stats.candidates_proposed += payload.get("candidates_proposed", 0)
-        stats.candidates_validated += payload.get("candidates_validated", 0)
-        stats.candidates_refuted += payload.get("candidates_refuted", 0)
-        stats.sat_unknown += payload.get("sat_unknown", 0)
-        stats.cex_patterns += payload.get("cex_patterns", 0)
-        if record.applied:
-            stats.rewrites += payload.get("rewrites", 0)
-            stats.gain += record.gain
-    return stats
+    return (scheduler or PartitionScheduler()).run_pass(
+        aig, "simresub", optimize_subaig, config,
+        config.partition).fold(SimresubStats())
 
 
 def optimize_subaig(sub: Aig, config: Optional[SimresubConfig] = None
@@ -135,17 +102,14 @@ def optimize_subaig(sub: Aig, config: Optional[SimresubConfig] = None
     stats = SimresubStats()
     if sub.num_pis and sub.num_ands:
         optimize_network(sub, config, stats)
-    payload = {
-        "nodes_processed": stats.nodes_processed,
-        "candidates_proposed": stats.candidates_proposed,
-        "candidates_validated": stats.candidates_validated,
-        "candidates_refuted": stats.candidates_refuted,
-        "sat_unknown": stats.sat_unknown,
-        "cex_patterns": stats.cex_patterns,
-        "rewrites": stats.rewrites,
-        "gain": stats.gain,
-    }
-    publish_metrics(stats)
+    payload = window_counters(stats)
+    # The CEGAR loop's health indicators are reported even at zero — "no
+    # candidate was refuted / no pattern was learned" is itself the answer
+    # the report exists to give.  The worker's registry ships back in the
+    # window payload, so ``simresub.*`` aggregates every window of the run.
+    obs.publish_counters("simresub", payload, always=(
+        "candidates_proposed", "candidates_validated",
+        "candidates_refuted", "cex_patterns"))
     changed = stats.rewrites > 0
     return changed, (sub.cleanup() if changed else None), payload
 
@@ -357,6 +321,3 @@ def _resub_node(aig: Aig, n: int, sig: _SigState, store: PatternStore,
             sig.refresh()
             return gain
         tried.add(cand)
-
-
-register_engine("simresub", optimize_subaig)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import os
 import random
 
 import pytest
@@ -45,17 +43,6 @@ def corrupt_stage_entry(cache_dir: str, aig: Aig, config,
     entry["network"]["outputs"][0] ^= 1
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(entry, handle, sort_keys=True)
-
-
-@pytest.fixture(scope="session")
-def bench_hotpath():
-    """``scripts/bench_hotpath.py`` as a module, for its ``checksum()``."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "scripts", "bench_hotpath.py")
-    spec = importlib.util.spec_from_file_location("bench_hotpath", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aig import checksum
 from repro.aig.cuts import Cut
 from repro.aig.io_aiger import write_aag_string
 from repro.aig.simprogram import (
@@ -366,10 +367,10 @@ FLOW_CHECKSUMS = {
 
 
 @pytest.mark.parametrize("name", sorted(FLOW_CHECKSUMS))
-def test_flow_checksum_matches_committed(bench_hotpath, name):
+def test_flow_checksum_matches_committed(name):
     from repro.bench.registry import get_benchmark
     from repro.sbm.config import FlowConfig
     from repro.sbm.flow import sbm_flow
     result, _stats = sbm_flow(get_benchmark(name, scaled=True),
                               FlowConfig(verify_each_step=True))
-    assert bench_hotpath.checksum(result) == FLOW_CHECKSUMS[name]
+    assert checksum(result) == FLOW_CHECKSUMS[name]

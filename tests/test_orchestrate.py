@@ -14,8 +14,9 @@ The contracts under test:
   network and the same chosen ordering.
 * **Chaos containment** — a corrupt-stage fault inside one candidate is
   rolled back by the per-candidate guard without sinking the search, a
-  result-changing fault plan disables the memo entirely, and a guarded
-  search re-checks every memo hit.
+  result-changing fault plan disables the memo entirely, a guarded
+  search re-checks every memo hit, and an interrupted search resumes
+  from the memo to the uninterrupted search's network.
 * **One flow record** — a search reports its round winners' stages: the
   guard section's rollbacks equal the rollback counters, each with its
   counterexample.
@@ -37,7 +38,7 @@ from repro.campaign import (
     network_fingerprint,
     stage_cache_key,
 )
-from repro.guard.chaos import FaultPlan
+from repro.guard.chaos import ChaosInterrupt, FaultPlan
 from repro.parallel.window_io import CompactAig
 from repro.sat.equivalence import check_equivalence
 from repro.sbm.config import FlowConfig, OrchestrateConfig
@@ -290,13 +291,59 @@ class TestChaos:
         assert all("counterexample" in event["detail"] for event in rolled)
 
     def test_interrupt_only_plan_keeps_memo_on(self):
+        # An interrupt changes no result, so the memo stays on: the search
+        # stops after recorded stage #3 with every stage before it
+        # committed (stored fresh, or replayed from another candidate).
+        from repro import obs
         aig = make_random_aig(6, 60, seed=33)
         config = small_search_config(
             k=2, rounds=1, chaos=FaultPlan(seed=7, rate=0.0,
                                            interrupt_after=3))
-        _net, stats = sbm_flow(aig, config)
-        assert stats.orchestrate["stage_memo"] is not None
+        session = obs.enable()
+        try:
+            with pytest.raises(ChaosInterrupt):
+                sbm_flow(aig, config)
+        finally:
+            obs.disable()
+        [stats] = session.flow_stats
         assert stats.guard.faults == []
+        assert stats.guard.checkpoints > 0
+        committed = [event.stage for event in stats.guard.events
+                     if event.kind in ("checkpoint", "replayed")]
+        recorded = [record.name.split("[")[0]
+                    for record in stats.records[1:]]
+        assert len(recorded) == 4
+        assert committed == recorded
+
+    def test_interrupted_search_resumes_from_the_memo(self, tmp_path):
+        # The search runs the waterfall's interrupt check after each
+        # recorded winner stage; a rerun against the same cache finishes
+        # with the uninterrupted search's network.
+        from repro import obs
+        aig = make_random_aig(7, 120, seed=31)
+        plain, _ = sbm_flow(aig, small_search_config(k=2, rounds=2))
+        cache_dir = str(tmp_path / "cache")
+        interrupt = FaultPlan(seed=7, rate=0.0, interrupt_after=3)
+        session = obs.enable()
+        try:
+            with cache_context(cache_dir), \
+                    pytest.raises(ChaosInterrupt) as excinfo:
+                sbm_flow(aig, small_search_config(k=2, rounds=2,
+                                                  chaos=interrupt))
+        finally:
+            obs.disable()
+        assert excinfo.value.stage_index == 3
+        [stats] = session.flow_stats
+        [event] = [event for event in stats.guard.events
+                   if event.kind == "interrupted"]
+        assert event.detail == {"stage_index": 3}
+        assert [record.name for record in stats.records][-1] \
+            == f"{event.stage}[r1]"
+        with cache_context(cache_dir):
+            resumed, rerun = sbm_flow(aig, small_search_config(k=2,
+                                                               rounds=2))
+        assert structure(resumed) == structure(plain)
+        assert rerun.guard.replayed >= 4
 
 
 # -- suite + campaign wiring --------------------------------------------------

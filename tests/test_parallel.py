@@ -11,6 +11,9 @@ Covers the three pillars of ``repro.parallel``:
   on EPFL-style benchmarks.
 * **One pool per run** — a ``jobs=2`` flow forks its workers once, not
   once per multi-window pass.
+* **One counter contract** — a counter-based engine's window payload,
+  its pass's fold and its ``<engine>.*`` metrics all read the fields of
+  its stats dataclass.
 * **Fault isolation** — a worker that raises, hangs, or dies outright
   leaves the network functionally unchanged (SAT-verified) and is reported
   as a fallback rather than an error; a crashed pool is rebuilt and keeps
@@ -19,6 +22,7 @@ Covers the three pillars of ``repro.parallel``:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import time
@@ -26,13 +30,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro import obs
 from repro.aig.aig import Aig, lit_node
 from repro.bench.registry import get_benchmark
 from repro.parallel import (
     CompactAig,
     PartitionScheduler,
     extract_task,
-    register_engine,
     run_window_task,
     whole_network_window,
 )
@@ -45,10 +49,12 @@ from repro.sbm.config import (
     FlowConfig,
     KernelConfig,
     MspfConfig,
+    SimresubConfig,
 )
 from repro.sbm.flow import sbm_flow
 from repro.sbm.hetero_kernel import hetero_kernel_pass
 from repro.sbm.mspf import mspf_pass
+from repro.sbm.simresub import simresub_pass
 
 from tests.conftest import make_random_aig
 
@@ -76,8 +82,7 @@ def signature(aig: Aig):
 
 
 # -- fault-injection engines -------------------------------------------------
-# Registered at import time so fork()ed workers inherit them through the
-# parent's module state (names are resolved inside the worker).
+# Module-level functions, so they pickle by reference into the workers.
 
 def _boom_engine(sub, config):
     raise RuntimeError("injected failure")
@@ -98,12 +103,6 @@ def _shrink_engine(sub, config):
     if optimized.num_ands < sub.num_ands:
         return True, optimized, {"shrunk": 1}
     return False, None, {}
-
-
-register_engine("boom", _boom_engine)
-register_engine("sleepy", _sleepy_engine)
-register_engine("killer", _killer_engine)
-register_engine("shrink", _shrink_engine)
 
 
 # -- transport ---------------------------------------------------------------
@@ -153,7 +152,7 @@ class TestWindowTransport:
     def test_worker_runs_inline(self):
         aig = make_random_aig(8, 150, seed=9)
         task = extract_task(aig, whole_network_window(aig), 0)
-        result = run_window_task("shrink", task, None)
+        result = run_window_task(_shrink_engine, task, None)
         assert result.fallback is None
         if result.changed:
             assert_equivalent(task.compact.to_aig(),
@@ -217,7 +216,7 @@ class TestDeterminism:
         aig = make_random_aig(12, 500, seed=42)
         reference = aig.cleanup()
         report = PartitionScheduler(pool=pool).run_pass(
-            aig, "shrink", None, partition_config=SMALL_PARTS)
+            aig, "shrink", _shrink_engine, None, partition_config=SMALL_PARTS)
         assert report.engine == "shrink"
         assert report.jobs == 2
         assert report.num_windows == len(report.records)
@@ -258,6 +257,44 @@ class TestPoolOwnership:
         assert signature(given) == signature(serial)
 
 
+# -- one counter contract ----------------------------------------------------
+
+COUNTER_CASES = [
+    ("mspf", mspf_pass, lambda: MspfConfig(partition=SMALL_PARTS)),
+    ("simresub", simresub_pass, lambda: SimresubConfig(partition=SMALL_PARTS)),
+    ("bdiff", boolean_difference_pass,
+     lambda: BooleanDifferenceConfig(partition=SMALL_PARTS)),
+]
+
+
+class TestCounterContract:
+    @pytest.mark.parametrize("prefix,pass_fn,make_config", COUNTER_CASES,
+                             ids=[c[0] for c in COUNTER_CASES])
+    def test_payload_fold_and_metrics_read_the_stats_fields(
+            self, prefix, pass_fn, make_config):
+        aig = make_random_aig(12, 500, seed=42)
+        session = obs.enable()
+        try:
+            stats = pass_fn(aig, make_config())
+        finally:
+            obs.disable()
+        [report] = session.parallel_reports
+        assert report.num_windows > 1
+        fields = [f.name for f in dataclasses.fields(stats)]
+        for record in report.records:
+            assert sorted(record.payload) \
+                == sorted(set(fields) - {"partitions"})
+        assert stats.partitions == report.num_windows
+        assert stats.gain == report.total_gain
+        # The other fields sum over every window, as the workers'
+        # published counters do (a skipped zero leaves no key: 0).
+        for name in set(fields) - {"partitions", "rewrites", "gain"}:
+            assert getattr(stats, name) == sum(
+                record.payload[name] for record in report.records)
+            assert getattr(stats, name) \
+                == session.metrics.counter(f"{prefix}.{name}"), name
+
+
 # -- fault isolation ---------------------------------------------------------
 
 class TestFaultIsolation:
@@ -266,7 +303,7 @@ class TestFaultIsolation:
         reference = aig.cleanup()
         before = signature(aig)
         report = PartitionScheduler(pool=pool).run_pass(
-            aig, "boom", None, partition_config=SMALL_PARTS)
+            aig, "boom", _boom_engine, None, partition_config=SMALL_PARTS)
         assert report.num_windows > 1
         assert report.num_applied == 0
         assert report.num_fallbacks == report.num_windows
@@ -281,7 +318,7 @@ class TestFaultIsolation:
         reference = aig.cleanup()
         before = signature(aig)
         scheduler = PartitionScheduler(pool=pool, window_timeout_s=0.25)
-        report = scheduler.run_pass(aig, "sleepy", None,
+        report = scheduler.run_pass(aig, "sleepy", _sleepy_engine, None,
                                     partition_config=SMALL_PARTS)
         assert report.num_windows > 1
         assert report.num_applied == 0
@@ -294,7 +331,7 @@ class TestFaultIsolation:
         reference = aig.cleanup()
         before = signature(aig)
         scheduler = PartitionScheduler(pool=pool, max_pool_restarts=1)
-        report = scheduler.run_pass(aig, "killer", None,
+        report = scheduler.run_pass(aig, "killer", _killer_engine, None,
                                     partition_config=SMALL_PARTS)
         assert report.num_windows > 1
         assert report.num_applied == 0
@@ -309,7 +346,7 @@ class TestFaultIsolation:
         assert pool.rebuilds == report.pool_restarts + 1
         assert pool.generation == pool.rebuilds
         healthy = PartitionScheduler(pool=pool).run_pass(
-            aig, "shrink", None, partition_config=SMALL_PARTS)
+            aig, "shrink", _shrink_engine, None, partition_config=SMALL_PARTS)
         assert healthy.num_windows > 1
         assert healthy.num_fallbacks == 0
         assert pool.rebuilds == report.pool_restarts + 1
@@ -325,7 +362,7 @@ class TestFaultIsolation:
             before = signature(work)
             rebuilds = pool.rebuilds
             scheduler = PartitionScheduler(pool=pool, max_pool_restarts=cap)
-            report = scheduler.run_pass(work, "killer", None,
+            report = scheduler.run_pass(work, "killer", _killer_engine, None,
                                         partition_config=SMALL_PARTS)
             # cap + 1 rounds, each broke the executor and rebuilt it
             assert pool.rebuilds - rebuilds == cap + 1
@@ -337,16 +374,6 @@ class TestFaultIsolation:
             assert "pool-restart-limit" in report.fallback_reasons
             assert signature(work) == before
             assert_equivalent(reference, work)
-
-    def test_unknown_engine_falls_back(self):
-        aig = make_random_aig(8, 150, seed=31)
-        before = signature(aig)
-        report = PartitionScheduler().run_pass(
-            aig, "no-such-engine", None, partition_config=SMALL_PARTS)
-        assert report.num_applied == 0
-        assert all(r.fallback.startswith("worker-error:KeyError")
-                   for r in report.records)
-        assert signature(aig) == before
 
 
 # -- CLI plumbing ------------------------------------------------------------
