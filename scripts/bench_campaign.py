@@ -16,7 +16,10 @@ asserts *behavior*, not absolute seconds:
 
 * warm runs at least ``--min-speedup`` (default 5×) faster than cold,
 * warm and partial checksums equal the cold checksums on every job,
-* warm is all hits; partial misses exactly the invalidated jobs.
+* warm is all hits; partial misses exactly the invalidated jobs,
+* the cold checksums equal those of the report at ``--output`` that the
+  run is about to replace (the committed ``BENCH_campaign.json`` by
+  default), on every benchmark both list, so a stale report fails.
 
 Usage:
     python scripts/bench_campaign.py --quick          # CI smoke (~1 min)
@@ -105,10 +108,29 @@ def run_bench(benchmarks, workers: int, cache_dir: str) -> dict:
     }
 
 
-def check(report: dict, min_speedup: float) -> int:
-    """Gate the cache contract; returns a process exit status."""
+def previous_checksums(path: str) -> dict:
+    """Cold checksums of the report at *path* ({} when there is none)."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)["cold"]["checksums"]
+
+
+def check(report: dict, min_speedup: float, previous: dict,
+          refresh: str) -> int:
+    """Gate the cache contract; returns a process exit status.
+
+    *previous* holds the cold checksums of the report this run replaces;
+    *refresh* is the command that rewrites it.
+    """
     failures = []
     cold, warm, partial = report["cold"], report["warm"], report["partial"]
+    stale = sorted(name for name, value in previous.items()
+                   if cold["checksums"].get(name, value) != value)
+    if stale:
+        failures.append(f"cold checksums of {', '.join(stale)} differ from "
+                        f"the replaced report (stale report or changed "
+                        f"flow); refresh it with `{refresh}` and commit it")
     for run in (cold, warm, partial):
         if run["errors"]:
             failures.append(f"{run['label']}: {run['errors']} job errors")
@@ -142,7 +164,8 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true",
                         help="2-benchmark CI smoke instead of the EPFL subset")
     parser.add_argument("--check", action="store_true",
-                        help="gate: warm >= --min-speedup and bit-identical")
+                        help="gate: warm >= --min-speedup, bit-identical, "
+                             "cold checksums equal the replaced report's")
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         help="warm-over-cold wall-clock gate (default 5x)")
     parser.add_argument("--jobs", "-j", type=int, default=1,
@@ -154,6 +177,7 @@ def main() -> int:
     args = parser.parse_args()
 
     benchmarks = QUICK_BENCHMARKS if args.quick else FULL_BENCHMARKS
+    previous = previous_checksums(args.output)
     temp = None
     cache_dir = args.cache_dir
     if cache_dir is None:
@@ -170,7 +194,11 @@ def main() -> int:
         handle.write("\n")
     print(f"report written to {args.output}")
     if args.check:
-        return check(report, args.min_speedup)
+        refresh = "python scripts/bench_campaign.py" + (
+            " --quick" if args.quick else "")
+        if args.output != REPORT_PATH:
+            refresh += f" --output {args.output}"
+        return check(report, args.min_speedup, previous, refresh)
     return 0
 
 

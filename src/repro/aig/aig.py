@@ -94,6 +94,10 @@ class Aig:
         self._po_names: List[str] = []
         self._strash: Dict[Tuple[int, int], int] = {}
         self._fanouts: List[List[int]] = [[]]  # AND-node fanouts only
+        # Topological rank: 0 for the constant and the PIs; every live AND
+        # ranks above both of its fanins.  An upper bound kept by
+        # _new_node and _patch_fanin, never a level (ranks only grow).
+        self._rank: List[int] = [0]
         self._n_dead_ands = 0
 
     # -- construction --------------------------------------------------------
@@ -313,6 +317,33 @@ class Aig:
             self._fanouts[node] = list(out)
         return out
 
+    def depends_on(self, node: int, target: int) -> bool:
+        """True iff *target* lies in the transitive fan-in of *node*, *node*
+        itself included (the predicate ``target in transitive_fanin(aig,
+        [node])``).
+
+        This is the cycle guard of the local moves.  It expands only live
+        ANDs ranked above *target*: every live AND ranks above its fanins,
+        so a node ranked at or below *target* cannot reach it.
+        """
+        if node == target:
+            return True
+        rank, fanin0, fanin1, dead = (self._rank, self._fanin0,
+                                      self._fanin1, self._dead)
+        bound = rank[target]
+        seen = set()
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            if rank[n] <= bound or dead[n] or n in seen:
+                continue
+            seen.add(n)
+            for f in (fanin0[n] >> 1, fanin1[n] >> 1):
+                if f == target:
+                    return True
+                stack.append(f)
+        return False
+
     def nodes(self) -> Iterator[int]:
         """All live nodes (constant, PIs and ANDs) in id order."""
         for node in range(len(self._fanin0)):
@@ -337,7 +368,8 @@ class Aig:
         dangling (the node's MFFC).
 
         The caller must guarantee that *new_lit*'s cone does not contain
-        *node*, otherwise a combinational cycle would be created.
+        *node* (``not depends_on(lit_node(new_lit), node)``), otherwise a
+        combinational cycle would be created.
         """
         self._check_lit(new_lit)
         if not self.is_and(node) and not self.is_pi(node):
@@ -415,13 +447,36 @@ class Aig:
             # state pointing at its new fanins so dereferencing works.
             self._fanin0[target] = n0
             self._fanin1[target] = n1
+            self._raise_rank(target)
             return simplified
         self._fanin0[target] = n0
         self._fanin1[target] = n1
+        self._raise_rank(target)
         self._strash[(n0, n1)] = target
         self._fanouts[lit_node(n0)].append(target)
         self._fanouts[lit_node(n1)].append(target)
         return None
+
+    def _raise_rank(self, node: int) -> None:
+        """Restore the rank order at *node*, whose fanins were just patched,
+        and above it.
+
+        Follows only real fanout edges (a live ``t`` whose fanin is still
+        the node): a stale ``_fanouts`` entry may point into the node's own
+        fan-in, and following it could loop.
+        """
+        rank, fanin0, fanin1 = self._rank, self._fanin0, self._fanin1
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            need = 1 + max(rank[fanin0[n] >> 1], rank[fanin1[n] >> 1])
+            if rank[n] >= need:
+                continue
+            rank[n] = need
+            for t in self._fanouts[n]:
+                if not self._dead[t] and (fanin0[t] >> 1 == n
+                                          or fanin1[t] >> 1 == n):
+                    stack.append(t)
 
     def _strash_key(self, f0: int, f1: int) -> Tuple[int, int]:
         return (f0, f1) if f0 <= f1 else (f1, f0)
@@ -585,6 +640,9 @@ class Aig:
                 refs[lit_node(f)] += 1
             if self._strash.get(self._strash_key(f0, f1)) != n:
                 raise AigError(f"node {n} missing from strash table")
+            if self._rank[n] <= max(self._rank[lit_node(f0)],
+                                    self._rank[lit_node(f1)]):
+                raise AigError(f"node {n} does not rank above its fanins")
         for po in self._pos:
             if self._dead[lit_node(po)]:
                 raise AigError("PO points at dead node")
@@ -610,6 +668,14 @@ class Aig:
     # -- internals -------------------------------------------------------------------
 
     def _new_node(self, f0: int, f1: int) -> int:
+        # A comparison, not max(): every cleanup and decode builds its
+        # network here, and max() made Aig.cleanup 14 % slower.
+        rank = self._rank
+        if f0 < 0:
+            rank.append(0)
+        else:
+            r0, r1 = rank[f0 >> 1], rank[f1 >> 1]
+            rank.append(r0 + 1 if r0 > r1 else r1 + 1)
         self._fanin0.append(f0)
         self._fanin1.append(f1)
         self._nrefs.append(0)

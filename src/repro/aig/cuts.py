@@ -15,7 +15,7 @@ pruning used by ABC's mappers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.aig.aig import Aig, lit_is_compl, lit_node
 from repro.aig.traversal import topological_order_all
@@ -62,12 +62,17 @@ class Cut:
 
 
 def enumerate_cuts(aig: Aig, k: int = 4, cut_limit: int = 8,
-                   compute_tables: bool = False) -> Dict[int, List[Cut]]:
+                   compute_tables: bool = False,
+                   roots: Optional[Iterable[int]] = None
+                   ) -> Dict[int, List[Cut]]:
     """Enumerate up to *cut_limit* K-feasible cuts for every live node.
 
     Every node always keeps its trivial cut ``{n}`` (required for mapping).
     With ``compute_tables=True`` each cut carries its local truth table,
-    enabling NPN-class lookups during rewriting.
+    enabling NPN-class lookups during rewriting.  A node's cut list is a
+    function of its fan-in cone alone, so given *roots* (live ANDs) only
+    the ANDs of their fan-in cones are enumerated, each with the list the
+    whole-network enumeration gives it.
 
     Returns a dict from node id to its cut list; PIs and the constant node
     have only their trivial cut.
@@ -75,7 +80,7 @@ def enumerate_cuts(aig: Aig, k: int = 4, cut_limit: int = 8,
     cuts: Dict[int, List[Cut]] = {0: [Cut((0,), 0 if compute_tables else None)]}
     for p in aig.pis():
         cuts[p] = [Cut((p,), 0b10 if compute_tables else None)]
-    for n in topological_order_all(aig):
+    for n in topological_order_all(aig, roots):
         f0, f1 = aig.fanins(n)
         n0, n1 = lit_node(f0), lit_node(f1)
         c0, c1 = lit_is_compl(f0), lit_is_compl(f1)

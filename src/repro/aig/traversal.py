@@ -10,21 +10,23 @@ checksums of the benchmark scripts and tests.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.aig.aig import Aig, lit_node
 
 
-def topological_order_all(aig: Aig) -> List[int]:
+def topological_order_all(aig: Aig,
+                          roots: Optional[Iterable[int]] = None) -> List[int]:
     """All live AND nodes in topological order, including dangling cones.
 
     :meth:`Aig.topological_order` only covers logic reachable from the POs;
     this variant also schedules live nodes no PO depends on, which matters for
-    mid-edit inspection.
+    mid-edit inspection.  Given *roots* (live ANDs), it orders only their
+    fan-in cones.
     """
     order: List[int] = []
     visited = bytearray(aig.max_node + 1)
-    for root in aig.ands():
+    for root in aig.ands() if roots is None else roots:
         if visited[root]:
             continue
         stack = [root]

@@ -96,11 +96,15 @@ def rewrite(aig: Aig, min_gain: int = 1, cut_size: int = 4,
 
     ``min_gain = 0`` enables zero-cost replacements (ABC's ``rwz``), useful
     for escaping local minima at the cost of extra runtime.
-    ``node_filter`` restricts the pass to a set of nodes (partition scope).
+    ``node_filter`` restricts the pass to a set of nodes (partition scope);
+    cuts are then enumerated over their fan-in cones only.  Either way the
+    cuts are those of the network at the start of the pass.
     """
     library = library or default_library()
+    roots = (None if node_filter is None
+             else [n for n in node_filter if aig.is_and(n)])
     cuts = enumerate_cuts(aig, k=cut_size, cut_limit=cut_limit,
-                          compute_tables=True)
+                          compute_tables=True, roots=roots)
     total_gain = 0
     for node in list(aig.topological_order()):
         if aig.is_dead(node) or not aig.is_and(node):

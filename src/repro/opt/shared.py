@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.aig.aig import Aig, lit_node
-from repro.aig.traversal import transitive_fanin
 
 
 def try_replace(aig: Aig, root: int, build: Callable[[], int],
@@ -49,7 +48,7 @@ def try_replace(aig: Aig, root: int, build: Callable[[], int],
         return None
     aig.protect(new_lit)
     # Cycle guard: the strashed new logic must not pass through the root.
-    if root in transitive_fanin(aig, [lit_node(new_lit)], include_pis=False):
+    if aig.depends_on(lit_node(new_lit), root):
         aig.unprotect(new_lit)
         return None
     reclaim = aig.mffc_size(root)

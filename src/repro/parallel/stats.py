@@ -11,6 +11,9 @@ The counter-based engines (MSPF, simulation-guided resubstitution, Boolean
 difference) list their counters once, as the fields of a stats dataclass:
 :func:`window_counters` turns a worker's stats into its window payload and
 :meth:`ParallelReport.fold` folds the payloads back into the pass's stats.
+Their metrics come from both ends: a worker publishes its window's
+counters but :data:`APPLIED_FIELDS` (:func:`worker_counters`), and the
+pass publishes those once folded (:func:`applied_counters`).
 """
 
 from __future__ import annotations
@@ -23,11 +26,29 @@ from typing import Any, Dict, List, Optional, TypeVar
 S = TypeVar("S")
 
 
+#: The fields :meth:`ParallelReport.fold` counts over the windows the merge
+#: applied, at their parent-level gain.  A worker sees one window of a
+#: snapshot and cannot count them.
+APPLIED_FIELDS = ("rewrites", "gain")
+
+
 def window_counters(stats: Any) -> Dict[str, Any]:
     """A worker's window payload: every field of its engine's stats
     dataclass but ``partitions``, which only the pass knows."""
     return {f.name: getattr(stats, f.name)
             for f in dataclasses.fields(stats) if f.name != "partitions"}
+
+
+def worker_counters(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The counters a worker publishes: its payload but
+    :data:`APPLIED_FIELDS`."""
+    return {name: value for name, value in payload.items()
+            if name not in APPLIED_FIELDS}
+
+
+def applied_counters(stats: Any) -> Dict[str, Any]:
+    """The counters a pass publishes once folded: :data:`APPLIED_FIELDS`."""
+    return {name: getattr(stats, name) for name in APPLIED_FIELDS}
 
 
 @dataclass

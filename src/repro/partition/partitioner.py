@@ -216,8 +216,7 @@ def splice_window(aig: Aig, window: Window, optimized: Aig) -> int:
             continue
         # Structural hashing may have mapped part of the new logic onto the
         # root itself; replacing would then create a cycle — skip that root.
-        from repro.aig.traversal import transitive_fanin
-        if root in transitive_fanin(aig, [lit_node(new_lit)]):
+        if aig.depends_on(lit_node(new_lit), root):
             continue
         aig.replace(root, new_lit)
     for new_lit in new_literals:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.aig.aig import Aig, lit_node
-from repro.aig.traversal import node_level_map, transitive_fanout
+from repro.aig.traversal import node_level_map
 
 
 @dataclass
@@ -44,10 +44,14 @@ def collect_window(aig: Aig, pivot: int, max_leaves: int = 8,
                    levels: Optional[Dict[int, int]] = None) -> Optional[NodeWindow]:
     """Build a reconvergence-driven window around *pivot*.
 
-    The cone's inner nodes are always divisors.  The pivot's transitive
-    fanout is walked only when they leave room for more, so a caller
-    that asks for none (``max_divisors=0``, as ``refactor`` does) never
-    pays for it.
+    The cone's inner nodes are always divisors.  While there is room for
+    more, fanouts of the window whose two fanins are both inside join
+    too, unless the pivot is one of those fanins.  That one test keeps
+    every divisor out of the pivot's transitive fanout without walking
+    it: of the inside nodes only the pivot is in its own fanout cone
+    (the leaves and the cone are below it, and a divisor joins only
+    from outside the fanout cone).  So the window costs one
+    ``fanout_nodes`` call per inside node at most.
 
     Returns None when the pivot has no suitable cut (e.g. it is a PI).
     """
@@ -84,17 +88,16 @@ def collect_window(aig: Aig, pivot: int, max_leaves: int = 8,
                           divisors=divisors)
     # Divisors: grow from leaves/cone through fanouts that stay inside the
     # leaf-supported space and avoid the pivot's transitive fanout.
-    tfo = transitive_fanout(aig, [pivot])
     inside: Set[int] = leaf_set | set(cone)
     frontier = list(inside)
     pivot_level = levels.get(pivot, 0)
     while frontier and len(divisors) < max_divisors:
         node = frontier.pop()
         for t in aig.fanout_nodes(node):
-            if t in inside or t in tfo or not aig.is_and(t):
+            if t in inside or not aig.is_and(t):
                 continue
             f0, f1 = (lit_node(f) for f in aig.fanins(t))
-            if (f0 in inside and f1 in inside
+            if (f0 in inside and f1 in inside and pivot not in (f0, f1)
                     and levels.get(t, pivot_level + 3) <= pivot_level + 2):
                 inside.add(t)
                 divisors.append(t)

@@ -42,7 +42,8 @@ from repro.bdd.to_aig import aig_window_to_bdds, bdd_to_aig
 from repro.errors import BddLimitError
 from repro.opt.shared import try_replace
 from repro.parallel.scheduler import PartitionScheduler
-from repro.parallel.stats import window_counters
+from repro.parallel.stats import (applied_counters, window_counters,
+                                  worker_counters)
 from repro.parallel.window_io import whole_network_window
 from repro.partition.partitioner import Window
 from repro.sbm.config import BooleanDifferenceConfig
@@ -78,9 +79,11 @@ def boolean_difference_pass(aig: Aig,
     same for every scheduler.
     """
     config = config or BooleanDifferenceConfig()
-    return (scheduler or PartitionScheduler()).run_pass(
+    stats = (scheduler or PartitionScheduler()).run_pass(
         aig, "bdiff", optimize_subaig, config,
         config.partition).fold(BooleanDifferenceStats())
+    obs.publish_counters("bdiff", applied_counters(stats))
+    return stats
 
 
 def optimize_subaig(sub: Aig,
@@ -96,8 +99,9 @@ def optimize_subaig(sub: Aig,
         optimize_partition(sub, whole_network_window(sub), config, stats)
     payload = window_counters(stats)
     # Bailouts and the size-limit filter are reported even at zero — the
-    # absence of bailouts is itself what the report exists to show.
-    obs.publish_counters("bdiff", payload, always=(
+    # absence of bailouts is itself what the report exists to show.  The
+    # pass publishes the applied ``rewrites`` and ``gain``.
+    obs.publish_counters("bdiff", worker_counters(payload), always=(
         "bdd_bailouts", "pairs_filtered_bdd_size"))
     changed = stats.rewrites > 0
     return changed, (sub.cleanup() if changed else None), payload

@@ -21,6 +21,7 @@ from repro.aig.aig import Aig
 from repro.opt.refactor import refactor
 from repro.opt.resub import resub
 from repro.opt.rewrite import rewrite
+from repro.parallel.stats import window_counters
 from repro.partition.partitioner import Window
 from repro.sbm import hetero_kernel
 from repro.sbm import mspf as mspf_mod
@@ -69,7 +70,7 @@ def _mspf_low(aig: Aig, window: Window) -> int:
     stats = mspf_mod.MspfStats()
     config = MspfConfig(max_connectable_fanins=4)
     mspf_mod.optimize_partition(aig, window, config, stats)
-    mspf_mod.publish_metrics(stats)
+    mspf_mod.publish_metrics(window_counters(stats))
     return stats.gain
 
 
@@ -77,7 +78,7 @@ def _mspf_high(aig: Aig, window: Window) -> int:
     stats = mspf_mod.MspfStats()
     config = MspfConfig(max_connectable_fanins=12)
     mspf_mod.optimize_partition(aig, window, config, stats)
-    mspf_mod.publish_metrics(stats)
+    mspf_mod.publish_metrics(window_counters(stats))
     return stats.gain
 
 

@@ -26,7 +26,7 @@ window payload, the pass's fold and the ``mspf.*`` metrics all read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.aig.aig import Aig, lit, lit_node
@@ -36,7 +36,8 @@ from repro.bdd.to_aig import aig_window_to_bdds
 from repro.errors import BddLimitError
 from repro.opt.shared import try_replace
 from repro.parallel.scheduler import PartitionScheduler
-from repro.parallel.stats import window_counters
+from repro.parallel.stats import (applied_counters, window_counters,
+                                  worker_counters)
 from repro.parallel.window_io import whole_network_window
 from repro.partition.partitioner import Window
 from repro.sbm.config import MspfConfig
@@ -55,17 +56,17 @@ class MspfStats:
     gain: int = 0
 
 
-def publish_metrics(stats: MspfStats) -> None:
-    """Push one MSPF run's counters into the active metrics registry.
+def publish_metrics(counters: Dict[str, Any]) -> None:
+    """Push MSPF counters into the active metrics registry as ``mspf.*``.
 
-    Called from the worker entry point (against the worker's local
-    registry, shipped back in the window payload) and from the gradient
-    moves that run MSPF inline (against the parent registry), so
-    ``mspf.*`` counters aggregate every MSPF execution of the run.
-    Bailouts are reported even at zero.
+    Three callers, so ``mspf.*`` aggregates every MSPF execution of the
+    run: the worker entry point (its window's counters but the applied
+    ones, against the worker's local registry, shipped back in the window
+    payload), the pass (the applied ``rewrites`` and ``gain`` it folded)
+    and the gradient moves that run MSPF inline (all of them: their gain
+    is the network's own).  Bailouts are reported even at zero.
     """
-    obs.publish_counters("mspf", window_counters(stats),
-                         always=("bdd_bailouts",))
+    obs.publish_counters("mspf", counters, always=("bdd_bailouts",))
 
 
 def mspf_pass(aig: Aig, config: Optional[MspfConfig] = None,
@@ -82,9 +83,11 @@ def mspf_pass(aig: Aig, config: Optional[MspfConfig] = None,
     permissible functions are computed against.
     """
     config = config or MspfConfig()
-    return (scheduler or PartitionScheduler()).run_pass(
+    stats = (scheduler or PartitionScheduler()).run_pass(
         aig, "mspf", optimize_subaig, config,
         config.partition).fold(MspfStats())
+    publish_metrics(applied_counters(stats))
+    return stats
 
 
 def optimize_subaig(sub: Aig, config: Optional[MspfConfig] = None):
@@ -99,7 +102,7 @@ def optimize_subaig(sub: Aig, config: Optional[MspfConfig] = None):
     if sub.num_pis and sub.num_ands:
         optimize_partition(sub, whole_network_window(sub), config, stats)
     payload = window_counters(stats)
-    publish_metrics(stats)
+    publish_metrics(worker_counters(payload))
     changed = stats.rewrites > 0
     return changed, (sub.cleanup() if changed else None), payload
 

@@ -40,7 +40,8 @@ from repro import obs
 from repro.aig.aig import Aig, lit, lit_notcond
 from repro.opt.shared import try_replace
 from repro.parallel.scheduler import PartitionScheduler
-from repro.parallel.stats import window_counters
+from repro.parallel.stats import (applied_counters, window_counters,
+                                  worker_counters)
 from repro.sat.cnf import AigCnf, sat_equal
 from repro.sbm.config import SimresubConfig
 from repro.sbm.simpatterns import PatternStore
@@ -85,9 +86,11 @@ def simresub_pass(aig: Aig, config: Optional[SimresubConfig] = None,
     changes what is provable.
     """
     config = config or SimresubConfig()
-    return (scheduler or PartitionScheduler()).run_pass(
+    stats = (scheduler or PartitionScheduler()).run_pass(
         aig, "simresub", optimize_subaig, config,
         config.partition).fold(SimresubStats())
+    obs.publish_counters("simresub", applied_counters(stats))
+    return stats
 
 
 def optimize_subaig(sub: Aig, config: Optional[SimresubConfig] = None
@@ -106,8 +109,9 @@ def optimize_subaig(sub: Aig, config: Optional[SimresubConfig] = None
     # The CEGAR loop's health indicators are reported even at zero — "no
     # candidate was refuted / no pattern was learned" is itself the answer
     # the report exists to give.  The worker's registry ships back in the
-    # window payload, so ``simresub.*`` aggregates every window of the run.
-    obs.publish_counters("simresub", payload, always=(
+    # window payload, so ``simresub.*`` aggregates every window of the run;
+    # the pass adds the applied ``rewrites`` and ``gain``.
+    obs.publish_counters("simresub", worker_counters(payload), always=(
         "candidates_proposed", "candidates_validated",
         "candidates_refuted", "cex_patterns"))
     changed = stats.rewrites > 0

@@ -5,13 +5,16 @@ simulation, the inlined BDD apply with its operation cache, the bit-test
 SOP algebra, the memoized kernel search, the one-pass random screens of
 SAT sweeping, redundancy removal and CEC, the simresub pattern store,
 the truth-table kernel (loop-free projection masks, ISOP on shrinking
-cofactors, mask-swap cut-table expansion), and the gradient engine's
-move loop, which does not re-run a move that already failed on the same
-window of the same live network.  This module keeps the plain
+cofactors, mask-swap cut-table expansion), the gradient engine's move
+loop, which does not re-run a move that already failed on the same
+window of the same live network, and the resubstitution window's
+divisor search, which keeps divisors out of the pivot's fanout cone
+without walking it.  This module keeps the plain
 formulation each of those replaced, copied verbatim, so that
 
 * the identity tests (``tests/test_hotpath.py``, ``tests/test_simresub.py``,
-  ``tests/test_property_tt.py``, ``tests/test_sbm_gradient.py``) prove
+  ``tests/test_property_tt.py``, ``tests/test_sbm_gradient.py``,
+  ``tests/test_partition.py``) prove
   every fast path bit-identical to its reference — same values, same node
   ids, same networks, same counterexamples — and
 * ``scripts/bench_hotpath.py`` times each engine against its reference.
@@ -36,16 +39,19 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro import obs
 from repro.aig.aig import Aig, lit, lit_is_compl, lit_node
 from repro.aig.simprogram import WORD_BITS
 from repro.aig.simulate import WORD_MASK, po_tables, po_words
-from repro.aig.traversal import topological_order_all
+from repro.aig.traversal import (node_level_map, topological_order_all,
+                                 transitive_fanout)
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.errors import AigError, ReproError, SatError
 from repro.partition.partitioner import Window
+from repro.partition.window import NodeWindow
 from repro.sat.cnf import AigCnf, prove_equivalent
 from repro.sat.equivalence import Counterexample, _sweep_miter, check_equivalence
 from repro.sat.redundancy import _replace_network
@@ -639,3 +645,99 @@ def _waterfall(aig: Aig, window: Window, admissible: List[Move],
                 window_span.set("gain", gain)
                 return gain
     return 0
+
+
+# -- resubstitution windows (repro.partition.window) --------------------------
+
+def collect_window(aig: Aig, pivot: int, max_leaves: int = 8,
+                   max_divisors: int = 150,
+                   levels: Optional[Dict[int, int]] = None) -> Optional[NodeWindow]:
+    """Build a reconvergence-driven window around *pivot*.
+
+    The cone's inner nodes are always divisors.  The pivot's transitive
+    fanout is walked only when they leave room for more, so a caller
+    that asks for none (``max_divisors=0``, as ``refactor`` does) never
+    pays for it.
+
+    Returns None when the pivot has no suitable cut (e.g. it is a PI).
+    """
+    if not aig.is_and(pivot):
+        return None
+    levels = levels if levels is not None else node_level_map(aig)
+    leaves = _reconvergent_cut(aig, pivot, max_leaves, levels)
+    leaf_set = set(leaves)
+    # Cone between leaves and pivot.
+    cone: List[int] = []
+    seen: Set[int] = set(leaf_set)
+    stack = [pivot]
+    post: List[int] = []
+    visiting: Set[int] = set()
+    while stack:
+        n = stack[-1]
+        if n in seen:
+            stack.pop()
+            continue
+        if n in visiting:
+            seen.add(n)
+            post.append(n)
+            stack.pop()
+            continue
+        visiting.add(n)
+        for f in aig.fanins(n):
+            fn = lit_node(f)
+            if fn not in seen and aig.is_and(fn):
+                stack.append(fn)
+    cone = post
+    divisors: List[int] = [n for n in cone if n != pivot]
+    if len(divisors) >= max_divisors:
+        return NodeWindow(pivot=pivot, leaves=leaves, cone=cone,
+                          divisors=divisors)
+    # Divisors: grow from leaves/cone through fanouts that stay inside the
+    # leaf-supported space and avoid the pivot's transitive fanout.
+    tfo = transitive_fanout(aig, [pivot])
+    inside: Set[int] = leaf_set | set(cone)
+    frontier = list(inside)
+    pivot_level = levels.get(pivot, 0)
+    while frontier and len(divisors) < max_divisors:
+        node = frontier.pop()
+        for t in aig.fanout_nodes(node):
+            if t in inside or t in tfo or not aig.is_and(t):
+                continue
+            f0, f1 = (lit_node(f) for f in aig.fanins(t))
+            if (f0 in inside and f1 in inside
+                    and levels.get(t, pivot_level + 3) <= pivot_level + 2):
+                inside.add(t)
+                divisors.append(t)
+                frontier.append(t)
+                if len(divisors) >= max_divisors:
+                    break
+    return NodeWindow(pivot=pivot, leaves=leaves, cone=cone, divisors=divisors)
+
+
+def _reconvergent_cut(aig: Aig, pivot: int, max_leaves: int,
+                      levels: Dict[int, int]) -> List[int]:
+    """Grow a cut below *pivot* by repeatedly expanding the deepest leaf."""
+    cut: Set[int] = {lit_node(f) for f in aig.fanins(pivot)}
+    for _iteration in range(60):
+        # Prefer expanding AND leaves whose expansion keeps the cut small
+        # (cost = extra leaves introduced; reconvergence gives cost <= 0).
+        best = None
+        best_cost = 10 ** 9
+        for leaf in cut:
+            if not aig.is_and(leaf):
+                continue
+            fanin_nodes = {lit_node(f) for f in aig.fanins(leaf)}
+            cost = len((fanin_nodes - cut) - {leaf}) - 1
+            if cost < best_cost or (cost == best_cost and best is not None
+                                    and levels.get(leaf, 0) > levels.get(best, 0)):
+                best = leaf
+                best_cost = cost
+        if best is None:
+            break
+        if len(cut) + best_cost > max_leaves:
+            break
+        cut.discard(best)
+        cut |= {lit_node(f) for f in aig.fanins(best)}
+        if len(cut) > max_leaves:  # safety net
+            break
+    return sorted(cut)

@@ -185,6 +185,56 @@ class TestQueries:
         assert stats["levels"] > 0
 
 
+class TestRank:
+    def test_replacement_ranked_above_the_target_raises_its_fanouts(self):
+        aig = Aig()
+        a, b, c, d, e, f = aig.add_pis(6)
+        x = aig.add_and(a, b)
+        deep = aig.add_and(aig.add_and(aig.add_and(c, d), e), f)
+        z = aig.add_and(aig.add_and(x, c), d)
+        aig.add_po(z)
+        aig.add_po(deep)
+        assert not aig.depends_on(lit_node(z), lit_node(deep))
+        # z's fanin now sits on top of deep, which ranked above x and z:
+        # without the raise the guard would stop at z and miss the path.
+        aig.replace(lit_node(x), deep)
+        aig.check()
+        assert aig.depends_on(lit_node(z), lit_node(deep))
+        assert aig.depends_on(lit_node(z), lit_node(f))
+        assert aig.depends_on(lit_node(z), lit_node(z))
+        assert not aig.depends_on(lit_node(deep), lit_node(z))
+        assert not aig.depends_on(lit_node(z), lit_node(a))
+
+    def test_merged_target_kept_alive_ranks_above_its_new_fanins(self):
+        aig = Aig()
+        a, b, c, d, e = aig.add_pis(5)
+        old = aig.add_and(a, b)
+        t = aig.add_and(old, c)
+        h = aig.add_and(aig.add_and(aig.add_and(d, e), a), b)
+        existing = aig.add_and(h, c)
+        aig.add_po(t)
+        aig.add_po(existing)
+        aig.protect(t)
+        # t patches to (h, c) and merges into existing, but the
+        # protection keeps it alive on fanins that ranked above it.
+        aig.replace(lit_node(old), h)
+        assert aig.is_and(lit_node(t))
+        assert aig.depends_on(lit_node(t), lit_node(h))
+        aig.unprotect(t)
+        assert aig.is_dead(lit_node(t))
+        aig.check()
+
+    def test_check_rejects_a_node_not_above_its_fanins(self):
+        aig = Aig()
+        a, b = aig.add_pis(2)
+        n = lit_node(aig.add_and(a, lit_not(b)))
+        aig.add_po(lit(n))
+        aig.check()
+        aig._rank[n] = 0
+        with pytest.raises(AigError, match="rank"):
+            aig.check()
+
+
 class TestCleanup:
     def test_cleanup_drops_dangling(self):
         aig = Aig()

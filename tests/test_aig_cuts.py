@@ -102,3 +102,60 @@ def test_dominated_cuts_filtered():
         for j, s2 in enumerate(leaf_sets):
             if i != j:
                 assert not (s1 < s2), (s1, s2)
+
+
+def _cut_lists(cuts, nodes):
+    return {n: [(c.leaves, c.table) for c in cuts[n]] for n in nodes}
+
+
+def test_rooted_enumeration_equals_whole_network(random_aig_factory):
+    """A node's cut list depends on its fan-in cone alone: enumerating
+    from a few roots gives every node it returns the whole network's list,
+    and returns exactly the roots' fan-in cones."""
+    import random
+
+    from repro.aig.traversal import transitive_fanin
+    rng = random.Random(5)
+    for seed in range(6):
+        aig = random_aig_factory(8, 150, seed=20 + seed)
+        ands = list(aig.ands())
+        for k, limit, tables in ((4, 6, True), (6, 8, False), (3, 4, True)):
+            full = enumerate_cuts(aig, k=k, cut_limit=limit,
+                                  compute_tables=tables)
+            roots = rng.sample(ands, 5)
+            rooted = enumerate_cuts(aig, k=k, cut_limit=limit,
+                                    compute_tables=tables, roots=roots)
+            assert set(rooted) == ({0} | set(aig.pis())
+                                   | transitive_fanin(aig, roots))
+            assert _cut_lists(rooted, rooted) == _cut_lists(full, rooted)
+
+
+def test_window_rewrite_enumerates_only_its_cone(monkeypatch):
+    """Rewriting one low window of a multi-window network enumerates the
+    cuts of that window's AND cone, not of the whole network."""
+    import importlib
+
+    from repro.aig.traversal import transitive_fanin
+    from repro.partition.partitioner import PartitionConfig, partition_network
+    from tests.conftest import make_random_aig
+    # The module, not the function that ``repro.opt`` exports by its name.
+    rewrite_module = importlib.import_module("repro.opt.rewrite")
+    aig = make_random_aig(12, 500, seed=42)
+    windows = partition_network(aig, PartitionConfig(
+        max_levels=4, max_size=40, max_leaves=16))
+    assert len(windows) > 5
+    window = windows[0]
+    cone = transitive_fanin(aig, window.nodes, include_pis=False)
+    ands = aig.num_ands
+    enumerated = []
+    original = rewrite_module.enumerate_cuts
+
+    def spying(*args, **kwargs):
+        cuts = original(*args, **kwargs)
+        enumerated.append(set(cuts) - {0} - set(aig.pis()))
+        return cuts
+
+    monkeypatch.setattr(rewrite_module, "enumerate_cuts", spying)
+    rewrite_module.rewrite(aig, node_filter=set(window.nodes))
+    assert enumerated == [cone]
+    assert 2 * len(cone) < ands

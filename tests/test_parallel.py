@@ -293,6 +293,16 @@ class TestCounterContract:
                 record.payload[name] for record in report.records)
             assert getattr(stats, name) \
                 == session.metrics.counter(f"{prefix}.{name}"), name
+        # rewrites and gain count the applied windows only, at their
+        # parent-level gain, in the stats and in the metrics alike.
+        assert stats.rewrites == sum(record.payload["rewrites"]
+                                     for record in report.records
+                                     if record.applied)
+        for name in ("rewrites", "gain"):
+            assert getattr(stats, name) \
+                == session.metrics.counter(f"{prefix}.{name}"), name
+        assert stats.gain == session.metrics.counter(
+            "parallel.gain", engine=prefix)
 
 
 # -- fault isolation ---------------------------------------------------------

@@ -131,22 +131,59 @@ class TestNodeWindows:
             w = collect_window(aig, n, max_leaves=6)
             assert len(w.leaves) <= 8  # small slack for the final expansion
 
-    def test_refactor_never_walks_fanout_cone(self, monkeypatch):
-        # refactor asks for no divisors (max_divisors=0), so collecting
-        # its windows must not walk any pivot's transitive fanout.
+    def test_divisor_search_never_walks_fanout_cone(self, monkeypatch):
+        # One fanout_nodes call per leaf, cone node and divisor at most: no
+        # walk of the pivot's transitive fanout.  With no room for divisors
+        # (max_divisors=0, as refactor asks) there is no call at all.
         from repro.bench.registry import get_benchmark
-        from repro.opt.refactor import refactor
-        from repro.partition import window as window_module
+        aig = get_benchmark("router")
+        levels = node_level_map(aig)
         calls = []
-        original = window_module.transitive_fanout
+        original = Aig.fanout_nodes
 
-        def counting(aig, roots):
-            calls.append(1)
-            return original(aig, roots)
+        def counting(self, node):
+            calls.append(node)
+            return original(self, node)
 
-        monkeypatch.setattr(window_module, "transitive_fanout", counting)
-        refactor(get_benchmark("router"), max_leaves=12)
-        assert calls == []
+        monkeypatch.setattr(Aig, "fanout_nodes", counting)
+        pivots = list(aig.ands())
+        assert len(pivots) > 50
+        for pivot in pivots:
+            del calls[:]
+            w = collect_window(aig, pivot, max_divisors=60, levels=levels)
+            assert len(calls) <= len(w.leaves) + len(w.cone) \
+                + len(w.divisors), pivot
+            del calls[:]
+            collect_window(aig, pivot, max_divisors=0, levels=levels)
+            assert calls == []
+
+    def test_windows_match_the_frozen_fanout_walk(self, random_aig_factory):
+        # Same leaves, cone and divisor order as the frozen rule, which
+        # walks each pivot's transitive fanout, on fresh networks and after
+        # rewrite and resub passes have left stale fanout entries behind.
+        import copy
+        from repro.opt.resub import resub
+        from repro.opt.rewrite import rewrite
+        from tests import reference_paths as ref
+        compared = 0
+        for seed in range(6):
+            aig = random_aig_factory(10, 160, seed=100 + seed)
+            for edit in (None, rewrite, resub):
+                if edit is not None:
+                    edit(aig)
+                frozen = copy.deepcopy(aig)
+                levels = node_level_map(aig)
+                for max_divisors in (0, 8, 60, 150):
+                    for pivot in list(aig.ands()):
+                        for max_leaves in (6, 10):
+                            got = collect_window(aig, pivot, max_leaves,
+                                                 max_divisors, levels)
+                            want = ref.collect_window(frozen, pivot,
+                                                      max_leaves,
+                                                      max_divisors, levels)
+                            assert got == want
+                            compared += 1
+        assert compared > 5000
 
     def test_pi_pivot_rejected(self):
         aig = Aig()

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig.aig import Aig, lit_node
+from repro.aig.aig import Aig, lit, lit_node
 from repro.aig.simulate import po_tables
 from repro.opt.balance import balance
 from repro.opt.resub import resub
@@ -118,3 +118,43 @@ def test_random_equivalent_replace_preserves_function(spec):
             aig.replace(target, rebuilt)
             aig.check()
     assert po_tables(aig) == tables
+
+
+@given(aig_strategy(max_pis=6, max_nodes=50))
+@settings(max_examples=25, deadline=None)
+def test_rank_guard_matches_transitive_fanin(spec):
+    """Random replacements keep every live AND ranked above its fanins,
+    and the rank-bounded guard answers as the full fan-in walk does.
+    Replacing a node by its fanout's other fanin turns that fanout into
+    ``x & x`` or ``x & !x``, the simplified branch of the fanin patch;
+    other replacements may rank above the node they replace."""
+    from repro.aig.traversal import (node_level_map, transitive_fanin,
+                                     transitive_fanout)
+    num_pis, num_nodes, rng = spec
+    aig = build_random(num_pis, num_nodes, rng)
+    for _ in range(10):
+        live = list(aig.ands())
+        if not live:
+            break
+        target = rng.choice(live)
+        tfo = transitive_fanout(aig, [target])
+        fanouts = aig.fanout_nodes(target)
+        if fanouts and rng.random() < 0.5:
+            f0, f1 = aig.fanins(rng.choice(fanouts))
+            repl = (f1 if lit_node(f0) == target else f0) ^ rng.getrandbits(1)
+        else:
+            # The deeper half of the candidates, to rank above the target.
+            levels = node_level_map(aig)
+            outside = sorted((n for n in aig.nodes() if n not in tfo),
+                             key=lambda n: levels[n])
+            repl = lit(rng.choice(outside[len(outside) // 2:]),
+                       rng.random() < 0.5)
+        if lit_node(repl) in tfo:
+            continue
+        aig.replace(target, repl)
+        aig.check()
+        nodes = list(aig.nodes())
+        for a in nodes:
+            cone = transitive_fanin(aig, [a])
+            for b in (rng.choice(nodes), rng.choice(sorted(cone))):
+                assert aig.depends_on(a, b) == (b in cone)
