@@ -64,6 +64,8 @@ class BddManager:
         #: repeated AND/OR/XOR requests without re-entering the ITE
         #: machinery at all.
         self._cache_op: Dict[Tuple[int, int, int], int] = {}
+        #: Cofactor computed table: ``(var, value)`` → node → cofactor.
+        self._cache_cofactor: Dict[Tuple[int, bool], Dict[int, int]] = {}
         self._vars: List[int] = []
         for _ in range(num_vars):
             self.new_var()
@@ -299,9 +301,13 @@ class BddManager:
 
         This is the primitive of the MSPF computation: "the positive
         (negative) cofactor of the node w.r.t. each primary output is
-        computed using BDDs" (Section IV-C).
+        computed using BDDs" (Section IV-C).  Results are kept in a
+        computed table, so sub-graphs shared between calls are walked
+        once; a hit returns the node a walk would find in the unique
+        table, so the table changes no allocation.
         """
-        return self._restrict(f, var, value, {})
+        return self._restrict(f, var, value,
+                              self._cache_cofactor.setdefault((var, value), {}))
 
     def _restrict(self, f: int, var: int, value: bool,
                   memo: Dict[int, int]) -> int:
@@ -341,6 +347,62 @@ class BddManager:
                         self.cofactor(f, var, False))
 
     # -- queries -------------------------------------------------------------------
+
+    def agree(self, f: int, g: int, care: int, complement: bool = False) -> bool:
+        """True when *f* equals *g* (``¬g`` if *complement*) wherever *care* is 1.
+
+        The same answer as ``apply_and(f, care) == apply_and(g', care)``
+        with ``g'`` = *g* or ``negate(g)``, from a cofactor walk like
+        :meth:`ite`'s that builds no node: it allocates nothing, so it can
+        neither hit :attr:`node_limit` nor bring it closer.  Memoized
+        within the call only, and it returns at the first disagreement.
+        """
+        return self._agree(f, g, care, complement, set())
+
+    def _agree(self, f: int, g: int, c: int, complement: bool,
+               agreed: Set[Tuple[int, int, int]]) -> bool:
+        if c == FALSE:
+            return True
+        if f == g:
+            return not complement
+        if f <= 1 and g <= 1:
+            return complement
+        if c == TRUE and not complement:
+            return False  # canonicity: distinct nodes differ somewhere
+        key = (f, g, c)
+        if key in agreed:
+            return True
+        var = self._var
+        low_of = self._low
+        high_of = self._high
+        vf = var[f] if f > 1 else _NO_VAR
+        vg = var[g] if g > 1 else _NO_VAR
+        vc = var[c] if c > 1 else _NO_VAR
+        top = vf
+        if vg < top:
+            top = vg
+        if vc < top:
+            top = vc
+        if vf == top:
+            f0 = low_of[f]
+            f1 = high_of[f]
+        else:
+            f0 = f1 = f
+        if vg == top:
+            g0 = low_of[g]
+            g1 = high_of[g]
+        else:
+            g0 = g1 = g
+        if vc == top:
+            c0 = low_of[c]
+            c1 = high_of[c]
+        else:
+            c0 = c1 = c
+        if not (self._agree(f0, g0, c0, complement, agreed)
+                and self._agree(f1, g1, c1, complement, agreed)):
+            return False
+        agreed.add(key)
+        return True
 
     def size(self, f: int) -> int:
         """Number of internal nodes of the BDD rooted at *f*.
@@ -462,6 +524,7 @@ class BddManager:
         self._cache_ite.clear()
         self._cache_not.clear()
         self._cache_op.clear()
+        self._cache_cofactor.clear()
 
     def reset_for_reuse(self, num_vars: int,
                         node_limit: Optional[int] = None) -> None:

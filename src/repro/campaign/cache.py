@@ -76,7 +76,7 @@ if TYPE_CHECKING:  # repro.sbm.flow imports this module
 #: and entry.  Bump whenever an engine change may alter *results* (not just
 #: speed): every cached entry computed under the old code then reads as a
 #: miss instead of replaying stale networks.
-CODE_VERSION = "sbm-flow/7"
+CODE_VERSION = "sbm-flow/8"
 #: Bump when the entry layout (not the flow semantics) changes.
 CACHE_SCHEMA = "repro.campaign/cache-v1"
 #: Entry schema of the per-stage memo slot (``repro.orchestrate``).

@@ -109,18 +109,26 @@ def collect_window(aig: Aig, pivot: int, max_leaves: int = 8,
 
 def _reconvergent_cut(aig: Aig, pivot: int, max_leaves: int,
                       levels: Dict[int, int]) -> List[int]:
-    """Grow a cut below *pivot* by repeatedly expanding the deepest leaf."""
+    """Grow a cut below *pivot* by repeatedly expanding the deepest leaf.
+
+    Each leaf's fanin set is read once per call (None for a leaf that is
+    not an AND), however many expansion steps look at it.
+    """
     cut: Set[int] = {lit_node(f) for f in aig.fanins(pivot)}
+    fanin_sets: Dict[int, Optional[Set[int]]] = {}
     for _iteration in range(60):
         # Prefer expanding AND leaves whose expansion keeps the cut small
         # (cost = extra leaves introduced; reconvergence gives cost <= 0).
         best = None
         best_cost = 10 ** 9
         for leaf in cut:
-            if not aig.is_and(leaf):
+            if leaf not in fanin_sets:
+                fanin_sets[leaf] = ({lit_node(f) for f in aig.fanins(leaf)}
+                                    if aig.is_and(leaf) else None)
+            fanin_nodes = fanin_sets[leaf]
+            if fanin_nodes is None:
                 continue
-            fanin_nodes = {lit_node(f) for f in aig.fanins(leaf)}
-            cost = len((fanin_nodes - cut) - {leaf}) - 1
+            cost = len(fanin_nodes - cut) - 1
             if cost < best_cost or (cost == best_cost and best is not None
                                     and levels.get(leaf, 0) > levels.get(best, 0)):
                 best = leaf
@@ -130,7 +138,7 @@ def _reconvergent_cut(aig: Aig, pivot: int, max_leaves: int,
         if len(cut) + best_cost > max_leaves:
             break
         cut.discard(best)
-        cut |= {lit_node(f) for f in aig.fanins(best)}
+        cut |= fanin_sets[best]
         if len(cut) > max_leaves:  # safety net
             break
     return sorted(cut)

@@ -49,6 +49,10 @@ class BooleanDifferenceConfig:
 class MspfConfig:
     """Knobs of the BDD-based MSPF engine (Section IV-C)."""
 
+    #: The paper's BDD "maximum memory limit": nodes one window's manager
+    #: may hold (the window's BDDs, each judged node's fanout cone with
+    #: the node free, cofactors, MSPF terms and care sets; connectability
+    #: tests allocate none).  A node that hits it is skipped as a bailout.
     bdd_node_limit: int = 300_000
     max_connectable_fanins: int = 8
     partition: PartitionConfig = field(default_factory=lambda: PartitionConfig(

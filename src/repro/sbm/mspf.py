@@ -8,14 +8,22 @@ partitions:
   estimated saving metric" (we use MFFC size),
 * per node the positive/negative cofactors of every partition output with
   respect to the node are computed by substituting a fresh BDD variable at
-  the node and cofactoring,
+  the node and cofactoring; only the node's fanout cone inside the window
+  is rebuilt, and only the outputs in it are cofactored (the others do
+  not see the node),
 * ``mspf(node) = ∧_i ((¬f0(po_i) ⊕ f1(po_i)) ∨ dc(po_i))``, with the loop
   stopping early "if at any point ... mspf(node) = bdd(0)",
 * the permissible set then drives resubstitution: a replacement ``new`` is
   *connectable* when ``bdd(new) ∧ ¬mspf = bdd(old) ∧ ¬mspf`` — and thanks to
   BDD canonicity we search for *many* connectable fanins at once and try an
-  irredundant subset, the key enhancement over the truth-table MSPF of [1],
-* BDD memory-limit bailouts set the node's BDD size to 0 and move on.
+  irredundant subset, the key enhancement over the truth-table MSPF of [1];
+  each test is one :meth:`~repro.bdd.manager.BddManager.agree` walk, which
+  builds no node,
+* BDD memory-limit bailouts set the node's BDD size to 0 and move on.  The
+  budget (:attr:`~repro.sbm.config.MspfConfig.bdd_node_limit`) counts the
+  nodes the window's manager keeps: the window's BDDs, each judged node's
+  fanout cone over the fresh variable, its cofactors and MSPF terms, and
+  the care set ``¬mspf``; the connectability tests add nothing to it.
 
 The pass runs :func:`optimize_subaig` on every partition window through
 the :class:`~repro.parallel.scheduler.PartitionScheduler`; the fields of
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.aig.aig import Aig, lit, lit_node
+from repro.aig.aig import Aig, lit, lit_is_compl, lit_node
 from repro.bdd import pool as bdd_pool
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.bdd.to_aig import aig_window_to_bdds
@@ -208,19 +216,21 @@ def _compute_mspf(aig: Aig, window: Window, manager: BddManager,
                   output_dcs: Optional[Dict[int, int]] = None) -> Optional[int]:
     """The paper's MSPF loop for one node; None on memory bailout.
 
-    ``output_dcs`` optionally maps root node → pre-existing don't-care BDD
-    (the ``dc(po_i)`` term).
+    Only the roots in the node's fanout cone are cofactored: every other
+    root has ``f0 == f1``, so its term is 1.  ``output_dcs`` optionally
+    maps root node → pre-existing don't-care BDD (the ``dc(po_i)`` term).
     """
     try:
         with_z = _bdds_with_free_node(aig, window, manager, all_bdds,
                                       z_var, node)
         if with_z is None:
+            stats.bdd_bailouts += 1
             return None
         mspf = TRUE
         for root in window.roots:
             fz = with_z.get(root)
             if fz is None:
-                return None
+                continue
             f0 = manager.cofactor(fz, z_var, False)
             f1 = manager.cofactor(fz, z_var, True)
             insensitive = manager.apply_xnor(f0, f1)
@@ -238,30 +248,25 @@ def _compute_mspf(aig: Aig, window: Window, manager: BddManager,
 def _bdds_with_free_node(aig: Aig, window: Window, manager: BddManager,
                          all_bdds: Dict[int, int], z_var: int,
                          node: int) -> Optional[Dict[int, int]]:
-    """Window BDDs recomputed with *node* treated as free variable ``z``."""
-    from repro.aig.aig import lit_is_compl
-    values: Dict[int, int] = {}
-    for leaf in window.leaves:
-        values[leaf] = all_bdds[leaf] if leaf in all_bdds else None
-        if values[leaf] is None:
-            return None
-    values[0] = FALSE
-    values[node] = manager.var(z_var)
+    """BDDs of *node*'s fanout cone in the window, *node* taken as ``z``.
+
+    Maps *node* and every window node that reaches it through window
+    nodes to its function of the leaves and ``z``; every other node keeps
+    its ``all_bdds`` function, which does not depend on ``z``.  None when
+    a fanin's BDD was lost to the node limit.
+    """
+    values: Dict[int, int] = {node: manager.var(z_var)}
     for n in window.nodes:
-        if n == node or aig.is_dead(n) or not aig.is_and(n):
-            continue
-        if n in values:
+        if n in values or aig.is_dead(n) or not aig.is_and(n):
             continue
         f0, f1 = aig.fanins(n)
-        b0 = values.get(lit_node(f0), all_bdds.get(lit_node(f0)))
-        b1 = values.get(lit_node(f1), all_bdds.get(lit_node(f1)))
+        n0, n1 = lit_node(f0), lit_node(f1)
+        if n0 not in values and n1 not in values:
+            continue
+        b0 = values.get(n0, all_bdds.get(n0))
+        b1 = values.get(n1, all_bdds.get(n1))
         if b0 is None or b1 is None:
             return None
-        # Fanins untouched by z keep their cached BDD; reuse saves work.
-        if lit_node(f0) not in values:
-            values[lit_node(f0)] = b0
-        if lit_node(f1) not in values:
-            values[lit_node(f1)] = b1
         if lit_is_compl(f0):
             b0 = manager.negate(b0)
         if lit_is_compl(f1):
@@ -273,30 +278,33 @@ def _bdds_with_free_node(aig: Aig, window: Window, manager: BddManager,
 def _resub_under_mspf(aig: Aig, window: Window, manager: BddManager,
                       all_bdds: Dict[int, int], node: int, mspf: int,
                       config: MspfConfig, stats: MspfStats) -> int:
-    """Try constants and connectable existing nodes under the MSPF."""
+    """Try constants and connectable existing nodes under the MSPF.
+
+    Each test is one :meth:`~repro.bdd.manager.BddManager.agree` walk, so
+    the only BDD this allocates is the care set ``¬mspf``.
+    """
     care = manager.negate(mspf)
     bdd_node = all_bdds[node]
-    on_care = manager.apply_and(bdd_node, care)
     # Constants first: biggest wins.
-    if on_care == FALSE:
+    if manager.agree(bdd_node, FALSE, care):
         gain = try_replace(aig, node, lambda: 0, min_gain=1)
         if gain:
             return gain
-    if manager.apply_and(manager.negate(bdd_node), care) == FALSE:
+    if manager.agree(bdd_node, TRUE, care):
         gain = try_replace(aig, node, lambda: 1, min_gain=1)
         if gain:
             return gain
-    # Many connectable candidates at once (BDD canonicity makes each check a
-    # single AND + pointer compare); keep an irredundant subset ordered by
-    # the reclaimable MFFC.
+    # Many connectable candidates at once (each check is one walk over
+    # the candidate, the node and the care set); keep an irredundant
+    # subset ordered by the reclaimable MFFC.
     candidates: List[Tuple[int, int]] = []  # (candidate literal, priority)
     for d in window.leaves + window.nodes:
         if d == node or aig.is_dead(d) or d not in all_bdds:
             continue
         bdd_d = all_bdds[d]
-        if manager.apply_and(bdd_d, care) == on_care:
+        if manager.agree(bdd_d, bdd_node, care):
             candidates.append((lit(d), 0))
-        elif manager.apply_and(manager.negate(bdd_d), care) == on_care:
+        elif manager.agree(bdd_d, bdd_node, care, complement=True):
             candidates.append((lit(d, True), 0))
         if len(candidates) >= config.max_connectable_fanins:
             break

@@ -7,14 +7,16 @@ SAT sweeping, redundancy removal and CEC, the simresub pattern store,
 the truth-table kernel (loop-free projection masks, ISOP on shrinking
 cofactors, mask-swap cut-table expansion), the gradient engine's move
 loop, which does not re-run a move that already failed on the same
-window of the same live network, and the resubstitution window's
+window of the same live network, the resubstitution window's
 divisor search, which keeps divisors out of the pivot's fanout cone
-without walking it.  This module keeps the plain
-formulation each of those replaced, copied verbatim, so that
+without walking it, and the MSPF engine, which tests connectability
+with an allocation-free walk and rebuilds only the node's fanout cone.
+This module keeps the plain formulation each of those replaced, copied
+verbatim, so that
 
 * the identity tests (``tests/test_hotpath.py``, ``tests/test_simresub.py``,
   ``tests/test_property_tt.py``, ``tests/test_sbm_gradient.py``,
-  ``tests/test_partition.py``) prove
+  ``tests/test_partition.py``, ``tests/test_sbm_mspf.py``) prove
   every fast path bit-identical to its reference — same values, same node
   ids, same networks, same counterexamples — and
 * ``scripts/bench_hotpath.py`` times each engine against its reference.
@@ -23,8 +25,10 @@ Inside this module the reference functions call each other (the frozen
 ``kernel_value`` divides with the frozen ``divide``; the frozen call sites
 simulate with the frozen ``simulate_words``; the frozen ``_isop_rec``
 masks with the frozen ``variable_table``; the frozen ``simulate_complete``
-projects with the frozen ``_variable_pattern``), so the reference side of
-a comparison never runs the fast path under test.
+projects with the frozen ``_variable_pattern``; the frozen MSPF
+``optimize_partition`` judges nodes with the frozen ``_compute_mspf`` and
+``_resub_under_mspf``), so the reference side of a comparison never runs
+the fast path under test.
 
 Do not edit the bodies to follow production: they are the specification
 the fast paths are held to.  Nothing under ``src/`` may import this module,
@@ -48,16 +52,19 @@ from repro.aig.simprogram import WORD_BITS
 from repro.aig.simulate import WORD_MASK, po_tables, po_words
 from repro.aig.traversal import (node_level_map, topological_order_all,
                                  transitive_fanout)
+from repro.bdd import pool as bdd_pool
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.errors import AigError, ReproError, SatError
+from repro.errors import AigError, BddLimitError, ReproError, SatError
+from repro.opt.shared import try_replace
 from repro.partition.partitioner import Window
 from repro.partition.window import NodeWindow
 from repro.sat.cnf import AigCnf, prove_equivalent
 from repro.sat.equivalence import Counterexample, _sweep_miter, check_equivalence
 from repro.sat.redundancy import _replace_network
-from repro.sbm.config import GradientConfig
+from repro.sbm.config import GradientConfig, MspfConfig
 from repro.sbm.gradient import (GradientStats, _parallel, _partitions,
                                 _publish_gradient)
+from repro.sbm.mspf import MspfStats, _window_bdds
 from repro.sbm.moves import DEFAULT_MOVES, Move
 from repro.sbm.simpatterns import PatternStore
 from repro.sop.cube import Cube, cube_contains, cube_divide, cube_is_contradiction
@@ -741,3 +748,185 @@ def _reconvergent_cut(aig: Aig, pivot: int, max_leaves: int,
         if len(cut) > max_leaves:  # safety net
             break
     return sorted(cut)
+
+
+# -- MSPF engine (repro.sbm.mspf) ---------------------------------------------
+
+def optimize_partition(aig: Aig, window: Window, config: MspfConfig,
+                       stats: MspfStats) -> None:
+    """MSPF-based resubstitution inside one partition."""
+    # Earlier edits elsewhere can change the window's boundary (fanins
+    # rewired outside it) and which nodes are externally referenced; MSPF
+    # validity requires the *current* observability boundary, so recompute
+    # the whole window against the network's present state.
+    from repro.partition.partitioner import refresh_window
+    refreshed = refresh_window(aig, window)
+    if refreshed is None or not refreshed.leaves:
+        return
+    window = refreshed
+    root_set = set(window.roots)
+    nodes = [n for n in window.nodes if n not in root_set]
+    if not nodes:
+        return
+    # Estimated-saving ordering: big MFFCs first within the topological list.
+    nodes.sort(key=lambda n: -aig.mffc_size(n))
+    alive = list(window.nodes)
+    rebuilt = _window_bdds(aig, window, alive, config)
+    if rebuilt is None:
+        return
+    manager, all_bdds, z_var = rebuilt
+    try:
+        for n in nodes:
+            if aig.is_dead(n) or not aig.is_and(n) or n not in all_bdds:
+                continue
+            if n in root_set:
+                # Cascade merges during earlier rewrites can promote a member
+                # to the observability boundary; never optimize a current root.
+                continue
+            stats.nodes_processed += 1
+            mspf = _compute_mspf(aig, window, manager, all_bdds, z_var, n,
+                                 config, stats)
+            if mspf is None or mspf == FALSE:
+                continue
+            stats.mspf_nonzero += 1
+            try:
+                gain = _resub_under_mspf(aig, window, manager, all_bdds, n,
+                                         mspf, config, stats)
+            except BddLimitError:
+                # Memory-limit bailout (Section IV-C): "the algorithm sets the
+                # BDD size of the node to 0 ... the computation can then
+                # continue by considering the other nodes."
+                stats.bdd_bailouts += 1
+                continue
+            if gain:
+                stats.rewrites += 1
+                stats.gain += gain
+                # Internal functions changed (within their permissible sets)
+                # and cascade merges may have moved the observability
+                # boundary: refresh the whole window and its BDDs before
+                # judging further nodes.
+                refreshed = refresh_window(aig, window)
+                if refreshed is None:
+                    return
+                window = refreshed
+                root_set = set(window.roots)
+                alive = list(window.nodes)
+                # Recycle the window's own manager (container capacity,
+                # not nodes) instead of constructing a fresh one per
+                # rebuild; reset_for_reuse replays fresh-manager state
+                # exactly.
+                reuse, manager = manager, None
+                rebuilt = _window_bdds(aig, window, alive, config,
+                                       reuse=reuse)
+                if rebuilt is None:
+                    return
+                manager, all_bdds, z_var = rebuilt
+    finally:
+        if manager is not None:
+            bdd_pool.release(manager)
+
+
+def _compute_mspf(aig: Aig, window: Window, manager: BddManager,
+                  all_bdds: Dict[int, int], z_var: int, node: int,
+                  config: MspfConfig, stats: MspfStats,
+                  output_dcs: Optional[Dict[int, int]] = None) -> Optional[int]:
+    """The paper's MSPF loop for one node; None on memory bailout.
+
+    ``output_dcs`` optionally maps root node → pre-existing don't-care BDD
+    (the ``dc(po_i)`` term).
+    """
+    try:
+        with_z = _bdds_with_free_node(aig, window, manager, all_bdds,
+                                      z_var, node)
+        if with_z is None:
+            return None
+        mspf = TRUE
+        for root in window.roots:
+            fz = with_z.get(root)
+            if fz is None:
+                return None
+            f0 = manager.cofactor(fz, z_var, False)
+            f1 = manager.cofactor(fz, z_var, True)
+            insensitive = manager.apply_xnor(f0, f1)
+            if output_dcs and root in output_dcs:
+                insensitive = manager.apply_or(insensitive, output_dcs[root])
+            mspf = manager.apply_and(mspf, insensitive)
+            if mspf == FALSE:
+                return FALSE  # early stop (Section IV-C)
+        return mspf
+    except BddLimitError:
+        stats.bdd_bailouts += 1
+        return None
+
+
+def _bdds_with_free_node(aig: Aig, window: Window, manager: BddManager,
+                         all_bdds: Dict[int, int], z_var: int,
+                         node: int) -> Optional[Dict[int, int]]:
+    """Window BDDs recomputed with *node* treated as free variable ``z``."""
+    from repro.aig.aig import lit_is_compl
+    values: Dict[int, int] = {}
+    for leaf in window.leaves:
+        values[leaf] = all_bdds[leaf] if leaf in all_bdds else None
+        if values[leaf] is None:
+            return None
+    values[0] = FALSE
+    values[node] = manager.var(z_var)
+    for n in window.nodes:
+        if n == node or aig.is_dead(n) or not aig.is_and(n):
+            continue
+        if n in values:
+            continue
+        f0, f1 = aig.fanins(n)
+        b0 = values.get(lit_node(f0), all_bdds.get(lit_node(f0)))
+        b1 = values.get(lit_node(f1), all_bdds.get(lit_node(f1)))
+        if b0 is None or b1 is None:
+            return None
+        # Fanins untouched by z keep their cached BDD; reuse saves work.
+        if lit_node(f0) not in values:
+            values[lit_node(f0)] = b0
+        if lit_node(f1) not in values:
+            values[lit_node(f1)] = b1
+        if lit_is_compl(f0):
+            b0 = manager.negate(b0)
+        if lit_is_compl(f1):
+            b1 = manager.negate(b1)
+        values[n] = manager.apply_and(b0, b1)
+    return values
+
+
+def _resub_under_mspf(aig: Aig, window: Window, manager: BddManager,
+                      all_bdds: Dict[int, int], node: int, mspf: int,
+                      config: MspfConfig, stats: MspfStats) -> int:
+    """Try constants and connectable existing nodes under the MSPF."""
+    care = manager.negate(mspf)
+    bdd_node = all_bdds[node]
+    on_care = manager.apply_and(bdd_node, care)
+    # Constants first: biggest wins.
+    if on_care == FALSE:
+        gain = try_replace(aig, node, lambda: 0, min_gain=1)
+        if gain:
+            return gain
+    if manager.apply_and(manager.negate(bdd_node), care) == FALSE:
+        gain = try_replace(aig, node, lambda: 1, min_gain=1)
+        if gain:
+            return gain
+    # Many connectable candidates at once (BDD canonicity makes each check a
+    # single AND + pointer compare); keep an irredundant subset ordered by
+    # the reclaimable MFFC.
+    candidates: List[Tuple[int, int]] = []  # (candidate literal, priority)
+    for d in window.leaves + window.nodes:
+        if d == node or aig.is_dead(d) or d not in all_bdds:
+            continue
+        bdd_d = all_bdds[d]
+        if manager.apply_and(bdd_d, care) == on_care:
+            candidates.append((lit(d), 0))
+        elif manager.apply_and(manager.negate(bdd_d), care) == on_care:
+            candidates.append((lit(d, True), 0))
+        if len(candidates) >= config.max_connectable_fanins:
+            break
+    stats.connectable_found += len(candidates)
+    for candidate, _priority in candidates:
+        gain = try_replace(aig, node, lambda c=candidate: c, min_gain=1)
+        if gain:
+            return gain
+    return 0

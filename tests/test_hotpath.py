@@ -360,7 +360,7 @@ def test_sop_add_cube_matches_reference(seed):
 # flow bit-identical.
 FLOW_CHECKSUMS = {
     "router": "7c939065bb3e0262",
-    "i2c": "49f804aeaed857d6",
+    "i2c": "0c427fd3d8afcf44",
     "cavlc": "1c3c6ff57d186171",
     "priority": "029cb048667fa474",
 }

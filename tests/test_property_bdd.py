@@ -3,17 +3,16 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bdd.manager import FALSE, BddManager
+from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.tt.truthtable import TruthTable, table_mask
 
 from tests.test_bdd import build_from_table
 
 
-def specs(max_vars=5):
+def specs(max_vars=5, tables=2):
     return st.integers(min_value=1, max_value=max_vars).flatmap(
         lambda n: st.tuples(
-            st.integers(min_value=0, max_value=table_mask(n)),
-            st.integers(min_value=0, max_value=table_mask(n)),
+            *[st.integers(min_value=0, max_value=table_mask(n))] * tables,
             st.just(n)))
 
 
@@ -94,3 +93,25 @@ def test_cofactor_composition(spec):
         lo = mgr.cofactor(f, v, False)
         hi = mgr.cofactor(f, v, True)
         assert mgr.ite(mgr.var(v), hi, lo) == f
+
+
+@given(specs(tables=3))
+def test_agree_matches_the_and_compare(spec):
+    """agree(f, g, c) is the test MSPF's ANDs made, ``f ∧ c == g ∧ c``
+    (against ``¬g`` when complemented), and it builds no node."""
+    bits_f, bits_g, bits_c, n = spec
+    mgr = BddManager(n)
+    f, g, c = (build_from_table(mgr, TruthTable(bits, n))
+               for bits in (bits_f, bits_g, bits_c))
+    operands = (f, g, c, FALSE, TRUE)
+    for x in operands:
+        for y in operands:
+            for care in operands:
+                before = mgr.num_nodes
+                same = mgr.agree(x, y, care)
+                opposite = mgr.agree(x, y, care, complement=True)
+                assert mgr.num_nodes == before
+                assert same == (mgr.apply_and(x, care)
+                                == mgr.apply_and(y, care))
+                assert opposite == (mgr.apply_and(x, care)
+                                    == mgr.apply_and(mgr.negate(y), care))
